@@ -54,10 +54,15 @@ def cancel(pairset, tensors):
     Output has order N - 2|V|; slots appear in the increasing order of their
     surviving global positions.  Implemented as a single einsum in which each
     pair shares one summation symbol, so only the contracted result is ever
-    materialized.
+    materialized; N - |V| may not exceed the 52 available symbols.
     """
     decomp = _validate(pairset, tensors)
     n_total = decomp.total
+    n_symbols = n_total - len(pairset)
+    if n_symbols > len(_LETTERS):
+        raise ValueError(
+            f"contraction needs {n_symbols} index symbols; einsum allows at most {len(_LETTERS)}"
+        )
     symbol = {}
     next_free = 0
     for m, n in pairset.pairs:

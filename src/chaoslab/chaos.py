@@ -2,10 +2,17 @@
 
 The isonormal process is realized on R^d by mapping the i-th basis vector to
 an independent standard Gaussian coordinate.  The order-n integral of a
-symmetric tensor A evaluates as a Hermite-polynomial sum over multi-indices;
-products of such integrals expand into lower-order integrals of pair-set
-contractions.  A brute-force Isserlis oracle, coded independently of the
-expansion path, supplies exact expectations for cross-checking.
+symmetric tensor A evaluates as a Hermite-polynomial sum over multi-indices.
+Products of such integrals expand into lower-order integrals by folding the
+two-factor product formula
+
+    W_p(f) W_q(g) = sum_r r! C(p, r) C(q, r) W_{p+q-2r}(f (x)~_r g)
+
+(Nualart, *The Malliavin Calculus and Related Topics*, Prop. 1.1.3) over the
+factors from left to right; the sum over admissible pair sets of the
+contraction operator is the same expansion and serves as its test reference.
+A brute-force Isserlis oracle, coded independently of the expansion path,
+supplies exact expectations for cross-checking.
 """
 
 from __future__ import annotations
@@ -17,9 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cancellation import cancel
-from .pairings import IntervalDecomposition, enumerate_admissible
-from .tensors import SymTensor, inner, symmetrize
+from .tensors import SymTensor, contract, inner, symmetrize
 
 __all__ = [
     "hermite_he",
@@ -254,12 +259,19 @@ class ChaosExpansion:
         return cls(terms=terms, lengths=tuple(obj["lengths"]))
 
 
-def expand_product(tensors, max_total_order=DEFAULT_EXPANSION_CAP, symmetrize_terms=True):
+def expand_product(tensors, max_total_order=DEFAULT_EXPANSION_CAP):
     """Expand a product of multiple integrals into single integrals.
 
-    The product of the integrals of A_1, ..., A_l equals the sum over all
-    admissible pair sets V of the integral of the V-contraction; grouping by
-    |V| = k gives one tensor per degree N - 2k.  The pointwise identity
+    Folds the factors from left to right with the two-factor product formula
+
+        W_p(f) W_q(g) = sum_{r=0}^{min(p, q)} r! C(p, r) C(q, r) W_{p+q-2r}(f (x)~_r g)
+
+    for symmetric f, g, where f (x)~_r g is the symmetrized contraction of r
+    slots (Nualart, *The Malliavin Calculus and Related Topics*, Prop. 1.1.3).
+    Each factor is symmetrized first, which leaves its integral unchanged.
+    The result has one symmetric tensor per degree and equals the sum over
+    admissible pair sets V of the V-contractions grouped by N - 2|V|, the
+    reference the tests compare against.  The pointwise identity
 
         prod_i wick_eval(A_i, xi) == sum_m wick_eval(terms[m], xi)
 
@@ -272,22 +284,24 @@ def expand_product(tensors, max_total_order=DEFAULT_EXPANSION_CAP, symmetrize_te
         raise ValueError(f"mixed dims {sorted(dims)}")
     if any(t.order < 1 for t in tensors):
         raise ValueError("factors must have order >= 1")
-    decomp = IntervalDecomposition(tuple(t.order for t in tensors))
-    n_total = decomp.total
+    lengths = tuple(t.order for t in tensors)
+    n_total = sum(lengths)
     if n_total > max_total_order:
         raise ValueError(f"total order {n_total} exceeds cap {max_total_order}")
     dim = tensors[0].dim
-    terms = {}
-    for k in range(n_total // 2 + 1):
-        acc = None
-        for pairset in enumerate_admissible(decomp, k):
-            piece = cancel(pairset, tensors)
-            acc = piece.entries.copy() if acc is None else acc + piece.entries
-        if acc is None:
-            continue
-        term = SymTensor(acc, dim=dim)
-        terms[n_total - 2 * k] = symmetrize(term) if symmetrize_terms else term
-    return ChaosExpansion(terms=terms, lengths=decomp.lengths)
+    first, *rest = [symmetrize(t) for t in tensors]
+    terms = {first.order: first}
+    for b in rest:
+        q = b.order
+        acc = {}
+        for p, a in terms.items():
+            for r in range(min(p, q) + 1):
+                weight = math.factorial(r) * math.comb(p, r) * math.comb(q, r)
+                piece = weight * contract(a, b, r).entries
+                degree = p + q - 2 * r
+                acc[degree] = acc[degree] + piece if degree in acc else piece
+        terms = {m: symmetrize(SymTensor(e, dim=dim)) for m, e in acc.items()}
+    return ChaosExpansion(terms=terms, lengths=lengths)
 
 
 # -- Isserlis oracle ----------------------------------------------------------

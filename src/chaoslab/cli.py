@@ -199,6 +199,9 @@ def make_spec(cfg):
         base.setdefault("alpha", 0.5 if base["type"] == "fbm" else 0.7)
         base["scale"] = 0.0
         return make_spec(base)
+    missing = [k for k in ("order", "beta1", "beta2") if k not in cfg]
+    if missing:
+        raise ConfigError(f"custom kernel needs {', '.join(missing)}")
     return HermiteKernelSpec(
         order=cfg["order"], beta1=cfg["beta1"], beta2=cfg["beta2"], horizon=horizon, scale=scale
     )
@@ -404,7 +407,9 @@ def _load_paths(paths_dir):
         meta = json.loads(run.read_text())
     out = []
     for i, f in enumerate(files):
-        data = np.loadtxt(f, delimiter=",", skiprows=1)
+        data = np.loadtxt(f, delimiter=",", skiprows=1, ndmin=2)
+        if data.shape[0] < 2 or data.shape[1] != 2:
+            raise ConfigError(f"{f}: need a t,value header and at least two rows")
         out.append(
             PathSample(
                 times=data[:, 0],
@@ -607,6 +612,8 @@ def _apply_overrides(cfg, pairs):
         parts = key.split(".")
         for part in parts[:-1]:
             node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"--set {key}: {part!r} is not an object")
         node[parts[-1]] = value
     return cfg
 

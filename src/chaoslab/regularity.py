@@ -332,6 +332,8 @@ def moment_growth_report(
     undersized exponent should.
     """
     paths = list(paths)
+    if not paths:
+        raise ValueError("moment_growth_report needs at least one path")
     levels = [int(j) for j in levels]
     ells = [float(l) for l in ells]
     T = paths[0].horizon

@@ -90,6 +90,15 @@ def test_cancel_validation():
         cancel(ps, [SymTensor(rng.standard_normal((2, 2))), SymTensor(rng.standard_normal((3, 3)))])
 
 
+def test_cancel_symbol_limit():
+    dec = IntervalDecomposition((2,) * 27)
+    tensors = [SymTensor(np.ones((1, 1)))] * 27
+    with pytest.raises(ValueError, match="52"):
+        cancel(PairSet(dec, []), tensors)
+    out = cancel(PairSet(dec, [(2, 3), (4, 5)]), tensors)  # exactly 52 symbols
+    assert out.order == 50 and out.entries.ravel()[0] == 1.0
+
+
 def test_permutation_relation_identity_perms():
     rng = np.random.default_rng(6)
     dec = IntervalDecomposition((2, 3))

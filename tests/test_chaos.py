@@ -18,8 +18,9 @@ from chaoslab.chaos import (
     wick_eval_batch,
     wick_eval_rank_one_sum,
 )
-from chaoslab.fuzzing import random_tensors
-from chaoslab.pairings import IntervalDecomposition
+from chaoslab.cancellation import cancel
+from chaoslab.fuzzing import random_decomposition, random_tensors
+from chaoslab.pairings import IntervalDecomposition, enumerate_admissible
 from chaoslab.tensors import SymTensor, basis_vector, elementary, inner, symmetrize, tensor_product
 
 
@@ -338,8 +339,44 @@ def test_gebelein_normalization_enforced():
 
 def test_expand_symmetrize_flag():
     rng = np.random.default_rng(18)
-    tensors = random_tensors(rng, IntervalDecomposition((1, 1)), 2)
-    exp = expand_product(tensors, symmetrize_terms=True)
-    assert all(t.symmetric for t in exp.terms.values())
-    raw = expand_product(tensors, symmetrize_terms=False)
-    assert raw.degree0() == pytest.approx(exp.degree0())
+    tensors = random_tensors(rng, IntervalDecomposition((2, 1, 2)), 3, symmetric=False)
+    exp = expand_product(tensors)
+    for term in exp.terms.values():
+        assert term.symmetric
+        resym = symmetrize(SymTensor(term.entries, dim=term.dim)).entries
+        assert np.max(np.abs(term.entries - resym)) <= 1e-14 * max(1.0, np.max(np.abs(resym)))
+
+
+def _pair_set_expansion(tensors):
+    """Reference expansion: per degree N - 2k, the symmetrized sum of the
+    contractions along every admissible pair set of size k."""
+    decomp = IntervalDecomposition(tuple(t.order for t in tensors))
+    terms = {}
+    for k in range(decomp.total // 2 + 1):
+        pieces = [cancel(ps, tensors).entries for ps in enumerate_admissible(decomp, k)]
+        if pieces:
+            terms[decomp.total - 2 * k] = symmetrize(SymTensor(sum(pieces), dim=tensors[0].dim))
+    return terms
+
+
+def _reference_cases():
+    rng = np.random.default_rng(0)  # the README quick start; a is not symmetric
+    a = SymTensor(rng.standard_normal((3, 3)))
+    b = SymTensor(rng.standard_normal(3))
+    cases = [[a, b, b]]
+    rng = np.random.default_rng(19)
+    for i in range(30):
+        decomp = random_decomposition(rng, max_blocks=4, max_order=3, max_total=8)
+        dim = int(rng.integers(2, 4))
+        cases.append(random_tensors(rng, decomp, dim, symmetric=i % 2 == 0, unit_norm=i % 3 != 0))
+    return cases
+
+
+@pytest.mark.parametrize("tensors", _reference_cases())
+def test_expand_matches_pair_set_reference(tensors):
+    exp = expand_product(tensors)
+    ref = _pair_set_expansion(tensors)
+    assert sorted(exp.terms) == sorted(ref)
+    for degree, want in ref.items():
+        gap = np.max(np.abs(exp.terms[degree].entries - want.entries))
+        assert gap <= 1e-11 * max(1.0, np.max(np.abs(want.entries)))

@@ -180,6 +180,37 @@ def test_missing_config_exits_2(tmp_path):
     assert main(["expand", "--config", str(tmp_path / "none.json")]) == 2
 
 
+def _assert_clean_exit_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("chaoslab: ") and err.count("\n") == 1
+
+
+def test_set_through_scalar_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", {"fixture": "counterexample", "seed": 1})
+    _assert_clean_exit_2(
+        ["expand", "--config", cfg, "--out-dir", str(tmp_path / "o"), "--set", "seed.x=1"], capsys
+    )
+
+
+def test_one_row_path_file_exits_2(tmp_path, capsys):
+    paths_dir = tmp_path / "paths"
+    paths_dir.mkdir()
+    (paths_dir / "path-0000.csv").write_text("t,value\n0,0\n")
+    cfg = write_config(tmp_path, "cfg.json", {"paths_dir": str(paths_dir), "slope": {"p": 2, "levels": [1]}})
+    _assert_clean_exit_2(["report", "--config", cfg, "--out-dir", str(tmp_path / "o")], capsys)
+
+
+def test_custom_kernel_missing_betas_exits_2(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        "cfg.json",
+        {"kernel": {"type": "custom", "order": 2}, "grid": {"steps": 64}, "paths": 1},
+    )
+    _assert_clean_exit_2(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "o")], capsys)
+
+
 def test_seed_and_set_overrides(tmp_path):
     sim_cfg = {
         "kernel": {"type": "fbm", "alpha": 0.6},

@@ -273,6 +273,11 @@ def test_moment_growth_zero_path():
     assert all(q == 0.0 for q in rep.by_exponent[0.5]["quantiles"])
 
 
+def test_moment_growth_needs_paths():
+    with pytest.raises(ValueError, match="at least one path"):
+        moment_growth_report([], alpha=0.5, exponents=(0.5,))
+
+
 def test_moment_growth_gaussian_flat():
     rng = np.random.default_rng(9)
     paths = [fbm_path(rng, 0.5, 512) for _ in range(20)]
