@@ -19,13 +19,7 @@ from .chaos import (
     wick_eval_batch,
     wick_eval_rank_one_sum,
 )
-from .kernels import (
-    DiscretizedKernel,
-    GridSpec,
-    HermiteKernelSpec,
-    KernelDiscretization,
-    build_kernel,
-)
+from .kernels import GridSpec, HermiteKernelSpec, KernelDiscretization
 from .pairings import (
     IntervalDecomposition,
     PairSet,

@@ -17,7 +17,6 @@ supplies exact expectations for cross-checking.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -50,21 +49,15 @@ DEFAULT_ORACLE_CAP = 20
 
 
 def hermite_he(n, x):
-    """He_n(x) by the three-term recurrence; vectorized in ``x``."""
-    x = np.asarray(x, dtype=float)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    prev = np.ones_like(x)
-    if n == 0:
-        return prev
-    cur = x.copy()
-    for k in range(1, n):
-        prev, cur = cur, x * cur - k * prev
-    return cur
+    """He_n(x); vectorized in ``x``."""
+    return _hermite_table(n, x)[n]
 
 
 def _hermite_table(n_max, x):
-    """Stacked He_0..He_n_max of ``x``; shape (n_max + 1,) + x.shape."""
+    """Stacked He_0..He_n_max of ``x`` by the three-term recurrence; shape
+    (n_max + 1,) + x.shape."""
+    if n_max < 0:
+        raise ValueError(f"n must be nonnegative, got {n_max}")
     x = np.asarray(x, dtype=float)
     out = np.empty((n_max + 1,) + x.shape)
     out[0] = 1.0
@@ -250,9 +243,6 @@ class ChaosExpansion:
             "terms": {str(k): v.to_dict() for k, v in sorted(self.terms.items())},
         }
 
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_dict(cls, obj):
         terms = {int(k): SymTensor.from_dict(v) for k, v in obj["terms"].items()}
@@ -418,12 +408,6 @@ class HypercontractivityReport:
     passed: bool
     generator: str = "philox"
 
-    def to_dict(self):
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
 
 def hypercontractivity_check(a, q, samples=100_000, seed=0):
     """Estimate both sides of E|Z|^q <= n^{q/2} (q-1)^{qn/2} (E Z^2)^{q/2}.
@@ -475,12 +459,6 @@ class GebeleinReport:
     e_xi_sq: float
     e_eta_sq: float
     centered_coefficients: list = field(default_factory=list)
-
-    def to_dict(self):
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
 
 
 def gebelein_bound_check(h_xi, h_eta, g_coefficients, normalization_tol=1e-9):

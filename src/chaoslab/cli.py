@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -19,7 +20,7 @@ import jsonschema
 import numpy as np
 
 from . import fuzzing
-from .chaos import expand_product, moment_oracle, wick_eval_batch
+from .chaos import DEFAULT_EXPANSION_CAP, expand_product, moment_oracle, philox_stream, wick_eval_batch
 from .kernels import (
     GridSpec,
     HermiteKernelSpec,
@@ -38,7 +39,7 @@ from .regularity import (
     scaling_exponent_fit,
 )
 from .simulate import default_workers, provenance_tag, sample_paths
-from .tensors import SymTensor, symmetrize, tensor_product
+from .tensors import MAX_DENSE_ENTRIES, SymTensor, symmetrize, tensor_product
 
 KERNEL_SCHEMA = {
     "type": "object",
@@ -127,7 +128,7 @@ CONFIG_SCHEMAS = {
                 "type": "object",
                 "properties": {
                     "smoothness": {"type": "number"},
-                    "p": {"type": "number"},
+                    "p": {"type": "number", "minimum": 1},
                     "orlicz_beta": {"type": "number"},
                 },
                 "required": ["smoothness"],
@@ -177,8 +178,34 @@ CONFIG_SCHEMAS = {
 }
 
 
+# README "Tensor JSON"; the bounds keep dim**order small enough to form
+TENSOR_FILE_SCHEMA = {
+    "type": "array",
+    "items": {
+        "type": "object",
+        "properties": {
+            "order": {"type": "integer", "minimum": 0, "maximum": DEFAULT_EXPANSION_CAP},
+            "dim": {"type": "integer", "minimum": 1, "maximum": MAX_DENSE_ENTRIES},
+            "entries": {"type": "array", "items": {"type": "number"}},
+            "symmetric": {"type": "boolean"},
+        },
+        "required": ["order", "dim", "entries"],
+        "additionalProperties": False,
+    },
+}
+
+
 class ConfigError(Exception):
     pass
+
+
+def _validate(obj, schema, source):
+    """Schema check whose failure is a one-line ConfigError naming the spot."""
+    try:
+        jsonschema.validate(obj, schema)
+    except jsonschema.ValidationError as exc:
+        where = "".join(f"[{p!r}]" for p in exc.absolute_path)
+        raise ConfigError(f"{source}{where}: {exc.message}") from None
 
 
 def make_spec(cfg):
@@ -232,14 +259,24 @@ def write_csv(path, header, rows):
             writer.writerow([_fmt(x) for x in row])
 
 
+def _jsonable(obj):
+    """Plain JSON data: dataclasses as dicts of their fields, keys as str,
+    tuples and arrays as lists."""
+    if dataclasses.is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    return obj
+
+
 def write_json(path, obj):
     with open(path, "w", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _dump_resolved(out_dir, command, cfg):
-    write_json(out_dir / "resolved_config.json", {"command": command, "config": cfg})
 
 
 # -- expand --------------------------------------------------------------------
@@ -281,15 +318,15 @@ def cmd_expand(cfg, out_dir):
         tensors = [SymTensor(np.array([1.0, 0.0])), SymTensor(np.array([0.0, 1.0]))]
     elif "tensors" in cfg:
         with open(cfg["tensors"]) as fh:
-            tensors = [SymTensor.from_dict(obj) for obj in json.load(fh)]
+            objs = json.load(fh)
+        _validate(objs, TENSOR_FILE_SCHEMA, cfg["tensors"])
+        tensors = [SymTensor.from_dict(obj) for obj in objs]
     else:
         raise ConfigError("expand needs 'tensors' or 'fixture'")
     expansion = expand_product(tensors)
     oracle = moment_oracle(tensors)
     seeds = cfg.get("pointwise_seeds", 100)
     rng_seed = cfg.get("seed", 0)
-    from .chaos import philox_stream
-
     xis = philox_stream(rng_seed).standard_normal((seeds, tensors[0].dim))
     product = np.ones(seeds)
     for t in tensors:
@@ -331,26 +368,19 @@ def cmd_verify(cfg, out_dir):
     coupling = None
     if not degenerate:
         fit = coupling_scaling_report(kd, levels=cfg.get("coupling_levels", range(2, 7)))
-        coupling = fit.to_dict()
-        coupling["epsilon"] = fit.slope / 2.0
-        coupling["passed"] = bool(fit.slope > 0)
+        coupling = dict(vars(fit), epsilon=fit.slope / 2.0, passed=bool(fit.slope > 0))
     overlap = None
     if "overlap_levels" in cfg:
-        rep = overlap_scaling_report(spec, levels=cfg["overlap_levels"])
-        overlap = {
-            "diagonal": rep["diagonal"].to_dict(),
-            "slope_per_variable": rep["slope_per_variable"],
-            "predicted_per_variable": rep["predicted_per_variable"],
-        }
+        overlap = overlap_scaling_report(spec, levels=cfg["overlap_levels"])
     trunc = None
     if cfg.get("truncation_probe", True) and spec.scale != 0.0:
         trunc = truncation_report(spec, grid.left / spec.horizon)
     passed = upper.passed and lower.passed and (degenerate or coupling["passed"])
     report = {
         "kernel": spec.to_dict(),
-        "grid": vars(grid),
-        "upper_scaling": upper.to_dict(),
-        "lower_scaling": lower.to_dict(),
+        "grid": grid,
+        "upper_scaling": upper,
+        "lower_scaling": lower,
         "coupling": coupling,
         "overlap": overlap,
         "truncation": trunc,
@@ -382,7 +412,7 @@ def cmd_simulate(cfg, out_dir, workers=None):
         out_dir / "run.json",
         {
             "kernel": spec.to_dict(),
-            "grid": vars(grid),
+            "grid": grid,
             "paths": cfg["paths"],
             "seed": seed,
             "first_stream": cfg.get("first_stream", 0),
@@ -427,7 +457,7 @@ def cmd_report(cfg, out_dir, workers=None):
         paths = _load_paths(cfg["paths_dir"])
     elif "simulate" in cfg:
         sub = cfg["simulate"]
-        jsonschema.validate(sub, CONFIG_SCHEMAS["simulate"])
+        _validate(sub, CONFIG_SCHEMAS["simulate"], "simulate")
         spec = make_spec(sub["kernel"])
         grid = make_grid(sub["grid"], spec)
         paths = sample_paths(
@@ -451,7 +481,7 @@ def cmd_report(cfg, out_dir, workers=None):
             ["path", "slope"],
             [(i, s) for i, s in enumerate(fit.slopes)],
         )
-        entry = fit.to_dict()
+        entry = dict(vars(fit))
         if "expected_alpha" in sub:
             tol = sub.get("tolerance", 0.05)
             entry["expected_alpha"] = sub["expected_alpha"]
@@ -490,7 +520,7 @@ def cmd_report(cfg, out_dir, workers=None):
         for e, d in rep.by_exponent.items():
             rows.extend((e, ell, q) for ell, q in zip(rep.ells, d["quantiles"]))
         write_csv(out_dir / "moment_quantiles.csv", ["exponent", "ell", "q99"], rows)
-        summary["checks"]["moment_growth"] = rep.to_dict()
+        summary["checks"]["moment_growth"] = rep
     if "modulus" in cfg:
         sub = cfg["modulus"]
         factors = sub.get("subsample_factors", [1])
@@ -642,10 +672,10 @@ def main(argv=None):
         if args.tolerance is not None:
             cfg["tolerance"] = args.tolerance
         _apply_overrides(cfg, args.set)
-        jsonschema.validate(cfg, CONFIG_SCHEMAS[args.command])
+        _validate(cfg, CONFIG_SCHEMAS[args.command], "config")
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _dump_resolved(out_dir, args.command, cfg)
+        write_json(out_dir / "resolved_config.json", {"command": args.command, "config": cfg})
         workers = args.workers if args.workers is not None else default_workers()
         if args.command == "expand":
             return cmd_expand(cfg, out_dir)
@@ -656,10 +686,10 @@ def main(argv=None):
         if args.command == "report":
             return cmd_report(cfg, out_dir, workers=workers)
         return cmd_fuzz(cfg, out_dir)
-    except (ConfigError, jsonschema.ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"chaoslab: config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"chaoslab: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,6 @@ for partial contractions.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -30,12 +29,9 @@ __all__ = [
     "HermiteKernelSpec",
     "GridSpec",
     "KernelDiscretization",
-    "DiscretizedKernel",
-    "build_kernel",
     "fractional_filter",
     "filter_cell_integrals",
     "envelope_cell_averages",
-    "EnvelopeCorrelation",
     "increment_coupling",
     "coupling_integral",
     "coupling_scaling_report",
@@ -94,37 +90,6 @@ def envelope_cell_averages(beta2, spacing, count):
     hi = np.maximum(m * spacing + spacing / 2.0, 0.0)
     lo = np.maximum(m * spacing - spacing / 2.0, 0.0)
     return (hi**a - lo**a) / (a * spacing)
-
-
-class EnvelopeCorrelation:
-    """The envelope's autocorrelation K(w) = int phi(y) phi(y+w) dy.
-
-    Computed by log-spaced quadrature with an analytic far tail, cached on a
-    log-spaced separation grid, and evaluated by power-law (log-log linear)
-    interpolation.
-    """
-
-    def __init__(self, beta2, w_min=1e-8, w_max=1e4, points=513, quad_points=4096):
-        self.beta2 = beta2
-        a = beta2 / 2.0
-        self.w_grid = np.geomspace(w_min, w_max, points)
-        values = np.empty_like(self.w_grid)
-        # integrate in units of w:  K(w) = w^(beta2-1) * int z^(a-1) (1+z)^(a-1) dz
-        z_edges = np.geomspace(1e-10, 1e10, quad_points + 1)
-        z_mid = np.sqrt(z_edges[:-1] * z_edges[1:])
-        dz = np.diff(z_edges)
-        core = np.sum(z_mid ** (a - 1.0) * (1.0 + z_mid) ** (a - 1.0) * dz)
-        head = z_edges[0] ** a / a  # int_0^z0 z^(a-1) dz, (1+z) ~ 1
-        tail = z_edges[-1] ** (2 * a - 1.0) / (1.0 - 2 * a)  # (1+z) ~ z regime
-        self._unit_value = core + head + tail
-        values = self._unit_value * self.w_grid ** (beta2 - 1.0)
-        self._log_w = np.log(self.w_grid)
-        self._log_v = np.log(values)
-
-    def __call__(self, w):
-        w = np.asarray(w, dtype=float)
-        out = np.exp(np.interp(np.log(np.clip(w, self.w_grid[0], self.w_grid[-1])), self._log_w, self._log_v))
-        return out if out.ndim else float(out)
 
 
 # -- spec objects --------------------------------------------------------------
@@ -411,11 +376,7 @@ class KernelDiscretization:
         n = self.spec.order
         if self.cells**n > cap:
             raise ValueError(f"dense tensor would have {self.cells**n} entries (cap {cap})")
-        shift = np.zeros((self.cells, self.cells))
-        for u in range(self.cells):
-            shift[u, : u + 1] = self.envelope[u::-1]
-        shift *= math.sqrt(self.h)
-        operands = [w] + [shift] * n
+        operands = [w] + [self.rank_one_vectors()] * n
         letters = "ijklmn"[:n]
         spec_str = "u," + ",".join("u" + c for c in letters) + "->" + letters
         return SymTensor(np.einsum(spec_str, *operands, optimize=True), dim=self.cells)
@@ -427,41 +388,11 @@ class KernelDiscretization:
             shift[u, : u + 1] = self.envelope[u::-1]
         return shift * math.sqrt(self.h)
 
-    def at(self, t):
-        return DiscretizedKernel(self, t)
-
     def refined(self, factor=2):
         """Same spec and domain, ``factor`` times as many cells (same scale
         resolution convention, re-normalized on the finer grid)."""
         grid = GridSpec(left=self.grid.left, cells=self.grid.cells * factor, steps=self.grid.steps)
         return KernelDiscretization(self.spec, grid)
-
-
-@dataclass
-class DiscretizedKernel:
-    """The kernel at one time point: shared vectors plus its weight vector."""
-
-    family: KernelDiscretization
-    t: float
-
-    @property
-    def weights(self):
-        return self.family.weights(self.t)
-
-    def dense_tensor(self, cap=200_000):
-        return self.family.dense_from_weights(self.weights, cap=cap)
-
-    def norm(self):
-        return math.sqrt(max(self.family.norm_sq(self.weights), 0.0))
-
-
-def build_kernel(spec, grid, t):
-    """Discretized kernel at time t (grid time point)."""
-    family = KernelDiscretization(spec, grid)
-    dt = spec.horizon / grid.steps
-    if abs(t / dt - round(t / dt)) > 1e-9:
-        raise ValueError(f"t = {t} is not a grid time point")
-    return family.at(t)
 
 
 # -- coupling functionals ------------------------------------------------------
@@ -524,12 +455,6 @@ class ScalingFitReport:
     slope: float
     intercept: float
 
-    def to_dict(self):
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
 
 def _loglog_fit(scales, values):
     xs = np.log(np.asarray(scales))
@@ -565,14 +490,6 @@ class UpperScalingReport:
     refinement_drift: float | None
     diverging: bool
     passed: bool
-
-    def to_dict(self):
-        out = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        out["level_sups"] = {str(k): v for k, v in self.level_sups.items()}
-        return out
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
 
 
 def _scaling_sweep(increment_norm, alpha, T, levels, x_count):
@@ -632,14 +549,6 @@ class LowerScalingReport:
     level_infs: dict
     stability: float
     passed: bool
-
-    def to_dict(self):
-        out = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        out["level_infs"] = {str(k): v for k, v in self.level_infs.items()}
-        return out
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
 
 
 def lower_scaling_report(kd, alpha=None, levels=None, x_count=33, min_kappa=1e-6, stability_tol=0.25):

@@ -9,7 +9,6 @@ index the slot contractions of the cancellation operator; everything here is
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -114,16 +113,9 @@ class PairSet:
     def to_dict(self):
         return {"lengths": list(self.decomp.lengths), "pairs": [list(p) for p in self.pairs]}
 
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_dict(cls, obj):
         return cls(IntervalDecomposition(tuple(obj["lengths"])), obj["pairs"])
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
 
 
 def enumerate_admissible(decomp, k):

@@ -6,7 +6,6 @@ pure functions; multi-path statistics reduce associatively over paths.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -182,24 +181,13 @@ class BesovSeminormReport:
     levels: list = field(default_factory=list)
     seminorm: float = 0.0
 
-    def to_dict(self):
-        return {
-            "smoothness": self.smoothness,
-            "norm_kind": self.norm_kind,
-            "levels": [vars(l) for l in self.levels],
-            "seminorm": self.seminorm,
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
 
 def dyadic_besov_seminorm(path, smoothness, p=None, orlicz_beta=None, min_lag_cells=1):
     """sup over dyadic levels of 2^(j s) * (norm of lag-2^-j increments).
 
-    Lags are horizon * 2^-j; the per-level norm is Riemann L^p when ``p`` is
-    given, Luxemburg with the exponential Young function otherwise.  Returns
-    the per-level breakdown alongside the sup.
+    Lags are horizon * 2^-j; the per-level norm is ``increment_lp_norm`` when
+    ``p`` is given (so p >= 1), Luxemburg with the exponential Young function
+    otherwise.  Returns the per-level breakdown alongside the sup.
     """
     if not 0.0 < smoothness < 1.0:
         raise ValueError("smoothness must lie in (0, 1)")
@@ -218,11 +206,11 @@ def dyadic_besov_seminorm(path, smoothness, p=None, orlicz_beta=None, min_lag_ce
         if cells < max(min_lag_cells, 1) or abs(cells - round(cells)) > 1e-9:
             break
         lag = T * 2.0**-j
-        r = int(round(cells))
-        diffs = path.values[r:-1] - path.values[: -r - 1]
         if p is not None:
-            level_norm = float((np.sum(np.abs(diffs) ** p) * path.step) ** (1.0 / p))
+            level_norm = increment_lp_norm(path, lag, p)
         else:
+            r = int(round(cells))
+            diffs = path.values[r:-1] - path.values[: -r - 1]
             level_norm = luxemburg_norm(diffs, path.step, orlicz)
         weighted = 2.0 ** (j * smoothness) * level_norm
         report.levels.append(BesovLevel(j, lag, level_norm, weighted))
@@ -240,12 +228,6 @@ class SlopeFitReport:
     slope_mean: float
     slope_sd: float
     ci95: tuple
-
-    def to_dict(self):
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
 
 
 def scaling_exponent_fit(paths, p, levels):
@@ -297,21 +279,6 @@ class MomentGrowthReport:
     alpha: float
     quantile: float
     by_exponent: dict
-
-    def to_dict(self):
-        return {
-            "ells": self.ells,
-            "levels": self.levels,
-            "alpha": self.alpha,
-            "quantile": self.quantile,
-            "by_exponent": {
-                str(e): {k: list(v) if isinstance(v, np.ndarray) else v for k, v in d.items()}
-                for e, d in self.by_exponent.items()
-            },
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
 
 
 def moment_growth_report(

@@ -80,13 +80,17 @@ def _init_worker(spec, grid, scale):
     _WORKER_KD._scale = scale
 
 
+def _sample_streams(kd, seed, streams):
+    """Path values for each stream, in order; every path draws its own stream."""
+    return [
+        sample_path_values(kd, philox_stream(seed, stream).standard_normal(kd.cells))
+        for stream in streams
+    ]
+
+
 def _worker_chunk(args):
     seed, streams = args
-    out = []
-    for stream in streams:
-        xi = philox_stream(seed, stream).standard_normal(_WORKER_KD.cells)
-        out.append(sample_path_values(_WORKER_KD, xi))
-    return out
+    return _sample_streams(_WORKER_KD, seed, streams)
 
 
 def sample_paths(spec, grid, count, seed, workers=None, first_stream=0):
@@ -102,22 +106,17 @@ def sample_paths(spec, grid, count, seed, workers=None, first_stream=0):
     times = np.arange(grid.steps + 1) * (spec.horizon / grid.steps)
     streams = [first_stream + i for i in range(count)]
     workers = default_workers() if workers is None else max(1, int(workers))
-    values = []
     if workers == 1 or count < 2 * workers:
-        for stream in streams:
-            xi = philox_stream(seed, stream).standard_normal(kd.cells)
-            values.append(sample_path_values(kd, xi))
+        values = _sample_streams(kd, seed, streams)
     else:
         chunks = [(seed, streams[i::workers]) for i in range(workers)]
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(spec, grid, kd.scale)
         ) as pool:
             results = list(pool.map(_worker_chunk, chunks))
-        slot = {}
-        for (_, chunk_streams), chunk_values in zip(chunks, results):
-            for stream, v in zip(chunk_streams, chunk_values):
-                slot[stream] = v
-        values = [slot[stream] for stream in streams]
+        values = [None] * count
+        for i, chunk_values in enumerate(results):
+            values[i::workers] = chunk_values
     return [
         PathSample(times=times, values=v, seed=seed, stream=stream, provenance=tag)
         for stream, v in zip(streams, values)

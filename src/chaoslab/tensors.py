@@ -9,7 +9,6 @@ and total product orders up to 12.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from functools import lru_cache
 
@@ -97,9 +96,6 @@ class SymTensor:
             "symmetric": self.symmetric,
         }
 
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_dict(cls, obj):
         order = int(obj["order"])
@@ -110,10 +106,6 @@ class SymTensor:
                 f"entries length {entries.size} does not match dim**order = {dim**order}"
             )
         return cls(entries.reshape((dim,) * order), dim=dim, symmetric=bool(obj.get("symmetric", False)))
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
 
     @classmethod
     def zeros(cls, order, dim):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from chaoslab.chaos import (
     wick_eval_rank_one_sum,
 )
 from chaoslab.cancellation import cancel
+from chaoslab.cli import write_json
 from chaoslab.fuzzing import random_decomposition, random_tensors
 from chaoslab.pairings import IntervalDecomposition, enumerate_admissible
 from chaoslab.tensors import SymTensor, basis_vector, elementary, inner, symmetrize, tensor_product
@@ -291,10 +293,12 @@ def test_hypercontractivity_validation():
         hypercontractivity_check(SymTensor(np.zeros((2, 2))), q=2.0)
 
 
-def test_hypercontractivity_report_json():
+def test_hypercontractivity_report_json(tmp_path):
     rep = hypercontractivity_check(SymTensor(np.eye(2) / 2), q=4.0, samples=1000, seed=1)
-    obj = rep.to_dict()
+    write_json(tmp_path / "rep.json", rep)
+    obj = json.loads((tmp_path / "rep.json").read_text())
     assert obj["generator"] == "philox" and obj["seed"] == 1
+    assert obj["lhs"] == rep.lhs and obj["passed"] == rep.passed
 
 
 def _unit_h_eta(rng, dim):

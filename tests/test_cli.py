@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chaoslab.cli import main
+from chaoslab.cli import main, write_json
+from chaoslab.regularity import BesovLevel, BesovSeminormReport
 from chaoslab.tensors import SymTensor
 
 
@@ -180,6 +187,10 @@ def test_missing_config_exits_2(tmp_path):
     assert main(["expand", "--config", str(tmp_path / "none.json")]) == 2
 
 
+def test_config_path_is_directory_exits_2(tmp_path, capsys):
+    _assert_clean_exit_2(["expand", "--config", str(tmp_path)], capsys)
+
+
 def _assert_clean_exit_2(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -200,6 +211,101 @@ def test_one_row_path_file_exits_2(tmp_path, capsys):
     (paths_dir / "path-0000.csv").write_text("t,value\n0,0\n")
     cfg = write_config(tmp_path, "cfg.json", {"paths_dir": str(paths_dir), "slope": {"p": 2, "levels": [1]}})
     _assert_clean_exit_2(["report", "--config", cfg, "--out-dir", str(tmp_path / "o")], capsys)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        [{"dim": 2}],
+        {"order": 1, "dim": 2, "entries": [1.0, 0.0]},
+        [{"order": 1, "dim": 2, "entries": {"a": 1}}],
+        [{"order": 1, "dim": 1, "entries": [10**400]}, {"order": 1, "dim": 1, "entries": [1.0]}],
+    ],
+    ids=["entry-without-order", "object-not-list", "entries-object", "entry-beyond-float"],
+)
+def test_malformed_tensor_file_exits_2(tmp_path, capsys, content):
+    tensor_file = tmp_path / "tensors.json"
+    tensor_file.write_text(json.dumps(content))
+    cfg = write_config(tmp_path, "cfg.json", {"tensors": str(tensor_file)})
+    _assert_clean_exit_2(["expand", "--config", cfg, "--out-dir", str(tmp_path / "o")], capsys)
+
+
+def test_besov_p_below_one_exits_2(tmp_path, capsys):
+    paths_dir = tmp_path / "paths"
+    paths_dir.mkdir()
+    (paths_dir / "path-0000.csv").write_text("t,value\n0,0\n0.5,1\n1,0.5\n")
+    cfg = write_config(
+        tmp_path, "cfg.json", {"paths_dir": str(paths_dir), "besov": {"smoothness": 0.5, "p": 0.5}}
+    )
+    _assert_clean_exit_2(["report", "--config", cfg, "--out-dir", str(tmp_path / "o")], capsys)
+
+
+_VALID_TENSORS = [
+    {"order": 2, "dim": 2, "entries": [1.0, 0.5, 0.5, -1.0], "symmetric": True},
+    {"order": 1, "dim": 2, "entries": [0.3, -0.7]},
+]
+
+
+def _json_containers(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-4, 4) | st.text(max_size=3),
+    _json_containers,
+    max_leaves=6,
+)
+
+
+@st.composite
+def _mutated_tensor_files(draw):
+    tensors = json.loads(json.dumps(_VALID_TENSORS))
+    for _ in range(draw(st.integers(1, 3))):
+        entry = tensors[draw(st.integers(0, len(tensors) - 1))]
+        key = draw(st.sampled_from(["order", "dim", "entries", "symmetric"]))
+        kind = draw(st.sampled_from(["drop", "swap", "dim", "order0", "single", "oversized"]))
+        if kind == "drop":
+            entry.pop(key, None)
+        elif kind == "swap":
+            entry[key] = draw(_JSON_VALUES)
+        elif kind == "dim":
+            entry["dim"] = draw(st.integers(1, 4))
+        elif kind == "order0":
+            entry.update(order=0, entries=[draw(st.floats(-4, 4))])
+        elif kind == "single":
+            tensors = [entry]
+        else:
+            entry["order"] = draw(st.integers(13, 10**12))
+    return tensors
+
+
+@settings(max_examples=60, deadline=None)
+@given(content=st.one_of(_mutated_tensor_files(), _JSON_VALUES))
+def test_expand_exit_contract_on_mutated_tensor_files(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        tensor_file = Path(tmp) / "tensors.json"
+        tensor_file.write_text(json.dumps(content))
+        cfg = write_config(Path(tmp), "cfg.json", {"tensors": str(tensor_file), "pointwise_seeds": 5})
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["expand", "--config", cfg, "--out-dir", str(Path(tmp) / "o")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+def test_write_json_converts_reports(tmp_path):
+    report = BesovSeminormReport(smoothness=0.5, norm_kind="lp:2", levels=[BesovLevel(1, 0.5, 0.25, 0.35)])
+    write_json(tmp_path / "out.json", {1: report, 2.5: (1, np.array([0.5, 2.0]))})
+    obj = json.loads((tmp_path / "out.json").read_text())
+    assert obj == {
+        "1": {
+            "smoothness": 0.5,
+            "norm_kind": "lp:2",
+            "levels": [{"level": 1, "lag": 0.5, "increment_norm": 0.25, "weighted": 0.35}],
+            "seminorm": 0.0,
+        },
+        "2.5": [1, [0.5, 2.0]],
+    }
 
 
 def test_custom_kernel_missing_betas_exits_2(tmp_path, capsys):

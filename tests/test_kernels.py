@@ -5,11 +5,9 @@ import pytest
 from scipy.special import beta as beta_fn
 
 from chaoslab.kernels import (
-    EnvelopeCorrelation,
     GridSpec,
     HermiteKernelSpec,
     KernelDiscretization,
-    build_kernel,
     coupling_integral,
     coupling_scaling_report,
     envelope_cell_averages,
@@ -87,24 +85,17 @@ def test_envelope_cell_average_closed_form():
     assert avg[2] == pytest.approx(np.trapezoid(xs ** (a - 1), xs) / h, rel=1e-4)
 
 
-def test_envelope_correlation_matches_beta_function():
-    for b2 in (0.5, 0.7, 0.9):
-        corr = EnvelopeCorrelation(b2)
-        for w in (0.01, 0.4, 3.0):
-            exact = beta_fn(b2 / 2, 1.0 - b2) * w ** (b2 - 1.0)
-            assert corr(w) == pytest.approx(exact, rel=1e-3)
-
-
 def test_grid_autocorr_matches_envelope_correlation():
-    # grid autocorrelation = continuum K minus the analytic truncation tail
+    # grid autocorrelation = continuum K(w) = B(b2/2, 1 - b2) w^(b2 - 1)
+    # minus the analytic truncation tail
     spec, grid, kd = small_rosenblatt(cells_per_unit=64)
-    corr = EnvelopeCorrelation(spec.beta2)
     b2 = spec.beta2
     for m in (4, 16, 64):
         w = m * kd.h
+        corr = beta_fn(b2 / 2, 1.0 - b2) * w ** (b2 - 1.0)
         domain = (kd.cells - m) * kd.h
         tail = domain ** (b2 - 1.0) / (1.0 - b2)
-        assert kd.autocorr[m] == pytest.approx(corr(w) - tail, rel=0.02)
+        assert kd.autocorr[m] == pytest.approx(corr - tail, rel=0.02)
 
 
 # -- spec objects ----------------------------------------------------------------
@@ -242,14 +233,6 @@ def test_translation_covariance_on_grid_interior():
     w2 = kd.increment_weights(0.25 + kd.h, 0.25)
     # shifting x by one cell shifts the weight vector by one index
     assert np.allclose(w1[kd.left_cells :-1], w2[kd.left_cells + 1 :], atol=1e-12)
-
-
-def test_build_kernel_time_point_validation():
-    spec, grid, _ = small_rosenblatt()
-    dk = build_kernel(spec, grid, 0.5)
-    assert dk.norm() > 0
-    with pytest.raises(ValueError):
-        build_kernel(spec, grid, 0.51)
 
 
 def test_filter_norm_bound_dyadic():

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -255,5 +256,5 @@ def test_random_pairsets_admissible(lengths, seed):
 
 def test_json_roundtrip():
     ps = PairSet(EXAMPLE, EXAMPLE_PAIRS)
-    back = PairSet.from_json(ps.to_json())
+    back = PairSet.from_dict(json.loads(json.dumps(ps.to_dict())))
     assert back == ps

@@ -206,6 +206,8 @@ def test_besov_validation():
         dyadic_besov_seminorm(path, 0.5)
     with pytest.raises(ValueError):
         dyadic_besov_seminorm(path, 0.5, p=2.0, orlicz_beta=2.0)
+    with pytest.raises(ValueError):
+        dyadic_besov_seminorm(path, 0.5, p=0.5)  # not a norm below 1
 
 
 def test_besov_refinement_contrast_fbm():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,7 +180,7 @@ def test_inner_shape_mismatch():
 def test_order_zero_roundtrip():
     t = SymTensor.scalar(2.5, dim=4)
     assert t.order == 0 and t.item() == 2.5
-    back = SymTensor.from_json(t.to_json())
+    back = SymTensor.from_dict(json.loads(json.dumps(t.to_dict())))
     assert back.order == 0 and back.dim == 4 and back.item() == 2.5
 
 
