@@ -403,11 +403,12 @@ def cmd_simulate(cfg, out_dir, workers=None):
     spec = make_spec(cfg["kernel"])
     grid = make_grid(cfg["grid"], spec)
     seed = cfg.get("seed", 0)
+    kd = KernelDiscretization(spec, grid)
     paths = sample_paths(
-        spec, grid, cfg["paths"], seed, workers=workers, first_stream=cfg.get("first_stream", 0)
+        spec, grid, cfg["paths"], seed, workers=workers,
+        first_stream=cfg.get("first_stream", 0), kd=kd,
     )
     _write_paths(out_dir, paths)
-    kd = KernelDiscretization(spec, grid)
     write_json(
         out_dir / "run.json",
         {

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
+from scipy.fft import next_fast_len, rfft
 from scipy.signal import fftconvolve
 
 from .tensors import SymTensor
@@ -279,6 +281,41 @@ class KernelDiscretization:
             self._autocorr = self.h * acf[self.cells - 1 :]
         return self._autocorr
 
+    # path-sampling spectra ------------------------------------------------------
+
+    @cached_property
+    def envelope_spectrum(self):
+        """(n, rfft of the envelope at length n) for the sampler's envelope
+        convolution with one value per cell.
+
+        The circular convolution equals the linear one on every u-cell a path
+        reads: the cells in [0, T] at beta1 = 0 (n >= cells + time_cells - 1),
+        all cells otherwise (n >= 2 cells - 1).
+        """
+        read = self.time_cells if self.spec.beta1 == 0.0 else self.cells
+        n = next_fast_len(self.cells + read - 1, real=True)
+        return n, rfft(self.envelope, n)
+
+    @cached_property
+    def filter_spectrum(self):
+        """(n, rfft at length n of the filter cell integrals) for beta1 != 0.
+
+        Entry r is the integral of x_+^beta1 over [(r-1)h, rh],
+        ((rh)^g - ((r-1)h)^g) / g with g = beta1 + 1, for r = 0..cells.
+        Convolved with a cell vector, output left_cells + k is the vector's
+        integral against (t - u)_+^beta1 at t = k h, and output left_cells
+        the t-independent (-u)_+^beta1 half.  At n >= cells + time_cells
+        those outputs are free of wrap-around.  At order 1 the Hermite
+        transform is the identity, so the envelope convolution (times
+        sqrt(h)) is folded in and the vector is the cell Gaussians.
+        """
+        g = self.spec.beta1 + 1.0
+        filt = np.diff((np.arange(self.cells + 1) * self.h) ** g / g, prepend=0.0)
+        if self.spec.order == 1:
+            filt = math.sqrt(self.h) * fftconvolve(self.envelope, filt)[: self.cells + 1]
+        n = next_fast_len(self.cells + self.time_cells, real=True)
+        return n, rfft(filt, n)
+
     def pair_inner(self, wa, wb):
         """<A, B> for two weight vectors, via the stationary Gram."""
         n = self.spec.order
@@ -509,10 +546,17 @@ def upper_scaling_report(
 
     ``refined`` (a finer discretization of the same spec) measures grid
     sensitivity; a monotone blow-up or collapse of the per-level sups flags a
-    mismatched exponent.
+    mismatched exponent.  Levels whose window T 2^-j is shorter than one
+    time step are rejected: the grid does not resolve them.
     """
     alpha = kd.spec.alpha if alpha is None else alpha
     T = kd.spec.horizon
+    unresolved = [j for j in levels if 2.0**j > kd.grid.steps]
+    if unresolved:
+        raise ValueError(
+            f"upper scaling levels {unresolved}: window T*2^-j is shorter than "
+            f"one time step (T/{kd.grid.steps})"
+        )
     stats = _scaling_sweep(kd.increment_norm, alpha, T, levels, x_count)
     sups = {j: v[0] for j, v in stats.items()}
     worst_j = max(sups, key=sups.get)

@@ -6,8 +6,20 @@ path to one envelope convolution (all inner products at once), a Hermite
 transform per u-cell, and one filter convolution (all time points at once);
 the filter convolution degenerates to a cumulative sum for compact filters.
 
+Both convolutions are circular, against spectra the discretization computes
+once (``KernelDiscretization.envelope_spectrum`` and ``filter_spectrum``), at
+the shortest fast length that keeps every output a path reads free of
+wrap-around: a compact filter reads only the u-cells in [0, T], and the
+filter convolution is read only at the grid times.  A path thus costs two
+real transforms per convolution.  At order 1 the Hermite transform is the
+identity, so for a non-compact filter the two convolutions fold into one
+against a precomputed envelope-filter response.  The t-independent (-u)_+
+half of a non-compact filter is the t = 0 output of the same convolution,
+so every path starts at exactly 0.
+
 Each path owns stream ``(seed, stream_index)`` of a counter-based generator,
-so results are independent of worker scheduling.
+so results are independent of worker scheduling: a path is bitwise the same
+whether drawn serially or by any number of pool workers.
 """
 
 from __future__ import annotations
@@ -19,7 +31,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, rfft
+from scipy.signal import fftconvolve  # noqa: F401  (chaosbench/bench_trace.py hooks this name)
 
 from .chaos import hermite_he, philox_stream
 from .kernels import GridSpec, KernelDiscretization
@@ -40,11 +53,21 @@ def provenance_tag(spec, grid):
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _wick_profile(kd, xi):
-    """Per-u-cell Hermite transform |phi_u|^n He_n(<phi_u, xi>/|phi_u|)."""
+def _circular(x, spectrum):
+    """Circular convolution of ``x`` with the filter whose (n, rfft) is given."""
+    n, hat = spectrum
+    out = rfft(x, n)
+    out *= hat
+    return irfft(out, n, overwrite_x=True)
+
+
+def _wick_profile(kd, xi, first):
+    """Per-u-cell Hermite transform |phi_u|^n He_n(<phi_u, xi>/|phi_u|) for
+    the u-cells from ``first`` on."""
     n = kd.spec.order
-    z = math.sqrt(kd.h) * fftconvolve(xi, kd.envelope)[: kd.cells]
-    norms = np.sqrt(kd.envelope_norm_sq)
+    z = _circular(xi, kd.envelope_spectrum)[first : kd.cells]
+    z *= math.sqrt(kd.h)
+    norms = np.sqrt(kd.envelope_norm_sq[first:])
     return norms**n * hermite_he(n, z / norms)
 
 
@@ -53,22 +76,20 @@ def sample_path_values(kd, xi):
     xi = np.asarray(xi, dtype=float)
     if xi.size != kd.cells:
         raise ValueError(f"need one Gaussian per cell ({kd.cells}), got {xi.size}")
-    b = _wick_profile(kd, xi)
+    scale = kd.scale  # before the spectra, so the exact norm runs without them
+    steps = kd.per_step * np.arange(kd.grid.steps + 1)
     lam = kd.left_cells
-    idx = lam + kd.per_step * np.arange(kd.grid.steps + 1)
     beta1 = kd.spec.beta1
     if beta1 == 0.0:
-        csum = np.concatenate(([0.0], np.cumsum(b)))
-        return kd.scale * kd.h * (csum[idx] - csum[lam])
-    gamma = beta1 + 1.0
-    r = np.arange(lam + kd.time_cells + 1, dtype=float)
-    antider = (r * kd.h) ** gamma / gamma
-    ghat = np.diff(np.concatenate(([0.0], antider)))
-    conv = fftconvolve(b, ghat)
-    # the (-u)_+ half of the filter does not depend on t
-    lo, hi = kd.edges[:-1], kd.edges[1:]
-    static = (np.maximum(-lo, 0.0) ** gamma - np.maximum(-hi, 0.0) ** gamma) / gamma
-    return (kd.scale / beta1) * (conv[idx] - float(static @ b))
+        csum = np.concatenate(([0.0], np.cumsum(_wick_profile(kd, xi, lam))))
+        return scale * kd.h * csum[steps]
+    # at order 1 the envelope is folded into the filter spectrum
+    b = xi if kd.spec.order == 1 else _wick_profile(kd, xi, 0)
+    conv = _circular(b, kd.filter_spectrum)
+    # conv[lam] is the t-independent (-u)_+ half of the filter; subtracted
+    # as values[0] - values, so that t = 0 gives +0.0 (not -0.0) for beta1 < 0
+    values = conv[lam + steps]
+    return (scale / -beta1) * (values[0] - values)
 
 
 _WORKER_KD = None
@@ -93,15 +114,19 @@ def _worker_chunk(args):
     return _sample_streams(_WORKER_KD, seed, streams)
 
 
-def sample_paths(spec, grid, count, seed, workers=None, first_stream=0):
+def sample_paths(spec, grid, count, seed, workers=None, first_stream=0, kd=None):
     """Draw ``count`` independent trajectories; deterministic given ``seed``.
 
     Path ``i`` uses generator stream ``(seed, first_stream + i)``, so output
-    does not depend on the worker count.
+    does not depend on the worker count.  ``kd`` reuses a discretization of
+    (spec, grid), with its scale and spectra.
     """
     if isinstance(grid, int):
         grid = GridSpec.build(spec, steps=grid)
-    kd = KernelDiscretization(spec, grid)
+    if kd is None:
+        kd = KernelDiscretization(spec, grid)
+    elif (kd.spec, kd.grid) != (spec, grid):
+        raise ValueError("kd is a discretization of another spec or grid")
     tag = provenance_tag(spec, grid)
     times = np.arange(grid.steps + 1) * (spec.horizon / grid.steps)
     streams = [first_stream + i for i in range(count)]

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaoslab.cli import main, write_json
+from chaoslab.cli import main, make_grid, make_spec, write_json
+from chaoslab.kernels import KernelDiscretization
 from chaoslab.regularity import BesovLevel, BesovSeminormReport
 from chaoslab.tensors import SymTensor
 
@@ -158,6 +159,48 @@ def test_report_with_inline_simulation_and_tolerance(tmp_path):
     assert summary["checks"]["slope"]["passed"]
 
 
+def test_simulate_computes_scale_once(tmp_path, monkeypatch):
+    norm_sq = KernelDiscretization.norm_sq
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return norm_sq(self, *args, **kwargs)
+
+    monkeypatch.setattr(KernelDiscretization, "norm_sq", counted)
+    sim_cfg = {
+        "kernel": {"type": "hermite", "order": 2, "alpha": 0.7},
+        "grid": {"steps": 128, "left_units": 10},
+        "paths": 4,
+        "seed": 2,
+    }
+    cfg = write_config(tmp_path, "sim.json", sim_cfg)
+    for workers in ("1", "2"):
+        calls.clear()
+        out = tmp_path / f"w{workers}"
+        assert main(["simulate", "--config", cfg, "--out-dir", str(out), "--workers", workers]) == 0
+        assert len(calls) == 1
+    monkeypatch.undo()
+    spec = make_spec(sim_cfg["kernel"])
+    kd = KernelDiscretization(spec, make_grid(sim_cfg["grid"], spec))
+    assert read_json(out / "run.json")["scale"].hex() == kd.scale.hex()
+
+
+def test_verify_levels_finer_than_a_time_step_exit_2(tmp_path, capsys):
+    # 256 steps resolve windows down to T/2^8; levels 9-11 are sub-step
+    cfg = write_config(
+        tmp_path,
+        "cfg.json",
+        {
+            "kernel": {"type": "fbm", "alpha": 0.75},
+            "grid": {"steps": 256, "left_units": 30},
+            "upper_levels": list(range(1, 12)),
+        },
+    )
+    err = _assert_clean_exit_2(["verify", "--config", cfg, "--out-dir", str(tmp_path / "o")], capsys)
+    assert "[9, 10, 11]" in err
+
+
 def test_fuzz_command(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -196,6 +239,7 @@ def _assert_clean_exit_2(argv, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("chaoslab: ") and err.count("\n") == 1
+    return err
 
 
 def test_set_through_scalar_exits_2(tmp_path, capsys):

@@ -305,6 +305,7 @@ def test_upper_scaling_flags_wrong_exponent():
 
     lk = LinearKernel()
     lk.spec = HermiteKernelSpec.fbm(0.5)
+    lk.grid = GridSpec(left=1.0, cells=256, steps=128)  # resolves levels 1..7
     rep = upper_scaling_report(lk, alpha=0.5, levels=range(1, 8))
     assert rep.diverging and not rep.passed
 

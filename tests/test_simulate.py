@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chaoslab import chaos
+from chaoslab.chaos import philox_stream
 from chaoslab.kernels import GridSpec, HermiteKernelSpec, KernelDiscretization
 from chaoslab.simulate import provenance_tag, sample_path_values, sample_paths
 
@@ -39,6 +40,75 @@ def test_simulation_matches_dense_wick_eval(spec):
         by_rank_one = chaos.wick_eval_rank_one_sum(w, vectors, spec.order, xi)
         assert values[step_index] == pytest.approx(by_dense, rel=1e-9, abs=1e-12)
         assert by_rank_one == pytest.approx(by_dense, rel=1e-9, abs=1e-12)
+
+
+def direct_path(kd, xi):
+    """Path values from linear convolutions (``np.convolve``), so that nothing
+    can wrap around."""
+    n = kd.spec.order
+    z = math.sqrt(kd.h) * np.convolve(xi, kd.envelope)[: kd.cells]
+    norms = np.sqrt(kd.envelope_norm_sq)
+    b = norms**n * chaos.hermite_he(n, z / norms)
+    beta1 = kd.spec.beta1
+    if beta1 == 0.0:
+        times = np.arange(kd.grid.steps + 1) * (kd.spec.horizon / kd.grid.steps)
+        return np.array([kd.weights(t) @ b for t in times])
+    # cell integrals of x_+^beta1 by whole-cell offsets: (t - u)_+ at grid
+    # time t through the convolution, (-u)_+ on the cells left of 0
+    g = beta1 + 1.0
+    ghat = np.diff((np.arange(kd.cells + 1) * kd.h) ** g / g, prepend=0.0)
+    lam = kd.left_cells
+    conv = np.convolve(b, ghat)[lam + kd.per_step * np.arange(kd.grid.steps + 1)]
+    static = ghat[lam:0:-1] @ b[:lam]
+    return (kd.scale / beta1) * (conv - static)
+
+
+@pytest.mark.parametrize("per_step", [1, 2])
+@pytest.mark.parametrize("steps", [12, 16])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        HermiteKernelSpec.fbm(0.75),
+        HermiteKernelSpec.hermite(2, 0.7),
+        HermiteKernelSpec.hermite(3, 0.8),
+        HermiteKernelSpec.fbm(0.3),
+        HermiteKernelSpec(order=1, beta1=0.2, beta2=0.5),
+        HermiteKernelSpec(order=2, beta1=-0.2, beta2=0.8),
+    ],
+    ids=["order1", "order2", "order3", "beta1-negative", "beta1-positive", "order2-beta1-negative"],
+)
+def test_short_transforms_do_not_alias(spec, steps, per_step):
+    # cells >> time_cells: the short transforms are far shorter than 2 cells
+    grid = GridSpec.build(spec, steps=steps, left_units=60, per_step=per_step)
+    kd = KernelDiscretization(spec, grid)
+    assert kd.cells > 50 * kd.time_cells
+    xi = np.random.default_rng(steps + per_step).standard_normal(kd.cells)
+    values = sample_path_values(kd, xi)
+    reference = direct_path(kd, xi)
+    assert np.max(np.abs(values - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        HermiteKernelSpec.hermite(2, 0.7),
+        HermiteKernelSpec.fbm(0.3),
+        HermiteKernelSpec(order=2, beta1=-0.2, beta2=0.8),
+    ],
+    ids=["beta1-zero", "beta1-negative", "order2-beta1-negative"],
+)
+def test_pooled_paths_equal_serial_redraws(spec):
+    # the benchmark's reproducibility gate: a fresh discretization, serial
+    grid = GridSpec.build(spec, steps=64, left_units=8)
+    seed, workers = 17, 2
+    pooled = sample_paths(spec, grid, 6, seed, workers=workers, first_stream=5)
+    assert [p.stream for p in pooled] == list(range(5, 11))
+    kd = KernelDiscretization(spec, grid)
+    for chunk in (pooled[w::workers] for w in range(workers)):
+        for path in (chunk[0], chunk[-1]):
+            xi = philox_stream(seed, path.stream).standard_normal(kd.cells)
+            assert sample_path_values(kd, xi).tobytes() == path.values.tobytes()
+    assert all(p.values[0] == 0.0 for p in pooled)
 
 
 def test_paths_start_at_zero():
