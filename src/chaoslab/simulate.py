@@ -77,18 +77,18 @@ def sample_path_values(kd, xi):
     if xi.size != kd.cells:
         raise ValueError(f"need one Gaussian per cell ({kd.cells}), got {xi.size}")
     scale = kd.scale  # before the spectra, so the exact norm runs without them
-    steps = kd.per_step * np.arange(kd.grid.steps + 1)
+    offsets = kd.per_step * np.arange(kd.grid.steps + 1)  # grid times, in cells
     lam = kd.left_cells
     beta1 = kd.spec.beta1
     if beta1 == 0.0:
         csum = np.concatenate(([0.0], np.cumsum(_wick_profile(kd, xi, lam))))
-        return scale * kd.h * csum[steps]
+        return scale * kd.h * csum[offsets]
     # at order 1 the envelope is folded into the filter spectrum
     b = xi if kd.spec.order == 1 else _wick_profile(kd, xi, 0)
     conv = _circular(b, kd.filter_spectrum)
     # conv[lam] is the t-independent (-u)_+ half of the filter; subtracted
     # as values[0] - values, so that t = 0 gives +0.0 (not -0.0) for beta1 < 0
-    values = conv[lam + steps]
+    values = conv[lam + offsets]
     return (scale / -beta1) * (values[0] - values)
 
 
