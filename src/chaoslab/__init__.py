@@ -9,7 +9,6 @@ from .cancellation import (
 )
 from .chaos import (
     ChaosExpansion,
-    GaussianSeed,
     expand_product,
     gebelein_bound_check,
     hermite_he,

@@ -28,7 +28,6 @@ from .tensors import SymTensor, contract, inner, symmetrize
 __all__ = [
     "hermite_he",
     "hermite_he_coefficients",
-    "GaussianSeed",
     "philox_stream",
     "wick_eval",
     "wick_eval_batch",
@@ -43,6 +42,7 @@ __all__ = [
 
 DEFAULT_EXPANSION_CAP = 12
 DEFAULT_ORACLE_CAP = 20
+GEBELEIN_NORMALIZATION_TOL = 1e-9  # allowed |h_xi|^2, |h_eta|^4 deviation from 1/2
 
 
 # -- Hermite polynomials (probabilists') ------------------------------------
@@ -92,37 +92,6 @@ def philox_stream(seed, stream=0):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass(frozen=True)
-class GaussianSeed:
-    """A realization of the coordinate Gaussians, with its provenance."""
-
-    values: np.ndarray
-    seed: int = 0
-    stream: int = 0
-    generator: str = "philox"
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise ValueError("seed values must be a vector")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("seed values must be finite")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def dim(self):
-        return self.values.size
-
-    @classmethod
-    def draw(cls, dim, seed, stream=0):
-        values = philox_stream(seed, stream).standard_normal(dim)
-        return cls(values=values, seed=seed, stream=stream)
-
-
-def _seed_values(xi):
-    return np.asarray(getattr(xi, "values", xi), dtype=float)
-
-
 # -- Wick evaluation ---------------------------------------------------------
 
 
@@ -155,7 +124,7 @@ def wick_eval(a, xi):
     multiplicity of coordinate c in i.  The rule depends only on the
     symmetrization of ``a``, matching the integral's invariance.
     """
-    xi = _seed_values(xi)
+    xi = np.asarray(xi, dtype=float)
     if xi.size != a.dim:
         raise ValueError(f"seed dim {xi.size} != tensor dim {a.dim}")
     if a.order == 0:
@@ -189,7 +158,7 @@ def wick_eval_rank_one_sum(weights, vectors, n, xi):
     Uses W_n(v^{(x)n}) = |v|^n He_n(<v, xi>/|v|); zero vectors contribute 0.
     Matches ``wick_eval`` on the assembled dense tensor.
     """
-    xi = _seed_values(xi)
+    xi = np.asarray(xi, dtype=float)
     weights = np.asarray(weights, dtype=float)
     vectors = np.asarray(vectors, dtype=float)
     if vectors.ndim != 2 or vectors.shape[0] != weights.size:
@@ -218,10 +187,6 @@ class ChaosExpansion:
             if degree % 2 != n_total % 2:
                 raise ValueError(f"degree {degree} has wrong parity for N = {n_total}")
 
-    @property
-    def total_order(self):
-        return sum(self.lengths)
-
     def degree0(self):
         """Constant (expectation) term; 0 when absent."""
         term = self.terms.get(0)
@@ -249,7 +214,7 @@ class ChaosExpansion:
         return cls(terms=terms, lengths=tuple(obj["lengths"]))
 
 
-def expand_product(tensors, max_total_order=DEFAULT_EXPANSION_CAP):
+def expand_product(tensors):
     """Expand a product of multiple integrals into single integrals.
 
     Folds the factors from left to right with the two-factor product formula
@@ -265,7 +230,8 @@ def expand_product(tensors, max_total_order=DEFAULT_EXPANSION_CAP):
 
         prod_i wick_eval(A_i, xi) == sum_m wick_eval(terms[m], xi)
 
-    holds for every realization xi.
+    holds for every realization xi.  The total order is capped at
+    DEFAULT_EXPANSION_CAP.
     """
     if len(tensors) < 2:
         raise ValueError("need at least two factors")
@@ -276,8 +242,8 @@ def expand_product(tensors, max_total_order=DEFAULT_EXPANSION_CAP):
         raise ValueError("factors must have order >= 1")
     lengths = tuple(t.order for t in tensors)
     n_total = sum(lengths)
-    if n_total > max_total_order:
-        raise ValueError(f"total order {n_total} exceeds cap {max_total_order}")
+    if n_total > DEFAULT_EXPANSION_CAP:
+        raise ValueError(f"total order {n_total} exceeds cap {DEFAULT_EXPANSION_CAP}")
     dim = tensors[0].dim
     first, *rest = [symmetrize(t) for t in tensors]
     terms = {first.order: first}
@@ -461,7 +427,7 @@ class GebeleinReport:
     centered_coefficients: list = field(default_factory=list)
 
 
-def gebelein_bound_check(h_xi, h_eta, g_coefficients, normalization_tol=1e-9):
+def gebelein_bound_check(h_xi, h_eta, g_coefficients):
     """Verify |E xi g(eta)| <= |rho| (E xi^2)^1/2 (E g(eta)^2)^1/2 exactly.
 
     xi is the order-2 integral of ``h_xi`` and eta the order-2 integral of
@@ -477,7 +443,7 @@ def gebelein_bound_check(h_xi, h_eta, g_coefficients, normalization_tol=1e-9):
         raise ValueError("h_eta must be a vector of the same dim as h_xi")
     nxi = float(np.vdot(h_xi.entries, h_xi.entries))
     neta = float(np.vdot(h_eta, h_eta)) ** 2
-    if abs(nxi - 0.5) > normalization_tol or abs(neta - 0.5) > normalization_tol:
+    if abs(nxi - 0.5) > GEBELEIN_NORMALIZATION_TOL or abs(neta - 0.5) > GEBELEIN_NORMALIZATION_TOL:
         raise ValueError(
             f"normalization violated: |h_xi|^2 = {nxi}, |h_eta|^4 = {neta} (need 1/2)"
         )

@@ -20,7 +20,7 @@ import jsonschema
 import numpy as np
 
 from . import fuzzing
-from .chaos import DEFAULT_EXPANSION_CAP, expand_product, moment_oracle, philox_stream, wick_eval_batch
+from .chaos import DEFAULT_EXPANSION_CAP, moment_oracle, philox_stream
 from .kernels import (
     GridSpec,
     HermiteKernelSpec,
@@ -38,7 +38,7 @@ from .regularity import (
     moment_growth_report,
     scaling_exponent_fit,
 )
-from .simulate import default_workers, provenance_tag, sample_paths
+from .simulate import sample_paths
 from .tensors import MAX_DENSE_ENTRIES, SymTensor, symmetrize, tensor_product
 
 KERNEL_SCHEMA = {
@@ -69,6 +69,19 @@ GRID_SCHEMA = {
     "additionalProperties": False,
 }
 
+SIMULATE_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "kernel": KERNEL_SCHEMA,
+        "grid": GRID_SCHEMA,
+        "paths": {"type": "integer", "minimum": 1},
+        "seed": {"type": "integer"},
+        "first_stream": {"type": "integer", "minimum": 0},
+    },
+    "required": ["kernel", "grid", "paths"],
+    "additionalProperties": False,
+}
+
 CONFIG_SCHEMAS = {
     "expand": {
         "type": "object",
@@ -86,9 +99,9 @@ CONFIG_SCHEMAS = {
         "properties": {
             "kernel": KERNEL_SCHEMA,
             "grid": GRID_SCHEMA,
-            "upper_levels": {"type": "array", "items": {"type": "integer"}},
-            "coupling_levels": {"type": "array", "items": {"type": "integer"}},
-            "overlap_levels": {"type": "array", "items": {"type": "integer"}},
+            "upper_levels": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
+            "coupling_levels": {"type": "array", "items": {"type": "integer"}, "minItems": 2},
+            "overlap_levels": {"type": "array", "items": {"type": "integer"}, "minItems": 2},
             "drift_tolerance": {"type": "number", "exclusiveMinimum": 0},
             "skip_refinement": {"type": "boolean"},
             "truncation_probe": {"type": "boolean"},
@@ -96,28 +109,17 @@ CONFIG_SCHEMAS = {
         "required": ["kernel", "grid"],
         "additionalProperties": False,
     },
-    "simulate": {
-        "type": "object",
-        "properties": {
-            "kernel": KERNEL_SCHEMA,
-            "grid": GRID_SCHEMA,
-            "paths": {"type": "integer", "minimum": 1},
-            "seed": {"type": "integer"},
-            "first_stream": {"type": "integer", "minimum": 0},
-        },
-        "required": ["kernel", "grid", "paths"],
-        "additionalProperties": False,
-    },
+    "simulate": SIMULATE_SCHEMA,
     "report": {
         "type": "object",
         "properties": {
             "paths_dir": {"type": "string"},
-            "simulate": {"type": "object"},
+            "simulate": SIMULATE_SCHEMA,
             "slope": {
                 "type": "object",
                 "properties": {
                     "p": {"type": "number", "minimum": 1},
-                    "levels": {"type": "array", "items": {"type": "integer"}},
+                    "levels": {"type": "array", "items": {"type": "integer"}, "minItems": 2},
                     "expected_alpha": {"type": "number"},
                     "tolerance": {"type": "number", "exclusiveMinimum": 0},
                 },
@@ -138,9 +140,9 @@ CONFIG_SCHEMAS = {
                 "type": "object",
                 "properties": {
                     "alpha": {"type": "number"},
-                    "exponents": {"type": "array", "items": {"type": "number"}},
-                    "levels": {"type": "array", "items": {"type": "integer"}},
-                    "ells": {"type": "array", "items": {"type": "number"}},
+                    "exponents": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+                    "levels": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
+                    "ells": {"type": "array", "items": {"type": "number"}, "minItems": 1},
                 },
                 "required": ["alpha", "exponents"],
                 "additionalProperties": False,
@@ -150,7 +152,8 @@ CONFIG_SCHEMAS = {
                 "properties": {
                     "alpha": {"type": "number"},
                     "log_exponent": {"type": "number"},
-                    "subsample_factors": {"type": "array", "items": {"type": "integer"}},
+                    "subsample_factors": {"type": "array", "items": {"type": "integer", "minimum": 1},
+                                          "minItems": 1},
                     "growth_tolerance": {"type": "number"},
                 },
                 "required": ["alpha", "log_exponent"],
@@ -181,6 +184,7 @@ CONFIG_SCHEMAS = {
 # README "Tensor JSON"; the bounds keep dim**order small enough to form
 TENSOR_FILE_SCHEMA = {
     "type": "array",
+    "minItems": 2,
     "items": {
         "type": "object",
         "properties": {
@@ -199,10 +203,19 @@ class ConfigError(Exception):
     pass
 
 
+# JSON Schema counts 2.0 as an integer; counts, steps and seeds must be ints
+_STRICT_INTEGERS = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)
+    ),
+)
+
+
 def _validate(obj, schema, source):
     """Schema check whose failure is a one-line ConfigError naming the spot."""
     try:
-        jsonschema.validate(obj, schema)
+        jsonschema.validate(obj, schema, cls=_STRICT_INTEGERS)
     except jsonschema.ValidationError as exc:
         where = "".join(f"[{p!r}]" for p in exc.absolute_path)
         raise ConfigError(f"{source}{where}: {exc.message}") from None
@@ -234,15 +247,18 @@ def make_spec(cfg):
     )
 
 
+def _given(cfg, **keys):
+    """Keyword arguments {param: cfg[key]} for the config keys present, so
+    that absent keys take the callee's defaults."""
+    return {param: cfg[key] for param, key in keys.items() if key in cfg}
+
+
 def make_grid(cfg, spec):
     if "cells" in cfg and "left" in cfg:
         return GridSpec(left=cfg["left"], cells=cfg["cells"], steps=cfg["steps"])
-    kwargs = {}
-    if "left_units" in cfg:
-        kwargs["left_units"] = cfg["left_units"]
-    if "node_budget" in cfg:
-        kwargs["node_budget"] = cfg["node_budget"]
-    return GridSpec.build(spec, steps=cfg["steps"], **kwargs)
+    return GridSpec.build(
+        spec, steps=cfg["steps"], **_given(cfg, left_units="left_units", node_budget="node_budget")
+    )
 
 
 def _fmt(x):
@@ -323,27 +339,17 @@ def cmd_expand(cfg, out_dir):
         tensors = [SymTensor.from_dict(obj) for obj in objs]
     else:
         raise ConfigError("expand needs 'tensors' or 'fixture'")
-    expansion = expand_product(tensors)
-    oracle = moment_oracle(tensors)
     seeds = cfg.get("pointwise_seeds", 100)
     rng_seed = cfg.get("seed", 0)
     xis = philox_stream(rng_seed).standard_normal((seeds, tensors[0].dim))
-    product = np.ones(seeds)
-    for t in tensors:
-        product *= wick_eval_batch(t, xis)
-    pointwise = float(np.max(np.abs(product - expansion.evaluate_batch(xis))))
-    rel_gap = abs(expansion.degree0() - oracle) / max(1.0, abs(oracle))
-    report = {
-        "degrees": sorted(expansion.terms),
-        "degree0": expansion.degree0(),
-        "oracle": oracle,
-        "relative_gap": rel_gap,
-        "pointwise_max_error": pointwise,
-        "pointwise_seeds": seeds,
-        "seed": rng_seed,
-        "tolerance": tol,
-        "passed": bool(rel_gap <= tol and pointwise <= tol),
-    }
+    expansion, report = fuzzing.compare_expansion(tensors, xis)
+    report.update(
+        degrees=sorted(expansion.terms),
+        pointwise_seeds=seeds,
+        seed=rng_seed,
+        tolerance=tol,
+        passed=bool(report["relative_gap"] <= tol and report["pointwise_max_error"] <= tol),
+    )
     write_json(out_dir / "expansion.json", expansion.to_dict())
     write_json(out_dir / "expand_report.json", report)
     return 0 if report["passed"] else 1
@@ -356,18 +362,15 @@ def cmd_verify(cfg, out_dir):
     spec = make_spec(cfg["kernel"])
     grid = make_grid(cfg["grid"], spec)
     kd = KernelDiscretization(spec, grid)
-    refined = None if cfg.get("skip_refinement") else kd.refined(2)
+    refined = None if cfg.get("skip_refinement") else kd.refined()
     upper = upper_scaling_report(
-        kd,
-        levels=cfg.get("upper_levels", list(range(1, 8))),
-        refined=refined,
-        drift_tol=cfg.get("drift_tolerance", 0.10),
+        kd, refined=refined, **_given(cfg, levels="upper_levels", drift_tol="drift_tolerance")
     )
     lower = lower_scaling_report(kd)
     degenerate = upper.kappa <= 0.0
     coupling = None
     if not degenerate:
-        fit = coupling_scaling_report(kd, levels=cfg.get("coupling_levels", range(2, 7)))
+        fit = coupling_scaling_report(kd, **_given(cfg, levels="coupling_levels"))
         coupling = dict(vars(fit), epsilon=fit.slope / 2.0, passed=bool(fit.slope > 0))
     overlap = None
     if "overlap_levels" in cfg:
@@ -399,26 +402,30 @@ def _write_paths(out_dir, paths):
         write_csv(out_dir / f"path-{i:04d}.csv", ["t", "value"], rows)
 
 
-def cmd_simulate(cfg, out_dir, workers=None):
+def _simulate(cfg, workers):
+    """Discretization and sampled paths of a config valid under SIMULATE_SCHEMA."""
     spec = make_spec(cfg["kernel"])
-    grid = make_grid(cfg["grid"], spec)
-    seed = cfg.get("seed", 0)
-    kd = KernelDiscretization(spec, grid)
+    kd = KernelDiscretization(spec, make_grid(cfg["grid"], spec))
     paths = sample_paths(
-        spec, grid, cfg["paths"], seed, workers=workers,
+        spec, kd.grid, cfg["paths"], cfg.get("seed", 0), workers=workers,
         first_stream=cfg.get("first_stream", 0), kd=kd,
     )
+    return kd, paths
+
+
+def cmd_simulate(cfg, out_dir, workers=None):
+    kd, paths = _simulate(cfg, workers)
     _write_paths(out_dir, paths)
     write_json(
         out_dir / "run.json",
         {
-            "kernel": spec.to_dict(),
-            "grid": grid,
+            "kernel": kd.spec.to_dict(),
+            "grid": kd.grid,
             "paths": cfg["paths"],
-            "seed": seed,
+            "seed": cfg.get("seed", 0),
             "first_stream": cfg.get("first_stream", 0),
             "scale": kd.scale,
-            "provenance": provenance_tag(spec, grid),
+            "provenance": paths[0].provenance,
             "generator": "philox",
         },
     )
@@ -439,8 +446,8 @@ def _load_paths(paths_dir):
     out = []
     for i, f in enumerate(files):
         data = np.loadtxt(f, delimiter=",", skiprows=1, ndmin=2)
-        if data.shape[0] < 2 or data.shape[1] != 2:
-            raise ConfigError(f"{f}: need a t,value header and at least two rows")
+        if data.shape[0] < 2 or data.shape[1] != 2 or not np.all(np.diff(data[:, 0]) > 0):
+            raise ConfigError(f"{f}: need a t,value header and at least two rows of increasing t")
         out.append(
             PathSample(
                 times=data[:, 0],
@@ -457,14 +464,7 @@ def cmd_report(cfg, out_dir, workers=None):
     if "paths_dir" in cfg:
         paths = _load_paths(cfg["paths_dir"])
     elif "simulate" in cfg:
-        sub = cfg["simulate"]
-        _validate(sub, CONFIG_SCHEMAS["simulate"], "simulate")
-        spec = make_spec(sub["kernel"])
-        grid = make_grid(sub["grid"], spec)
-        paths = sample_paths(
-            spec, grid, sub["paths"], sub.get("seed", 0), workers=workers,
-            first_stream=sub.get("first_stream", 0),
-        )
+        _, paths = _simulate(cfg["simulate"], workers)
     else:
         raise ConfigError("report needs 'paths_dir' or 'simulate'")
     summary = {
@@ -514,8 +514,7 @@ def cmd_report(cfg, out_dir, workers=None):
             paths,
             alpha=sub["alpha"],
             exponents=sub["exponents"],
-            levels=sub.get("levels", range(5, 11)),
-            ells=sub.get("ells", (2, 4, 6, 8)),
+            **_given(sub, levels="levels", ells="ells"),
         )
         rows = []
         for e, d in rep.by_exponent.items():
@@ -655,29 +654,34 @@ def main(argv=None):
         description="Chaos-expansion calculus and Hermite-process simulation lab",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each command takes the flags whose config keys it reads
     for name in ("expand", "verify", "simulate", "report", "fuzz"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out-dir", default=".", help="output directory")
-        p.add_argument("--seed", type=int, help="override config seed")
-        p.add_argument("--workers", type=int, default=None, help="worker processes")
-        p.add_argument("--tolerance", type=float, help="override config tolerance")
+        if name in ("expand", "simulate", "fuzz"):
+            p.add_argument("--seed", type=int, help="override config seed")
+        if name in ("expand", "fuzz"):
+            p.add_argument("--tolerance", type=float, help="override config tolerance")
+        if name in ("simulate", "report"):
+            p.add_argument("--workers", type=int, help="worker processes (default: CHAOSLAB_WORKERS, else 1)")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override any config key (dotted path, JSON value)")
     args = parser.parse_args(argv)
+    workers = getattr(args, "workers", None)
+    if workers is not None and workers < 1:
+        sub.choices[args.command].error(f"--workers must be at least 1, got {workers}")
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        if args.tolerance is not None:
-            cfg["tolerance"] = args.tolerance
+        for key in ("seed", "tolerance"):
+            if getattr(args, key, None) is not None:
+                cfg[key] = getattr(args, key)
         _apply_overrides(cfg, args.set)
         _validate(cfg, CONFIG_SCHEMAS[args.command], "config")
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         write_json(out_dir / "resolved_config.json", {"command": args.command, "config": cfg})
-        workers = args.workers if args.workers is not None else default_workers()
         if args.command == "expand":
             return cmd_expand(cfg, out_dir)
         if args.command == "verify":
@@ -690,7 +694,7 @@ def main(argv=None):
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"chaoslab: config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"chaoslab: {exc}", file=sys.stderr)
         return 2
 

@@ -23,14 +23,18 @@ __all__ = [
     "random_tensors",
     "random_pairset",
     "random_block_permutations",
+    "compare_expansion",
     "equivalence_case",
     "inequality_case",
 ]
 
+MIN_BLOCKS = 2  # a product has at least two factors
+PAIRSET_ATTEMPTS = 50  # greedy pairings per size before random_pairset tries a smaller one
 
-def random_decomposition(rng, max_blocks=4, max_order=3, max_total=10, min_blocks=2):
+
+def random_decomposition(rng, max_blocks=4, max_order=3, max_total=10):
     while True:
-        blocks = rng.integers(min_blocks, max_blocks + 1)
+        blocks = rng.integers(MIN_BLOCKS, max_blocks + 1)
         lengths = tuple(int(rng.integers(1, max_order + 1)) for _ in range(blocks))
         if sum(lengths) <= max_total:
             return IntervalDecomposition(lengths)
@@ -52,7 +56,7 @@ def random_tensors(rng, decomp, dim, symmetric=True, unit_norm=True):
     return out
 
 
-def random_pairset(rng, decomp, size=None, attempts=50):
+def random_pairset(rng, decomp, size=None):
     """Admissible pair set drawn by random greedy pairing.
 
     When ``size`` is omitted a random size is targeted, backing off if the
@@ -81,7 +85,7 @@ def random_pairset(rng, decomp, size=None, attempts=50):
         return PairSet(decomp, pairs)
 
     while target >= 0:
-        for _ in range(attempts):
+        for _ in range(PAIRSET_ATTEMPTS):
             got = attempt(target)
             if got is not None:
                 return got
@@ -95,28 +99,31 @@ def random_block_permutations(rng, decomp):
     return [tuple(int(v) + 1 for v in rng.permutation(d)) for d in decomp.lengths]
 
 
+def compare_expansion(tensors, xis):
+    """Expansion of the product of ``tensors`` and a row comparing its degree-0
+    term with the Isserlis oracle (relative to max(1, |oracle|)) and its value
+    with the product of Wick evaluations at the rows of ``xis`` (max error)."""
+    expansion = expand_product(tensors)
+    oracle = moment_oracle(tensors)
+    degree0 = expansion.degree0()
+    product = np.ones(len(xis))
+    for t in tensors:
+        product *= wick_eval_batch(t, xis)
+    return expansion, {
+        "degree0": degree0,
+        "oracle": oracle,
+        "relative_gap": abs(degree0 - oracle) / max(1.0, abs(oracle)),
+        "pointwise_max_error": float(np.max(np.abs(product - expansion.evaluate_batch(xis)))),
+    }
+
+
 def equivalence_case(rng, max_blocks=4, max_order=3, max_dim=3, max_total=10, pointwise_seeds=20):
     """One expansion-vs-oracle instance; returns the comparison row."""
     decomp = random_decomposition(rng, max_blocks, max_order, max_total)
     dim = int(rng.integers(2, max_dim + 1))
     tensors = random_tensors(rng, decomp, dim)
-    expansion = expand_product(tensors)
-    oracle = moment_oracle(tensors)
-    degree0 = expansion.degree0()
-    rel_gap = abs(degree0 - oracle) / max(1.0, abs(oracle))
-    xis = rng.standard_normal((pointwise_seeds, dim))
-    product = np.ones(pointwise_seeds)
-    for t in tensors:
-        product *= wick_eval_batch(t, xis)
-    pointwise = float(np.max(np.abs(product - expansion.evaluate_batch(xis))))
-    return {
-        "lengths": list(decomp.lengths),
-        "dim": dim,
-        "degree0": degree0,
-        "oracle": oracle,
-        "relative_gap": rel_gap,
-        "pointwise_max_error": pointwise,
-    }
+    _, row = compare_expansion(tensors, rng.standard_normal((pointwise_seeds, dim)))
+    return {"lengths": list(decomp.lengths), "dim": dim, **row}
 
 
 def inequality_case(rng, max_blocks=3, max_order=3, max_dim=3, max_total=10):

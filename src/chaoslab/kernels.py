@@ -25,7 +25,7 @@ import numpy as np
 from scipy.fft import next_fast_len, rfft
 from scipy.signal import fftconvolve
 
-from .tensors import SymTensor
+from .tensors import MAX_DENSE_ENTRIES, SymTensor
 
 __all__ = [
     "HermiteKernelSpec",
@@ -43,6 +43,18 @@ __all__ = [
     "lower_scaling_report",
     "truncation_report",
 ]
+
+CONTRACTION_WINDOW_CAP = 4096  # widest weight support (cells) of a middle contraction
+COUPLING_RESOLUTION = 16  # coupling quadrature offsets per min(s, t)
+COUPLING_MAX_OFFSETS = 257  # and at most in all
+UPPER_X_COUNT = 17  # window positions x per level of the upper sweep
+UPPER_TREND_TOL = 1.5  # coarsest/finest level sup ratio beyond which the sups trend
+LOWER_X_COUNT = 33  # window positions x per level of the lower sweep
+LOWER_MIN_KAPPA = 1e-6  # the lower constant must exceed this
+LOWER_STABILITY_TOL = 0.25  # and change less than this (relative) between its levels
+QUAD_CORE_CELLS = 256  # filter quadrature: linear cells on [-2s, s]
+QUAD_TAIL_CELLS = 128  # log-spaced cells left of -2s
+QUAD_TAIL_FACTOR = 1e4  # the tail reaches QUAD_TAIL_FACTOR^(1/(1 - beta1)) * s
 
 
 # -- analytic ingredients -----------------------------------------------------
@@ -237,24 +249,18 @@ class KernelDiscretization:
         self.envelope = envelope_cell_averages(spec.beta2, self.h, self.cells)
         # ||phi_u||^2 = h * sum_{m<=u} envelope[m]^2
         self.envelope_norm_sq = self.h * np.cumsum(self.envelope**2)
-        self._autocorr = None
-        self._scale = None
 
     # weights -----------------------------------------------------------------
 
-    @property
+    @cached_property
     def scale(self):
-        if self._scale is None:
-            if self.spec.scale is not None:
-                self._scale = float(self.spec.scale)
-            else:
-                t_ref = min(1.0, self.spec.horizon)
-                raw = self.norm_sq(self._raw_weights(t_ref), exact=True)
-                var = math.factorial(self.spec.order) * raw
-                if var <= 0:
-                    raise ValueError("cannot normalize a degenerate kernel")
-                self._scale = 1.0 / math.sqrt(var)
-        return self._scale
+        if self.spec.scale is not None:
+            return float(self.spec.scale)
+        t_ref = min(1.0, self.spec.horizon)
+        var = math.factorial(self.spec.order) * self.norm_sq(self._raw_weights(t_ref), exact=True)
+        if var <= 0:
+            raise ValueError("cannot normalize a degenerate kernel")
+        return 1.0 / math.sqrt(var)
 
     def _raw_weights(self, t):
         return filter_cell_integrals(self.spec.beta1, t, self.edges)
@@ -273,13 +279,10 @@ class KernelDiscretization:
 
     # Gram reductions ----------------------------------------------------------
 
-    @property
+    @cached_property
     def autocorr(self):
         """Stationary envelope Gram: entry m is h * sum_j env[j] env[j+m]."""
-        if self._autocorr is None:
-            acf = fftconvolve(self.envelope, self.envelope[::-1])
-            self._autocorr = self.h * acf[self.cells - 1 :]
-        return self._autocorr
+        return self.h * fftconvolve(self.envelope, self.envelope[::-1])[self.cells - 1 :]
 
     # path-sampling spectra ------------------------------------------------------
 
@@ -373,7 +376,7 @@ class KernelDiscretization:
         """||A_{x+s} - A_x|| via the stationary Gram."""
         return math.sqrt(max(self.norm_sq(self.increment_weights(x, s)), 0.0))
 
-    def contraction_norm_sq(self, wa, wb, j, window_cap=4096):
+    def contraction_norm_sq(self, wa, wb, j):
         """||A (x)_j B||^2 for weight vectors wa, wb and 0 <= j <= n.
 
         The rank-one structure collapses the contraction to a four-index
@@ -393,10 +396,10 @@ class KernelDiscretization:
             return 0.0
         ia = np.arange(sa[0], sa[-1] + 1)
         ib = np.arange(sb[0], sb[-1] + 1)
-        if ia.size > window_cap or ib.size > window_cap:
+        if ia.size > CONTRACTION_WINDOW_CAP or ib.size > CONTRACTION_WINDOW_CAP:
             raise ValueError(
                 f"middle contractions need compact filter support "
-                f"(windows {ia.size} x {ib.size} exceed cap {window_cap}); "
+                f"(windows {ia.size} x {ib.size} exceed cap {CONTRACTION_WINDOW_CAP}); "
                 f"only available for beta1 = 0 kernels at this resolution"
             )
         gram_ab = self.autocorr[np.abs(ia[:, None] - ib[None, :])]
@@ -408,11 +411,11 @@ class KernelDiscretization:
 
     # dense assembly -----------------------------------------------------------
 
-    def dense_from_weights(self, w, cap=200_000):
+    def dense_from_weights(self, w):
         """Dense order-n tensor over the cell grid (slow; cross-check path)."""
         n = self.spec.order
-        if self.cells**n > cap:
-            raise ValueError(f"dense tensor would have {self.cells**n} entries (cap {cap})")
+        if self.cells**n > MAX_DENSE_ENTRIES:
+            raise ValueError(f"dense tensor would have {self.cells**n} entries (cap {MAX_DENSE_ENTRIES})")
         operands = [w] + [self.rank_one_vectors()] * n
         letters = "ijklmn"[:n]
         spec_str = "u," + ",".join("u" + c for c in letters) + "->" + letters
@@ -425,10 +428,10 @@ class KernelDiscretization:
             shift[u, : u + 1] = self.envelope[u::-1]
         return shift * math.sqrt(self.h)
 
-    def refined(self, factor=2):
-        """Same spec and domain, ``factor`` times as many cells (same scale
-        resolution convention, re-normalized on the finer grid)."""
-        grid = GridSpec(left=self.grid.left, cells=self.grid.cells * factor, steps=self.grid.steps)
+    def refined(self):
+        """Same spec and domain, twice as many cells (same scale resolution
+        convention, re-normalized on the finer grid)."""
+        grid = GridSpec(left=self.grid.left, cells=self.grid.cells * 2, steps=self.grid.steps)
         return KernelDiscretization(self.spec, grid)
 
 
@@ -455,17 +458,19 @@ def increment_coupling(kd, s, t, x, y):
     return first + s**-a * t**-a * rest
 
 
-def coupling_integral(kd, s, t, resolution=16, max_offsets=257):
+def coupling_integral(kd, s, t):
     """Double integral of the increment coupling over admissible (x, y).
 
     The discretized coupling depends on x and y only through x - y (the
     stationary Gram is translation invariant), so the double integral
-    collapses to a single integral against the overlap length.
+    collapses to a single integral against the overlap length, sampled at
+    about COUPLING_RESOLUTION offsets per min(s, t) and at most
+    COUPLING_MAX_OFFSETS offsets in all.
     """
     T = kd.spec.horizon
     h = kd.h
-    stride = max(1, round(min(s, t) / (resolution * h)))
-    while (2 * T - s - t) / (stride * h) > max_offsets - 1:
+    stride = max(1, round(min(s, t) / (COUPLING_RESOLUTION * h)))
+    while (2 * T - s - t) / (stride * h) > COUPLING_MAX_OFFSETS - 1:
         stride *= 2
     step = stride * h
     # symmetric offset range so that swapping (s, t) mirrors the quadrature
@@ -500,13 +505,13 @@ def _loglog_fit(scales, values):
     return float(slope), float(intercept)
 
 
-def coupling_scaling_report(kd, levels=range(2, 8), resolution=16):
+def coupling_scaling_report(kd, levels=range(2, 7)):
     """Fit F(s, s) ~ s^(2 eps) over dyadic s; eps > 0 supports the summability
     condition the regularity theorem needs."""
     T = kd.spec.horizon
     levels = [int(j) for j in levels]
     scales = [T * 2.0**-j for j in levels]
-    values = [coupling_integral(kd, s, s, resolution=resolution) for s in scales]
+    values = [coupling_integral(kd, s, s) for s in scales]
     slope, intercept = _loglog_fit(scales, values)
     return ScalingFitReport(
         levels=levels, scales=scales, values=values, slope=slope, intercept=intercept
@@ -539,25 +544,28 @@ def _scaling_sweep(increment_norm, alpha, T, levels, x_count):
     return level_stats
 
 
-def upper_scaling_report(
-    kd, alpha=None, levels=range(1, 8), x_count=17, refined=None, drift_tol=0.10, trend_tol=1.5
-):
+def upper_scaling_report(kd, alpha=None, levels=None, refined=None, drift_tol=0.10):
     """Estimate the constant in ||A_{x,s}|| <= kappa s^alpha over a dyadic sweep.
 
     ``refined`` (a finer discretization of the same spec) measures grid
     sensitivity; a monotone blow-up or collapse of the per-level sups flags a
-    mismatched exponent.  Levels whose window T 2^-j is shorter than one
-    time step are rejected: the grid does not resolve them.
+    mismatched exponent.  Levels default to 1..7, cut at the finest level
+    the time grid resolves; levels whose window T 2^-j is shorter than one
+    time step are rejected.
     """
     alpha = kd.spec.alpha if alpha is None else alpha
     T = kd.spec.horizon
+    if levels is None:
+        levels = range(1, min(7, int(kd.grid.steps).bit_length() - 1) + 1)
+    if not levels:
+        raise ValueError(f"no dyadic level is resolved by {kd.grid.steps} time step(s)")
     unresolved = [j for j in levels if 2.0**j > kd.grid.steps]
     if unresolved:
         raise ValueError(
             f"upper scaling levels {unresolved}: window T*2^-j is shorter than "
             f"one time step (T/{kd.grid.steps})"
         )
-    stats = _scaling_sweep(kd.increment_norm, alpha, T, levels, x_count)
+    stats = _scaling_sweep(kd.increment_norm, alpha, T, levels, UPPER_X_COUNT)
     sups = {j: v[0] for j, v in stats.items()}
     worst_j = max(sups, key=sups.get)
     kappa = sups[worst_j]
@@ -567,10 +575,10 @@ def upper_scaling_report(
         diverging = False
     else:
         ratio = hi / lo if lo > 0 else math.inf
-        diverging = ratio > trend_tol or ratio < 1.0 / trend_tol
+        diverging = ratio > UPPER_TREND_TOL or ratio < 1.0 / UPPER_TREND_TOL
     drift = None
     if refined is not None:
-        stats2 = _scaling_sweep(refined.increment_norm, alpha, T, levels, x_count)
+        stats2 = _scaling_sweep(refined.increment_norm, alpha, T, levels, UPPER_X_COUNT)
         kappa2 = max(v[0] for v in stats2.values())
         drift = abs(kappa2 - kappa) / kappa if kappa > 0 else 0.0
     passed = math.isfinite(kappa) and not diverging and (drift is None or drift < drift_tol)
@@ -595,21 +603,18 @@ class LowerScalingReport:
     passed: bool
 
 
-def lower_scaling_report(kd, alpha=None, levels=None, x_count=33, min_kappa=1e-6, stability_tol=0.25):
+def lower_scaling_report(kd):
     """Estimate the lower scaling constant at the two finest dyadic scales."""
-    alpha = kd.spec.alpha if alpha is None else alpha
     T = kd.spec.horizon
-    if levels is None:
-        # finest dyadic level still containing a few u-cells
-        j_max = int(math.floor(math.log2(kd.time_cells / 4))) if kd.time_cells >= 8 else 1
-        levels = [j_max - 1, j_max]
-    stats = _scaling_sweep(kd.increment_norm, alpha, T, levels, x_count)
+    # finest dyadic level still containing a few u-cells
+    j_max = int(math.floor(math.log2(kd.time_cells / 4))) if kd.time_cells >= 8 else 1
+    stats = _scaling_sweep(kd.increment_norm, kd.spec.alpha, T, [j_max - 1, j_max], LOWER_X_COUNT)
     infs = {j: v[1] for j, v in stats.items()}
     vals = [infs[j] for j in sorted(infs)]
     kappa_prime = vals[-1]
     top = max(vals)
     stability = abs(vals[-1] - vals[0]) / top if top > 0 else 0.0
-    passed = kappa_prime > min_kappa and stability < stability_tol
+    passed = kappa_prime > LOWER_MIN_KAPPA and stability < LOWER_STABILITY_TOL
     return LowerScalingReport(
         kappa_prime=kappa_prime, level_infs=infs, stability=stability, passed=passed
     )
@@ -618,16 +623,17 @@ def lower_scaling_report(kd, alpha=None, levels=None, x_count=33, min_kappa=1e-6
 # -- filter overlap integral (coarse bookkeeping bound) -------------------------
 
 
-def _filter_quad_edges(beta1, s, count_core=256, count_tail=128, tail_factor=1e4):
+def _filter_quad_edges(beta1, s):
     """u-cell edges for filter quadrature: linear core, log tail to the left.
 
     Edges include 0 and s so the filter keeps one sign per cell.
     """
-    core = np.linspace(-2.0 * s, s, count_core + 1)
+    core = np.linspace(-2.0 * s, s, QUAD_CORE_CELLS + 1)
     core = np.unique(np.concatenate((core, [0.0, s])))
     if beta1 == 0.0:
         return core
-    tail = -s * np.geomspace(2.0, tail_factor ** (1.0 / max(1.0 - beta1, 1e-9)), count_tail + 1)[::-1]
+    reach = QUAD_TAIL_FACTOR ** (1.0 / max(1.0 - beta1, 1e-9))
+    tail = -s * np.geomspace(2.0, reach, QUAD_TAIL_CELLS + 1)[::-1]
     return np.concatenate((tail[:-1], core))
 
 
@@ -671,13 +677,14 @@ def overlap_scaling_report(spec, levels=range(1, 7)):
 # -- truncation bookkeeping ------------------------------------------------------
 
 
-def truncation_report(spec, left_units, probe_cells=2048, t_ref=None):
-    """Estimated relative left-tail mass of ||A_t||^2 lost to truncation.
+def truncation_report(spec, left_units, probe_cells=2048):
+    """Estimated relative left-tail mass of ||A_t||^2 lost to truncation at
+    t = min(1, T), the time the scale normalizes.
 
     Measures the norm gain from doubling the domain on a coarse probe grid
     and extrapolates the geometric tail with the kernel's decay exponent.
     """
-    t_ref = min(1.0, spec.horizon) if t_ref is None else t_ref
+    t_ref = min(1.0, spec.horizon)
     p = tail_decay_exponent(spec)
     probe = replace(spec, scale=1.0)
 

@@ -24,6 +24,11 @@ __all__ = [
     "modulus_holder_statistic",
 ]
 
+LUXEMBURG_REL_TOL = 1e-12  # luxemburg_norm bisection: relative bracket width
+LUXEMBURG_MAX_ITER = 200  # and step limit
+PSUP_RATIO = 1.25  # ratio of consecutive exponents p in psup_norm's grid
+MOMENT_QUANTILE = 0.99  # pooled quantile of moment_growth_report (q99 in moment_quantiles.csv)
+
 
 @dataclass(frozen=True)
 class PathSample:
@@ -70,13 +75,11 @@ class PathSample:
 class OrliczFunction:
     """Young function of exponential type: x -> exp(x^beta) - 1.
 
-    Used on all of [0, inf) even for beta < 1 (convexity near 0 is not
-    needed by the bisection, only monotonicity); the modification threshold
-    is recorded as ``tau`` = 0.
+    Used unmodified on all of [0, inf) even for beta < 1 (convexity near 0
+    is not needed by the bisection, only monotonicity).
     """
 
     beta: float
-    tau: float = 0.0
 
     def __post_init__(self):
         if self.beta <= 0:
@@ -109,7 +112,7 @@ def increment_lp_norm(path, lag, p):
     return float((np.sum(np.abs(diffs) ** p) * path.step) ** (1.0 / p))
 
 
-def luxemburg_norm(values, cell_measure, orlicz, rel_tol=1e-12, max_iter=200):
+def luxemburg_norm(values, cell_measure, orlicz):
     """inf{lambda : sum Phi(|f|/lambda) * cell <= 1} by bisection.
 
     Zero input gives 0; the norm is absolutely homogeneous to bisection
@@ -128,26 +131,28 @@ def luxemburg_norm(values, cell_measure, orlicz, rel_tol=1e-12, max_iter=200):
     hi = top
     while excess(hi) > 0:
         hi *= 2.0
+    if hi == math.inf:
+        raise ValueError("Luxemburg norm is not finite: the Young function is too flat near 0")
     lo = hi / 2.0
     while excess(lo) < 0:
         lo /= 2.0
         if lo < 1e-300:
             return 0.0
-    for _ in range(max_iter):
+    for _ in range(LUXEMBURG_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if excess(mid) > 0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= rel_tol * hi:
+        if hi - lo <= LUXEMBURG_REL_TOL * hi:
             break
     return hi
 
 
-def psup_norm(values, beta, cell_measure, ratio=1.25):
+def psup_norm(values, beta, cell_measure):
     """sup over a geometric p-grid of p^(-1/beta) ||f||_{L^p}.
 
-    The grid runs from 1 to ln(sample count) in ratio steps (the cap is
+    The grid runs from 1 to ln(sample count) in PSUP_RATIO steps (the cap is
     where discrete L^p norms saturate towards the max).
     """
     f = np.abs(np.asarray(values, dtype=float))
@@ -155,8 +160,8 @@ def psup_norm(values, beta, cell_measure, ratio=1.25):
         return 0.0
     p_max = max(1.0, math.log(f.size))
     grid = [1.0]
-    while grid[-1] * ratio < p_max:
-        grid.append(grid[-1] * ratio)
+    while grid[-1] * PSUP_RATIO < p_max:
+        grid.append(grid[-1] * PSUP_RATIO)
     if grid[-1] < p_max:
         grid.append(p_max)
     best = 0.0
@@ -182,12 +187,13 @@ class BesovSeminormReport:
     seminorm: float = 0.0
 
 
-def dyadic_besov_seminorm(path, smoothness, p=None, orlicz_beta=None, min_lag_cells=1):
+def dyadic_besov_seminorm(path, smoothness, p=None, orlicz_beta=None):
     """sup over dyadic levels of 2^(j s) * (norm of lag-2^-j increments).
 
-    Lags are horizon * 2^-j; the per-level norm is ``increment_lp_norm`` when
-    ``p`` is given (so p >= 1), Luxemburg with the exponential Young function
-    otherwise.  Returns the per-level breakdown alongside the sup.
+    Lags are horizon * 2^-j, down to one grid step; the per-level norm is
+    ``increment_lp_norm`` when ``p`` is given (so p >= 1), Luxemburg with the
+    exponential Young function otherwise.  Returns the per-level breakdown
+    alongside the sup.
     """
     if not 0.0 < smoothness < 1.0:
         raise ValueError("smoothness must lie in (0, 1)")
@@ -203,7 +209,7 @@ def dyadic_besov_seminorm(path, smoothness, p=None, orlicz_beta=None, min_lag_ce
     j = 1
     while True:
         cells = steps * 2.0**-j
-        if cells < max(min_lag_cells, 1) or abs(cells - round(cells)) > 1e-9:
+        if cells < 1 or abs(cells - round(cells)) > 1e-9:
             break
         lag = T * 2.0**-j
         if p is not None:
@@ -285,9 +291,8 @@ def moment_growth_report(
     paths,
     alpha,
     exponents,
-    levels=range(3, 8),
+    levels=range(5, 11),
     ells=(2, 4, 6, 8),
-    quantile=0.99,
     bootstrap=200,
     bootstrap_seed=0,
 ):
@@ -314,12 +319,12 @@ def moment_growth_report(
     by_exponent = {}
     for e in exponents:
         ratios = raw / np.asarray(ells)[None, :, None] ** e
-        q = [float(np.quantile(ratios[:, a, :], quantile)) for a in range(len(ells))]
+        q = [float(np.quantile(ratios[:, a, :], MOMENT_QUANTILE)) for a in range(len(ells))]
         tau = _kendall(ells, q)
         taus = []
         for _ in range(bootstrap):
             pick = rng.integers(0, len(paths), size=len(paths))
-            qb = [float(np.quantile(ratios[pick][:, a, :], quantile)) for a in range(len(ells))]
+            qb = [float(np.quantile(ratios[pick][:, a, :], MOMENT_QUANTILE)) for a in range(len(ells))]
             taus.append(_kendall(ells, qb))
         by_exponent[float(e)] = {
             "quantiles": q,
@@ -327,7 +332,7 @@ def moment_growth_report(
             "tau_bootstrap_se": float(np.std(taus, ddof=1)) if bootstrap > 1 else 0.0,
         }
     return MomentGrowthReport(
-        ells=ells, levels=levels, alpha=float(alpha), quantile=quantile, by_exponent=by_exponent
+        ells=ells, levels=levels, alpha=float(alpha), quantile=MOMENT_QUANTILE, by_exponent=by_exponent
     )
 
 

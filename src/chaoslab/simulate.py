@@ -29,13 +29,14 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 from scipy.fft import irfft, rfft
 from scipy.signal import fftconvolve  # noqa: F401  (chaosbench/bench_trace.py hooks this name)
 
 from .chaos import hermite_he, philox_stream
-from .kernels import GridSpec, KernelDiscretization
+from .kernels import KernelDiscretization
 from .regularity import PathSample
 
 __all__ = ["provenance_tag", "sample_path_values", "sample_paths", "default_workers"]
@@ -95,10 +96,9 @@ def sample_path_values(kd, xi):
 _WORKER_KD = None
 
 
-def _init_worker(spec, grid, scale):
+def _init_worker(spec, grid):
     global _WORKER_KD
     _WORKER_KD = KernelDiscretization(spec, grid)
-    _WORKER_KD._scale = scale
 
 
 def _sample_streams(kd, seed, streams):
@@ -119,10 +119,9 @@ def sample_paths(spec, grid, count, seed, workers=None, first_stream=0, kd=None)
 
     Path ``i`` uses generator stream ``(seed, first_stream + i)``, so output
     does not depend on the worker count.  ``kd`` reuses a discretization of
-    (spec, grid), with its scale and spectra.
+    (spec, grid), with its scale and spectra; pool workers get its scale as
+    the spec's, so they never recompute it.
     """
-    if isinstance(grid, int):
-        grid = GridSpec.build(spec, steps=grid)
     if kd is None:
         kd = KernelDiscretization(spec, grid)
     elif (kd.spec, kd.grid) != (spec, grid):
@@ -135,9 +134,8 @@ def sample_paths(spec, grid, count, seed, workers=None, first_stream=0, kd=None)
         values = _sample_streams(kd, seed, streams)
     else:
         chunks = [(seed, streams[i::workers]) for i in range(workers)]
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(spec, grid, kd.scale)
-        ) as pool:
+        initargs = (replace(spec, scale=kd.scale), grid)
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=initargs) as pool:
             results = list(pool.map(_worker_chunk, chunks))
         values = [None] * count
         for i, chunk_values in enumerate(results):

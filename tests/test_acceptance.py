@@ -250,7 +250,7 @@ def test_criterion_9_condition_verification():
     ):
         grid = GridSpec.build(spec, steps=256, left_units=30)
         kd = KernelDiscretization(spec, grid)
-        upper = upper_scaling_report(kd, levels=range(1, 7), refined=kd.refined(2))
+        upper = upper_scaling_report(kd, levels=range(1, 7), refined=kd.refined())
         lower = lower_scaling_report(kd)
         fit = coupling_scaling_report(kd, levels=range(2, 7))
         eps = fit.slope / 2.0

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -253,7 +254,7 @@ def test_one_row_path_file_exits_2(tmp_path, capsys):
     paths_dir = tmp_path / "paths"
     paths_dir.mkdir()
     (paths_dir / "path-0000.csv").write_text("t,value\n0,0\n")
-    cfg = write_config(tmp_path, "cfg.json", {"paths_dir": str(paths_dir), "slope": {"p": 2, "levels": [1]}})
+    cfg = write_config(tmp_path, "cfg.json", {"paths_dir": str(paths_dir), "slope": {"p": 2, "levels": [1, 2]}})
     _assert_clean_exit_2(["report", "--config", cfg, "--out-dir", str(tmp_path / "o")], capsys)
 
 
@@ -409,3 +410,289 @@ def test_csv_format_is_plain(tmp_path):
     assert lines[0] == "t,value"
     assert len(lines) == 34  # header + 33 grid points
     float(lines[5].split(",")[1])  # parses with '.' decimal
+
+
+def _path_csv(steps, seed):
+    """A random-walk path file on a grid of ``steps`` steps."""
+    t = np.linspace(0.0, 1.0, steps + 1)
+    walk = np.cumsum(np.random.default_rng(seed).standard_normal(steps)) / math.sqrt(steps)
+    values = np.concatenate(([0.0], walk))
+    return "t,value\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), values.tolist()))
+
+
+def _path_dir(tmp_path, steps=64, count=2):
+    paths_dir = tmp_path / "paths"
+    paths_dir.mkdir()
+    for i in range(count):
+        (paths_dir / f"path-{i:04d}.csv").write_text(_path_csv(steps, seed=i))
+    return paths_dir
+
+
+_REPORT_CHECKS = {
+    "slope": {"p": 2, "levels": [2, 3, 4]},
+    "besov": {"smoothness": 0.3, "orlicz_beta": 1.0},
+    "moment_growth": {"alpha": 0.3, "exponents": [1.0, 0.5], "levels": [2, 3], "ells": [2, 4]},
+    "modulus": {"alpha": 0.3, "log_exponent": 1.0, "subsample_factors": [1, 2]},
+}
+
+_VERIFY_BASE = {
+    "kernel": {"type": "fbm", "alpha": 0.75},
+    "grid": {"steps": 64, "left_units": 4},
+    "skip_refinement": True,
+    "truncation_probe": False,
+}
+
+
+@pytest.mark.parametrize(
+    "command, block",
+    [
+        ("report", {"slope": {"p": 2, "levels": []}}),
+        ("report", {"slope": {"p": 2, "levels": [3]}}),
+        ("report", {"moment_growth": {"alpha": 0.5, "exponents": [1.0], "levels": []}}),
+        ("report", {"moment_growth": {"alpha": 0.5, "exponents": [], "levels": [3, 4]}}),
+        ("report", {"moment_growth": {"alpha": 0.5, "exponents": [1.0], "ells": []}}),
+        ("report", {"modulus": {"alpha": 0.5, "log_exponent": 1.0, "subsample_factors": [0]}}),
+        ("report", {"modulus": {"alpha": 0.5, "log_exponent": 1.0, "subsample_factors": []}}),
+        ("verify", {"coupling_levels": []}),
+        ("verify", {"coupling_levels": [3]}),
+        ("verify", {"overlap_levels": []}),
+        ("verify", {"overlap_levels": [3]}),
+        ("verify", {"upper_levels": []}),
+    ],
+    ids=[
+        "slope-empty", "slope-one", "moment-levels-empty", "moment-exponents-empty",
+        "moment-ells-empty", "subsample-zero", "subsample-empty", "coupling-empty", "coupling-one",
+        "overlap-empty", "overlap-one", "upper-empty",
+    ],
+)
+def test_short_lists_exit_2(tmp_path, capsys, command, block):
+    base = {"paths_dir": str(_path_dir(tmp_path))} if command == "report" else _VERIFY_BASE
+    cfg = write_config(tmp_path, "cfg.json", {**base, **block})
+    err = _assert_clean_exit_2([command, "--config", cfg, "--out-dir", str(tmp_path / "o")], capsys)
+    assert "config error" in err
+
+
+@pytest.mark.parametrize("times", ["equal", "reversed"])
+def test_path_file_times_must_increase(tmp_path, capsys, times):
+    paths_dir = _path_dir(tmp_path, count=1)
+    header, *rows = (paths_dir / "path-0000.csv").read_text().splitlines()
+    rows = ["0.5," + r.partition(",")[2] for r in rows] if times == "equal" else rows[::-1]
+    (paths_dir / "path-0000.csv").write_text("\n".join([header, *rows]) + "\n")
+    cfg = write_config(tmp_path, "cfg.json", {"paths_dir": str(paths_dir), **_REPORT_CHECKS})
+    _assert_clean_exit_2(["report", "--config", cfg, "--out-dir", str(tmp_path / "o")], capsys)
+
+
+_TINY_FBM = {"kernel": {"type": "fbm", "alpha": 0.75}, "grid": {"steps": 32, "left_units": 2}, "paths": 2}
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("simulate", {**_TINY_FBM, "paths": 2.0}),
+        ("simulate", {**_TINY_FBM, "grid": {"steps": 32.0, "left_units": 2}}),
+        ("fuzz", {"equivalence_instances": 1.0}),
+        ("verify", {**_VERIFY_BASE, "kernel": {"type": "fbm", "alpha": 0.75, "horizon": 5e-324}}),
+        ("report", {"simulate": _TINY_FBM, "besov": {"smoothness": 0.5, "orlicz_beta": 1e-300}}),
+        ("report", {"simulate": _TINY_FBM, "moment_growth": {"alpha": 1e3, "exponents": [1.0]}}),
+        ("report", {"simulate": _TINY_FBM, "modulus": {"alpha": 1e3, "log_exponent": 1.0}}),
+    ],
+    ids=["paths-float", "steps-float", "instances-float", "horizon-underflows", "orlicz-flat",
+         "moment-alpha-underflows", "modulus-alpha-underflows"],
+)
+def test_degenerate_numbers_exit_2(tmp_path, capsys, command, cfg):
+    path = write_config(tmp_path, "cfg.json", cfg)
+    _assert_clean_exit_2([command, "--config", path, "--out-dir", str(tmp_path / "o")], capsys)
+
+
+@pytest.mark.parametrize("steps, levels", [(64, [1, 2, 3, 4, 5, 6]), (2, [1]), (128, list(range(1, 8)))])
+def test_verify_default_upper_levels_follow_the_grid(tmp_path, steps, levels):
+    cfg = write_config(
+        tmp_path,
+        "cfg.json",
+        {"kernel": {"type": "hermite", "order": 2, "alpha": 0.7}, "grid": {"steps": steps, "left_units": 5},
+         "skip_refinement": True, "truncation_probe": False},
+    )
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out-dir", str(out)]) in (0, 1)
+    assert read_json(out / "verify_report.json")["upper_scaling"]["level_sups"].keys() == {
+        str(j) for j in levels
+    }
+
+
+def test_verify_one_step_grid_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", {**_VERIFY_BASE, "grid": {"steps": 1, "left_units": 4}})
+    _assert_clean_exit_2(["verify", "--config", cfg, "--out-dir", str(tmp_path / "o")], capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--seed", "3"],
+        ["report", "--seed", "3"],
+        ["simulate", "--tolerance", "0.1"],
+        ["verify", "--tolerance", "0.1"],
+        ["expand", "--workers", "2"],
+        ["verify", "--workers", "2"],
+        ["fuzz", "--workers", "2"],
+        ["simulate", "--workers", "0"],
+        ["report", "--workers", "-5"],
+    ],
+)
+def test_flags_only_on_commands_that_read_them(tmp_path, argv):
+    cfg = write_config(tmp_path, "cfg.json", {})
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--config", cfg, "--out-dir", str(tmp_path / "o"), *argv[1:]])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command, cfg, report",
+    [
+        ("expand", {"fixture": "first-order-product"}, "expand_report.json"),
+        ("fuzz", {"equivalence_instances": 1, "inequality_instances": 1}, "fuzz_summary.json"),
+    ],
+)
+def test_seed_and_tolerance_flags(tmp_path, command, cfg, report):
+    path = write_config(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    code = main([command, "--config", path, "--out-dir", str(out), "--seed", "4", "--tolerance", "1e-8"])
+    assert code == 0
+    summary = read_json(out / report)
+    assert (summary["seed"], summary["tolerance"]) == (4, 1e-8)
+
+
+# tiny valid configs, one per command
+_RERUN_CONFIGS = {
+    "expand": {"fixture": "first-order-product", "pointwise_seeds": 10},
+    "verify": {
+        "kernel": {"type": "hermite", "order": 2, "alpha": 0.7},
+        "grid": {"steps": 32, "left_units": 2},
+        "upper_levels": [1, 2, 3],
+        "coupling_levels": [2, 3],
+        "overlap_levels": [1, 2],
+    },
+    "simulate": {
+        "kernel": {"type": "hermite", "order": 2, "alpha": 0.7},
+        "grid": {"steps": 32, "left_units": 2},
+        "paths": 2,
+        "seed": 3,
+    },
+    "report": {
+        "simulate": {"kernel": {"type": "fbm", "alpha": 0.3}, "grid": {"steps": 64, "left_units": 2},
+                     "paths": 2, "seed": 5},
+        **_REPORT_CHECKS,
+    },
+    "fuzz": {"seed": 2, "equivalence_instances": 3, "inequality_instances": 3, "max_total": 6},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_RERUN_CONFIGS))
+def test_rerun_is_byte_identical(tmp_path, command):
+    cfg = write_config(tmp_path, "cfg.json", _RERUN_CONFIGS[command])
+    outputs = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert main([command, "--config", cfg, "--out-dir", str(out)]) in (0, 1)
+        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert len(outputs[0]) > 1
+    assert outputs[0] == outputs[1]
+
+
+# JSON values plus integral, tiny and large floats (no large ints: steps or
+# paths that big would only measure memory)
+_CONFIG_VALUES = _JSON_VALUES | st.sampled_from([2.0, 1e3, -1e3, 1e-300, 5e-324])
+_EXTRA_KEYS = ["horizon", "scale", "order", "beta1", "beta2", "left", "cells", "node_budget", "first_stream",
+               "paths_dir", "tolerance", "expected_alpha", "p", "orlicz_beta", "max_dim", "max_blocks"]
+
+
+@st.composite
+def _mutated_configs(draw):
+    command = draw(st.sampled_from(["verify", "simulate", "report", "fuzz"]))
+    cfg = json.loads(json.dumps(_RERUN_CONFIGS[command]))
+    if command == "verify":
+        cfg.update(skip_refinement=True, truncation_probe=False)
+    for _ in range(draw(st.integers(1, 2))):
+        # a random object node of the config, then one change in it (a key
+        # outside the node one time in four)
+        node = cfg
+        while True:
+            objects = [v for v in node.values() if isinstance(v, dict)]
+            if not objects or draw(st.booleans()):
+                break
+            node = draw(st.sampled_from(objects))
+        key = draw(st.sampled_from(sorted(node) if node and draw(st.integers(0, 3)) else _EXTRA_KEYS))
+        kind = draw(st.sampled_from(["drop", "swap", "empty", "shorten"]))
+        if kind == "drop":
+            node.pop(key, None)
+        elif kind == "swap" or not isinstance(node.get(key), list):
+            node[key] = draw(_CONFIG_VALUES)
+        elif kind == "empty":
+            node[key] = []
+        else:
+            node[key] = node[key][: draw(st.integers(0, len(node[key])))]
+    return command, cfg
+
+
+def _exit_and_stderr(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_mutated_configs())
+def test_exit_contract_on_mutated_configs(case):
+    command, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), "cfg.json", cfg)
+        code, err = _exit_and_stderr([command, "--config", path, "--out-dir", str(Path(tmp) / "o")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+_CELL_VALUES = st.sampled_from(["", "nan", "inf", "-inf", "x", "1e999", "0", "-1", "1e-320", "2"])
+
+
+@st.composite
+def _mutated_path_files(draw):
+    lines = _path_csv(32, seed=0).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["drop", "cell", "column", "truncate", "duplicate", "empty", "times"]))
+        if kind == "times":
+            # one value for every t (equal times), or the rows in reverse order
+            value = draw(_CELL_VALUES | st.none())
+            lines = lines[:1] + (
+                lines[:0:-1] if value is None else [value + "," + l.partition(",")[2] for l in lines[1:]]
+            )
+        elif kind == "drop":
+            del lines[row]
+        elif kind == "cell":
+            cells = lines[row].split(",")
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(_CELL_VALUES)
+            lines[row] = ",".join(cells)
+        elif kind == "column":
+            lines[row] += "," + draw(_CELL_VALUES)
+        elif kind == "truncate":
+            lines = lines[: draw(st.integers(0, len(lines)))]
+        elif kind == "duplicate":
+            lines.insert(row, lines[row])
+        else:
+            lines = []
+        if not lines:
+            break
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+@settings(max_examples=100, deadline=None)
+@given(content=_mutated_path_files())
+def test_report_exit_contract_on_mutated_path_files(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths_dir = Path(tmp) / "paths"
+        paths_dir.mkdir()
+        (paths_dir / "path-0000.csv").write_text(content)
+        path = write_config(Path(tmp), "cfg.json", {"paths_dir": str(paths_dir), **_REPORT_CHECKS})
+        code, err = _exit_and_stderr(["report", "--config", path, "--out-dir", str(Path(tmp) / "o")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

@@ -182,7 +182,7 @@ def test_dense_matches_exact_gram_norm():
     _, _, kd = small_rosenblatt(cells_per_unit=8, left=4.0)
     for t in (0.5, 1.0):
         w = kd.weights(t)
-        dense = kd.dense_from_weights(w, cap=10**7)
+        dense = kd.dense_from_weights(w)
         assert kd.norm_sq(w, exact=True) == pytest.approx(inner(dense, dense), rel=1e-12)
 
 
@@ -191,8 +191,8 @@ def test_dense_vs_gram_contractions_two_path():
     _, _, kd = small_rosenblatt()
     w1 = kd.increment_weights(0.0, 0.25)
     w2 = kd.increment_weights(0.5, 0.25)
-    a = kd.dense_from_weights(w1, cap=10**7)
-    b = kd.dense_from_weights(w2, cap=10**7)
+    a = kd.dense_from_weights(w1)
+    b = kd.dense_from_weights(w2)
     for j in (1, 2):
         dense_val = norm(contract(a, b, j)) ** 2
         gram_val = kd.contraction_norm_sq(w1, w2, j)
@@ -289,7 +289,7 @@ def test_upper_scaling_fbm_kappa_near_normalization():
     spec = HermiteKernelSpec.fbm(0.5)
     grid = GridSpec.build(spec, steps=512, left_units=40)
     kd = KernelDiscretization(spec, grid)
-    rep = upper_scaling_report(kd, refined=kd.refined(2))
+    rep = upper_scaling_report(kd, refined=kd.refined())
     # normalized process: s^-alpha ||A_{x,s}|| should hover near 1/sqrt(n!) = 1
     assert rep.passed
     assert rep.kappa == pytest.approx(1.0, rel=0.1)

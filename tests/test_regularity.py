@@ -94,7 +94,6 @@ def test_orlicz_function_basics():
     assert phi(0.0) == 0.0
     xs = np.linspace(0.0, 2.0, 9)
     assert np.all(np.diff(phi(xs)) > 0)
-    assert phi.tau == 0.0
 
 
 def test_luxemburg_constant_closed_form():

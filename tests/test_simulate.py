@@ -35,7 +35,7 @@ def test_simulation_matches_dense_wick_eval(spec):
     for step_index in (0, 3, grid.steps):
         t = step_index * spec.horizon / grid.steps
         w = kd.weights(t)
-        dense = kd.dense_from_weights(w, cap=10**7)
+        dense = kd.dense_from_weights(w)
         by_dense = chaos.wick_eval(dense, xi)
         by_rank_one = chaos.wick_eval_rank_one_sum(w, vectors, spec.order, xi)
         assert values[step_index] == pytest.approx(by_dense, rel=1e-9, abs=1e-12)
