@@ -100,14 +100,22 @@ def _multiplicity_classes(order, dim):
     """Class labels of the d^n multi-indices and per-class coordinate counts.
 
     ``class_id[flat]`` groups multi-indices that are rearrangements of each
-    other; ``mult[c, coord]`` counts how often ``coord`` occurs in class c.
+    other, numbered in the lexicographic order of the sorted multi-index;
+    ``mult[c, coord]`` counts how often ``coord`` occurs in class c.
     """
     if order == 0:
         return np.zeros(1, dtype=np.intp), np.zeros((1, dim), dtype=np.intp)
-    idx = np.indices((dim,) * order).reshape(order, -1).T
-    key = np.sort(idx, axis=1)
-    uniq, class_id = np.unique(key, axis=0, return_inverse=True)
-    mult = np.stack([(uniq == c).sum(axis=1) for c in range(dim)], axis=1)
+    idx = np.indices((dim,) * order, dtype=np.min_scalar_type(dim - 1)).reshape(order, -1)
+    idx.sort(axis=0)
+    # each sorted multi-index as a base-dim integer (below d^n), so that one
+    # 1-D unique numbers the classes in lexicographic order
+    code = np.zeros(idx.shape[1], dtype=np.int64)
+    for slot in idx:
+        code *= dim
+        code += slot
+    uniq, class_id = np.unique(code, return_inverse=True)
+    digits = uniq[:, None] // dim ** np.arange(order - 1, -1, -1, dtype=np.int64) % dim
+    mult = np.stack([(digits == c).sum(axis=1) for c in range(dim)], axis=1)
     return class_id.astype(np.intp), mult.astype(np.intp)
 
 

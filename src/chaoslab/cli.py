@@ -59,11 +59,9 @@ KERNEL_SCHEMA = {
 GRID_SCHEMA = {
     "type": "object",
     "properties": {
-        "steps": {"type": "integer", "minimum": 1},
+        # 2**20 steps keep GridSpec.build's default node budget a bound on cells
+        "steps": {"type": "integer", "minimum": 1, "maximum": 2**20},
         "left_units": {"type": "number", "exclusiveMinimum": 0},
-        "left": {"type": "number", "exclusiveMinimum": 0},
-        "cells": {"type": "integer", "minimum": 2},
-        "node_budget": {"type": "integer", "minimum": 1000},
     },
     "required": ["steps"],
     "additionalProperties": False,
@@ -100,7 +98,7 @@ CONFIG_SCHEMAS = {
             "kernel": KERNEL_SCHEMA,
             "grid": GRID_SCHEMA,
             "upper_levels": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
-            "coupling_levels": {"type": "array", "items": {"type": "integer"}, "minItems": 2},
+            "coupling_levels": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 2},
             "overlap_levels": {"type": "array", "items": {"type": "integer"}, "minItems": 2},
             "drift_tolerance": {"type": "number", "exclusiveMinimum": 0},
             "skip_refinement": {"type": "boolean"},
@@ -254,11 +252,7 @@ def _given(cfg, **keys):
 
 
 def make_grid(cfg, spec):
-    if "cells" in cfg and "left" in cfg:
-        return GridSpec(left=cfg["left"], cells=cfg["cells"], steps=cfg["steps"])
-    return GridSpec.build(
-        spec, steps=cfg["steps"], **_given(cfg, left_units="left_units", node_budget="node_budget")
-    )
+    return GridSpec.build(spec, steps=cfg["steps"], **_given(cfg, left_units="left_units"))
 
 
 def _fmt(x):
@@ -413,7 +407,7 @@ def _simulate(cfg, workers):
     return kd, paths
 
 
-def cmd_simulate(cfg, out_dir, workers=None):
+def cmd_simulate(cfg, out_dir, workers=1):
     kd, paths = _simulate(cfg, workers)
     _write_paths(out_dir, paths)
     write_json(
@@ -445,8 +439,10 @@ def _load_paths(paths_dir):
         meta = json.loads(run.read_text())
     out = []
     for i, f in enumerate(files):
-        data = np.loadtxt(f, delimiter=",", skiprows=1, ndmin=2)
-        if data.shape[0] < 2 or data.shape[1] != 2 or not np.all(np.diff(data[:, 0]) > 0):
+        # the rows loadtxt reads as data; with none it would warn, not fail
+        rows = [r for r in f.read_text().split("\n")[1:] if r.partition("#")[0]]
+        data = np.loadtxt(rows, delimiter=",", ndmin=2) if len(rows) >= 2 else None
+        if data is None or data.shape[1] != 2 or not np.all(np.diff(data[:, 0]) > 0):
             raise ConfigError(f"{f}: need a t,value header and at least two rows of increasing t")
         out.append(
             PathSample(
@@ -460,7 +456,7 @@ def _load_paths(paths_dir):
     return out
 
 
-def cmd_report(cfg, out_dir, workers=None):
+def cmd_report(cfg, out_dir, workers=1):
     if "paths_dir" in cfg:
         paths = _load_paths(cfg["paths_dir"])
     elif "simulate" in cfg:
@@ -558,24 +554,12 @@ def cmd_fuzz(cfg, out_dir):
     seed = cfg.get("seed", 0)
     tol = cfg.get("tolerance", 1e-9)
     slack_tol = cfg.get("slack_tolerance", 1e-12)
-    caps = dict(
-        max_blocks=cfg.get("max_blocks", 4),
-        max_order=cfg.get("max_order", 3),
-        max_dim=cfg.get("max_dim", 3),
-        max_total=cfg.get("max_total", 10),
-    )
+    caps = _given(cfg, max_blocks="max_blocks", max_order="max_order", max_dim="max_dim",
+                  max_total="max_total")
+    eq_kwargs = dict(caps, **_given(cfg, pointwise_seeds="pointwise_seeds"))
     rng = np.random.default_rng(seed)
-    eq_rows = []
-    for _ in range(cfg.get("equivalence_instances", 100)):
-        eq_rows.append(
-            fuzzing.equivalence_case(rng, pointwise_seeds=cfg.get("pointwise_seeds", 20), **caps)
-        )
-    ineq_rows = []
-    for _ in range(cfg.get("inequality_instances", 100)):
-        ineq_rows.append(fuzzing.inequality_case(rng, max_blocks=min(caps["max_blocks"], 3),
-                                                 max_order=caps["max_order"],
-                                                 max_dim=caps["max_dim"],
-                                                 max_total=caps["max_total"]))
+    eq_rows = [fuzzing.equivalence_case(rng, **eq_kwargs) for _ in range(cfg.get("equivalence_instances", 100))]
+    ineq_rows = [fuzzing.inequality_case(rng, **caps) for _ in range(cfg.get("inequality_instances", 100))]
     if eq_rows:
         write_csv(
             out_dir / "fuzz_equivalence.csv",
@@ -664,12 +648,12 @@ def main(argv=None):
         if name in ("expand", "fuzz"):
             p.add_argument("--tolerance", type=float, help="override config tolerance")
         if name in ("simulate", "report"):
-            p.add_argument("--workers", type=int, help="worker processes (default: CHAOSLAB_WORKERS, else 1)")
+            p.add_argument("--workers", type=int, default=1, help="worker processes (default: 1)")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override any config key (dotted path, JSON value)")
     args = parser.parse_args(argv)
-    workers = getattr(args, "workers", None)
-    if workers is not None and workers < 1:
+    workers = getattr(args, "workers", 1)
+    if workers < 1:
         sub.choices[args.command].error(f"--workers must be at least 1, got {workers}")
     try:
         with open(args.config) as fh:

@@ -30,6 +30,7 @@ __all__ = [
 
 MIN_BLOCKS = 2  # a product has at least two factors
 PAIRSET_ATTEMPTS = 50  # greedy pairings per size before random_pairset tries a smaller one
+INEQUALITY_MAX_BLOCKS = 3  # inequality_case draws at most this many blocks, whatever max_blocks
 
 
 def random_decomposition(rng, max_blocks=4, max_order=3, max_total=10):
@@ -126,9 +127,9 @@ def equivalence_case(rng, max_blocks=4, max_order=3, max_dim=3, max_total=10, po
     return {"lengths": list(decomp.lengths), "dim": dim, **row}
 
 
-def inequality_case(rng, max_blocks=3, max_order=3, max_dim=3, max_total=10):
+def inequality_case(rng, max_blocks=INEQUALITY_MAX_BLOCKS, max_order=3, max_dim=3, max_total=10):
     """One instance of the four operator contracts; returns slacks/residuals."""
-    decomp = random_decomposition(rng, max_blocks, max_order, max_total)
+    decomp = random_decomposition(rng, min(max_blocks, INEQUALITY_MAX_BLOCKS), max_order, max_total)
     dim = int(rng.integers(2, max_dim + 1))
     tensors = random_tensors(rng, decomp, dim, symmetric=False)
     pairset = random_pairset(rng, decomp)

@@ -27,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -39,14 +38,7 @@ from .chaos import hermite_he, philox_stream
 from .kernels import KernelDiscretization
 from .regularity import PathSample
 
-__all__ = ["provenance_tag", "sample_path_values", "sample_paths", "default_workers"]
-
-
-def default_workers():
-    try:
-        return max(1, int(os.environ.get("CHAOSLAB_WORKERS", "1")))
-    except ValueError:
-        return 1
+__all__ = ["provenance_tag", "sample_path_values", "sample_paths"]
 
 
 def provenance_tag(spec, grid):
@@ -114,7 +106,7 @@ def _worker_chunk(args):
     return _sample_streams(_WORKER_KD, seed, streams)
 
 
-def sample_paths(spec, grid, count, seed, workers=None, first_stream=0, kd=None):
+def sample_paths(spec, grid, count, seed, workers=1, first_stream=0, kd=None):
     """Draw ``count`` independent trajectories; deterministic given ``seed``.
 
     Path ``i`` uses generator stream ``(seed, first_stream + i)``, so output
@@ -129,7 +121,7 @@ def sample_paths(spec, grid, count, seed, workers=None, first_stream=0, kd=None)
     tag = provenance_tag(spec, grid)
     times = np.arange(grid.steps + 1) * (spec.horizon / grid.steps)
     streams = [first_stream + i for i in range(count)]
-    workers = default_workers() if workers is None else max(1, int(workers))
+    workers = max(1, int(workers))
     if workers == 1 or count < 2 * workers:
         values = _sample_streams(kd, seed, streams)
     else:

@@ -174,11 +174,18 @@ def _sorted_index_classes(order, dim):
 
     Returns ``(class_id, counts)`` where ``class_id[flat_index]`` labels the
     equivalence class of the multi-index under slot permutations and
-    ``counts[c]`` is the class size.
+    ``counts[c]`` is the class size.  Classes are numbered in the
+    lexicographic order of their sorted multi-index.
     """
-    idx = np.indices((dim,) * order).reshape(order, -1).T  # (d^n, n)
-    key = np.sort(idx, axis=1)
-    _, class_id = np.unique(key, axis=0, return_inverse=True)
+    idx = np.indices((dim,) * order, dtype=np.min_scalar_type(dim - 1)).reshape(order, -1)
+    idx.sort(axis=0)
+    # the sorted multi-index read in base dim: below d^n, and ordered as the
+    # multi-indices are lexicographically
+    key = np.zeros(idx.shape[1], dtype=np.int64)
+    for digit in idx:
+        key *= dim
+        key += digit
+    _, class_id = np.unique(key, return_inverse=True)
     counts = np.bincount(class_id)
     return class_id, counts
 

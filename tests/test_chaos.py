@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 
 from chaoslab.chaos import (
     ChaosExpansion,
+    _multiplicity_classes,
     covariance_identity_residual,
     expand_product,
     gebelein_bound_check,
@@ -22,7 +24,15 @@ from chaoslab.cancellation import cancel
 from chaoslab.cli import write_json
 from chaoslab.fuzzing import random_decomposition, random_tensors
 from chaoslab.pairings import IntervalDecomposition, enumerate_admissible
-from chaoslab.tensors import SymTensor, basis_vector, elementary, inner, symmetrize, tensor_product
+from chaoslab.tensors import (
+    SymTensor,
+    _sorted_index_classes,
+    basis_vector,
+    elementary,
+    inner,
+    symmetrize,
+    tensor_product,
+)
 
 
 def test_hermite_values():
@@ -383,3 +393,18 @@ def test_expand_matches_pair_set_reference(tensors):
     for degree, want in ref.items():
         gap = np.max(np.abs(exp.terms[degree].entries - want.entries))
         assert gap <= 1e-11 * max(1.0, np.max(np.abs(want.entries)))
+
+
+@pytest.mark.parametrize("order, dim", [(1, 1), (1, 4), (2, 3), (3, 1), (3, 8), (4, 3), (5, 4), (7, 2), (9, 2)])
+def test_class_builders_number_classes_lexicographically(order, dim):
+    # Wick sums and oracle dicts follow the class order: class c is the c-th
+    # sorted multi-index in lexicographic order
+    keys = [tuple(sorted(i)) for i in itertools.product(range(dim), repeat=order)]
+    classes = sorted(set(keys))
+    class_id = [classes.index(k) for k in keys]
+    counts = [keys.count(k) for k in classes]
+    mult = [[k.count(c) for c in range(dim)] for k in classes]
+    sym_id, sym_counts = _sorted_index_classes(order, dim)
+    wick_id, wick_mult = _multiplicity_classes(order, dim)
+    assert sym_id.tolist() == class_id and sym_counts.tolist() == counts
+    assert wick_id.tolist() == class_id and wick_mult.tolist() == mult

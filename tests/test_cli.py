@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -435,6 +436,8 @@ _REPORT_CHECKS = {
     "modulus": {"alpha": 0.3, "log_exponent": 1.0, "subsample_factors": [1, 2]},
 }
 
+_TINY_FBM = {"kernel": {"type": "fbm", "alpha": 0.75}, "grid": {"steps": 32, "left_units": 2}, "paths": 2}
+
 _VERIFY_BASE = {
     "kernel": {"type": "fbm", "alpha": 0.75},
     "grid": {"steps": 64, "left_units": 4},
@@ -455,6 +458,7 @@ _VERIFY_BASE = {
         ("report", {"modulus": {"alpha": 0.5, "log_exponent": 1.0, "subsample_factors": []}}),
         ("verify", {"coupling_levels": []}),
         ("verify", {"coupling_levels": [3]}),
+        ("verify", {"coupling_levels": [0, 1]}),
         ("verify", {"overlap_levels": []}),
         ("verify", {"overlap_levels": [3]}),
         ("verify", {"upper_levels": []}),
@@ -462,6 +466,7 @@ _VERIFY_BASE = {
     ids=[
         "slope-empty", "slope-one", "moment-levels-empty", "moment-exponents-empty",
         "moment-ells-empty", "subsample-zero", "subsample-empty", "coupling-empty", "coupling-one",
+        "coupling-level-zero",
         "overlap-empty", "overlap-one", "upper-empty",
     ],
 )
@@ -472,6 +477,45 @@ def test_short_lists_exit_2(tmp_path, capsys, command, block):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify", "report"])
+@pytest.mark.parametrize(
+    "grid",
+    [
+        {"steps": 64, "left": 3.0},
+        {"steps": 64, "left_units": 2, "cells": 7},
+        {"steps": 64, "left": 3.0, "cells": 256},
+        {"steps": 64, "node_budget": 10**9},
+        {"steps": 2**20 + 1},
+    ],
+    ids=["left", "cells", "left-and-cells", "node-budget", "steps-beyond-2**20"],
+)
+def test_grid_takes_only_bounded_steps_and_left_units(tmp_path, capsys, monkeypatch, command, grid):
+    # a schema error: no discretization is built
+    def no_discretization(*args, **kwargs):
+        raise AssertionError("a discretization was built")
+
+    monkeypatch.setattr(KernelDiscretization, "__init__", no_discretization)
+    cfg = {**_VERIFY_BASE, "grid": grid} if command == "verify" else {**_TINY_FBM, "grid": grid}
+    if command == "report":
+        cfg = {"simulate": cfg, "slope": {"p": 2, "levels": [1, 2]}}
+    path = write_config(tmp_path, "cfg.json", cfg)
+    err = _assert_clean_exit_2([command, "--config", path, "--out-dir", str(tmp_path / "o")], capsys)
+    assert "config error" in err
+
+
+@pytest.mark.parametrize("content", ["", "t,value\n"], ids=["empty", "header-only"])
+def test_path_file_without_rows_exits_2_with_one_line(tmp_path, capsys, content):
+    paths_dir = tmp_path / "paths"
+    paths_dir.mkdir()
+    (paths_dir / "path-0000.csv").write_text(content)
+    cfg = write_config(tmp_path, "cfg.json", {"paths_dir": str(paths_dir), "slope": {"p": 2, "levels": [1, 2]}})
+    # a warning would be a second stderr line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _assert_clean_exit_2(["report", "--config", cfg, "--out-dir", str(tmp_path / "o")], capsys)
+    assert not caught
+
+
 @pytest.mark.parametrize("times", ["equal", "reversed"])
 def test_path_file_times_must_increase(tmp_path, capsys, times):
     paths_dir = _path_dir(tmp_path, count=1)
@@ -480,9 +524,6 @@ def test_path_file_times_must_increase(tmp_path, capsys, times):
     (paths_dir / "path-0000.csv").write_text("\n".join([header, *rows]) + "\n")
     cfg = write_config(tmp_path, "cfg.json", {"paths_dir": str(paths_dir), **_REPORT_CHECKS})
     _assert_clean_exit_2(["report", "--config", cfg, "--out-dir", str(tmp_path / "o")], capsys)
-
-
-_TINY_FBM = {"kernel": {"type": "fbm", "alpha": 0.75}, "grid": {"steps": 32, "left_units": 2}, "paths": 2}
 
 
 @pytest.mark.parametrize(

@@ -142,6 +142,17 @@ def test_sample_paths_workers_agree():
             assert np.array_equal(a.values, b.values)
 
 
+def test_worker_count_defaults_to_one(monkeypatch):
+    # the environment sets no worker count: without workers= no pool opens
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was opened")
+
+    monkeypatch.setenv("CHAOSLAB_WORKERS", "2")
+    monkeypatch.setattr("chaoslab.simulate.ProcessPoolExecutor", no_pool)
+    spec = HermiteKernelSpec.fbm(0.6)
+    assert len(sample_paths(spec, GridSpec(left=4.0, cells=160, steps=32), 6, seed=3)) == 6
+
+
 def test_normalization_contract_fbm():
     # variance of G(1) over many paths is 1 within Monte-Carlo error
     spec = HermiteKernelSpec.fbm(0.5)
