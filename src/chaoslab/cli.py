@@ -80,6 +80,16 @@ SIMULATE_SCHEMA = {
     "additionalProperties": False,
 }
 
+# the run.json keys report reads; cmd_simulate writes more
+RUN_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "seed": {"type": "integer"},
+        "first_stream": {"type": "integer", "minimum": 0},
+        "provenance": {"type": "string"},
+    },
+}
+
 CONFIG_SCHEMAS = {
     "expand": {
         "type": "object",
@@ -364,8 +374,15 @@ def cmd_verify(cfg, out_dir):
     degenerate = upper.kappa <= 0.0
     coupling = None
     if not degenerate:
-        fit = coupling_scaling_report(kd, **_given(cfg, levels="coupling_levels"))
-        coupling = dict(vars(fit), epsilon=fit.slope / 2.0, passed=bool(fit.slope > 0))
+        try:
+            fit = coupling_scaling_report(kd, **_given(cfg, levels="coupling_levels"))
+        except ValueError as exc:
+            if "coupling_levels" in cfg:
+                raise
+            # a grid under 8 steps resolves fewer than the fit's two default levels
+            coupling = {"unresolved": str(exc), "passed": False}
+        else:
+            coupling = dict(vars(fit), epsilon=fit.slope / 2.0, passed=bool(fit.slope > 0))
     overlap = None
     if "overlap_levels" in cfg:
         overlap = overlap_scaling_report(spec, levels=cfg["overlap_levels"])
@@ -437,13 +454,17 @@ def _load_paths(paths_dir):
     run = Path(paths_dir) / "run.json"
     if run.exists():
         meta = json.loads(run.read_text())
+        _validate(meta, RUN_SCHEMA, str(run))
     out = []
     for i, f in enumerate(files):
         # the rows loadtxt reads as data; with none it would warn, not fail
         rows = [r for r in f.read_text().split("\n")[1:] if r.partition("#")[0]]
         data = np.loadtxt(rows, delimiter=",", ndmin=2) if len(rows) >= 2 else None
-        if data is None or data.shape[1] != 2 or not np.all(np.diff(data[:, 0]) > 0):
-            raise ConfigError(f"{f}: need a t,value header and at least two rows of increasing t")
+        # finite cells first, and t compared rather than subtracted, so that no
+        # arithmetic warns
+        if (data is None or data.shape[1] != 2 or not np.isfinite(data).all()
+                or not np.all(data[1:, 0] > data[:-1, 0])):
+            raise ConfigError(f"{f}: need a t,value header and at least two finite rows of increasing t")
         out.append(
             PathSample(
                 times=data[:, 0],

@@ -505,11 +505,28 @@ def _loglog_fit(scales, values):
     return float(slope), float(intercept)
 
 
-def coupling_scaling_report(kd, levels=range(2, 7)):
-    """Fit F(s, s) ~ s^(2 eps) over dyadic s; eps > 0 supports the summability
-    condition the regularity theorem needs."""
-    T = kd.spec.horizon
+def _resolved_levels(kd, levels, first, last, fewest, name):
+    """Dyadic levels j, by default first..last cut at the finest level the time
+    grid resolves; a level whose window T 2^-j is shorter than one time step
+    is rejected, and fewer than ``fewest`` levels are too."""
+    steps = kd.grid.steps
+    if levels is None:
+        levels = range(first, min(last, int(steps).bit_length() - 1) + 1)
     levels = [int(j) for j in levels]
+    unresolved = [j for j in levels if 2.0**j > steps]
+    if unresolved:
+        raise ValueError(f"{name} levels {unresolved}: window T*2^-j is shorter than one time step (T/{steps})")
+    if len(levels) < fewest:
+        raise ValueError(f"{name} levels {levels}: need {fewest} resolved by {steps} time step(s)")
+    return levels
+
+
+def coupling_scaling_report(kd, levels=None):
+    """Fit F(s, s) ~ s^(2 eps) over dyadic s; eps > 0 supports the summability
+    condition the regularity theorem needs.  Levels default to 2..6 (see
+    ``_resolved_levels``); the fit needs two."""
+    T = kd.spec.horizon
+    levels = _resolved_levels(kd, levels, 2, 6, 2, "coupling")
     scales = [T * 2.0**-j for j in levels]
     values = [coupling_integral(kd, s, s) for s in scales]
     slope, intercept = _loglog_fit(scales, values)
@@ -551,20 +568,11 @@ def upper_scaling_report(kd, alpha=None, levels=None, refined=None, drift_tol=0.
     sensitivity; a monotone blow-up or collapse of the per-level sups flags a
     mismatched exponent.  Levels default to 1..7, cut at the finest level
     the time grid resolves; levels whose window T 2^-j is shorter than one
-    time step are rejected.
+    time step are rejected (``_resolved_levels``).
     """
     alpha = kd.spec.alpha if alpha is None else alpha
     T = kd.spec.horizon
-    if levels is None:
-        levels = range(1, min(7, int(kd.grid.steps).bit_length() - 1) + 1)
-    if not levels:
-        raise ValueError(f"no dyadic level is resolved by {kd.grid.steps} time step(s)")
-    unresolved = [j for j in levels if 2.0**j > kd.grid.steps]
-    if unresolved:
-        raise ValueError(
-            f"upper scaling levels {unresolved}: window T*2^-j is shorter than "
-            f"one time step (T/{kd.grid.steps})"
-        )
+    levels = _resolved_levels(kd, levels, 1, 7, 1, "upper scaling")
     stats = _scaling_sweep(kd.increment_norm, alpha, T, levels, UPPER_X_COUNT)
     sups = {j: v[0] for j, v in stats.items()}
     worst_j = max(sups, key=sups.get)

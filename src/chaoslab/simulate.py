@@ -7,19 +7,19 @@ transform per u-cell, and one filter convolution (all time points at once);
 the filter convolution degenerates to a cumulative sum for compact filters.
 
 Both convolutions are circular, against spectra the discretization computes
-once (``KernelDiscretization.envelope_spectrum`` and ``filter_spectrum``), at
-the shortest fast length that keeps every output a path reads free of
-wrap-around: a compact filter reads only the u-cells in [0, T], and the
-filter convolution is read only at the grid times.  A path thus costs two
-real transforms per convolution.  At order 1 the Hermite transform is the
-identity, so for a non-compact filter the two convolutions fold into one
-against a precomputed envelope-filter response.  The t-independent (-u)_+
-half of a non-compact filter is the t = 0 output of the same convolution,
-so every path starts at exactly 0.
+once per process (``KernelDiscretization.envelope_spectrum`` and
+``filter_spectrum``), at the shortest fast length that keeps every output a
+path reads free of wrap-around: a compact filter reads only the u-cells in
+[0, T], and the filter convolution is read only at the grid times.  A path
+thus costs two real transforms per convolution.  At order 1 the Hermite
+transform is the identity, so for a non-compact filter the two convolutions
+fold into one against a precomputed envelope-filter response.  The
+t-independent (-u)_+ half of a non-compact filter is the t = 0 output of the
+same convolution, so every path starts at exactly 0.
 
-Each path owns stream ``(seed, stream_index)`` of a counter-based generator,
-so results are independent of worker scheduling: a path is bitwise the same
-whether drawn serially or by any number of pool workers.
+Every call samples in ``min(workers, count)`` worker processes that inherit
+the caller's discretization.  Each path owns stream ``(seed, stream_index)`` of
+a counter-based generator, so a path is bitwise the same for any worker count.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 
 import numpy as np
 from scipy.fft import irfft, rfft
@@ -88,51 +87,44 @@ def sample_path_values(kd, xi):
 _WORKER_KD = None
 
 
-def _init_worker(spec, grid):
+def _init_worker(kd):
     global _WORKER_KD
-    _WORKER_KD = KernelDiscretization(spec, grid)
+    _WORKER_KD = kd
 
 
-def _sample_streams(kd, seed, streams):
-    """Path values for each stream, in order; every path draws its own stream."""
-    return [
-        sample_path_values(kd, philox_stream(seed, stream).standard_normal(kd.cells))
-        for stream in streams
-    ]
-
-
-def _worker_chunk(args):
-    seed, streams = args
-    return _sample_streams(_WORKER_KD, seed, streams)
+def _worker_chunk(seed, streams):
+    """Path values of ``streams``, in order; each path draws its own stream."""
+    kd = _WORKER_KD
+    return [sample_path_values(kd, philox_stream(seed, s).standard_normal(kd.cells)) for s in streams]
 
 
 def sample_paths(spec, grid, count, seed, workers=1, first_stream=0, kd=None):
     """Draw ``count`` independent trajectories; deterministic given ``seed``.
 
-    Path ``i`` uses generator stream ``(seed, first_stream + i)``, so output
-    does not depend on the worker count.  ``kd`` reuses a discretization of
-    (spec, grid), with its scale and spectra; pool workers get its scale as
-    the spec's, so they never recompute it.
+    Path ``i`` uses generator stream ``(seed, first_stream + i)`` and is drawn
+    by one of ``min(workers, count)`` worker processes that take ``kd`` (built
+    here if not given), so output does not depend on the worker count.
     """
+    if workers < 1 or count < 0:
+        raise ValueError(f"need workers >= 1 and count >= 0, got workers={workers}, count={count}")
     if kd is None:
         kd = KernelDiscretization(spec, grid)
     elif (kd.spec, kd.grid) != (spec, grid):
         raise ValueError("kd is a discretization of another spec or grid")
+    if count == 0:
+        return []
+    streams = range(first_stream, first_stream + count)
+    workers = min(workers, count)
+    # Workers inherit kd: under fork without a copy, under spawn or forkserver
+    # pickled once each.  Its scale is computed first so that every worker
+    # gets the exact norm; the spectra are built only in the workers.
+    kd.scale
+    values = [None] * count
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(kd,)) as pool:
+        chunks = pool.map(_worker_chunk, [seed] * workers, [streams[w::workers] for w in range(workers)])
+        for w, chunk in enumerate(chunks):
+            values[w::workers] = chunk
     tag = provenance_tag(spec, grid)
     times = np.arange(grid.steps + 1) * (spec.horizon / grid.steps)
-    streams = [first_stream + i for i in range(count)]
-    workers = max(1, int(workers))
-    if workers == 1 or count < 2 * workers:
-        values = _sample_streams(kd, seed, streams)
-    else:
-        chunks = [(seed, streams[i::workers]) for i in range(workers)]
-        initargs = (replace(spec, scale=kd.scale), grid)
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=initargs) as pool:
-            results = list(pool.map(_worker_chunk, chunks))
-        values = [None] * count
-        for i, chunk_values in enumerate(results):
-            values[i::workers] = chunk_values
-    return [
-        PathSample(times=times, values=v, seed=seed, stream=stream, provenance=tag)
-        for stream, v in zip(streams, values)
-    ]
+    return [PathSample(times=times, values=v, seed=seed, stream=stream, provenance=tag)
+            for stream, v in zip(streams, values)]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaoslab.cli import main, make_grid, make_spec, write_json
@@ -526,6 +526,15 @@ def test_path_file_times_must_increase(tmp_path, capsys, times):
     _assert_clean_exit_2(["report", "--config", cfg, "--out-dir", str(tmp_path / "o")], capsys)
 
 
+@pytest.mark.parametrize("content", [[], "str", {"first_stream": "x"}], ids=["list", "string", "stream-string"])
+def test_malformed_run_json_exits_2(tmp_path, capsys, content):
+    paths_dir = _path_dir(tmp_path, count=1)
+    (paths_dir / "run.json").write_text(json.dumps(content))
+    cfg = write_config(tmp_path, "cfg.json", {"paths_dir": str(paths_dir), "slope": {"p": 2, "levels": [1, 2]}})
+    err = _assert_clean_exit_2(["report", "--config", cfg, "--out-dir", str(tmp_path / "o")], capsys)
+    assert "run.json" in err
+
+
 @pytest.mark.parametrize(
     "command, cfg",
     [
@@ -533,11 +542,12 @@ def test_path_file_times_must_increase(tmp_path, capsys, times):
         ("simulate", {**_TINY_FBM, "grid": {"steps": 32.0, "left_units": 2}}),
         ("fuzz", {"equivalence_instances": 1.0}),
         ("verify", {**_VERIFY_BASE, "kernel": {"type": "fbm", "alpha": 0.75, "horizon": 5e-324}}),
+        ("verify", {**_VERIFY_BASE, "coupling_levels": [2, 10]}),
         ("report", {"simulate": _TINY_FBM, "besov": {"smoothness": 0.5, "orlicz_beta": 1e-300}}),
         ("report", {"simulate": _TINY_FBM, "moment_growth": {"alpha": 1e3, "exponents": [1.0]}}),
         ("report", {"simulate": _TINY_FBM, "modulus": {"alpha": 1e3, "log_exponent": 1.0}}),
     ],
-    ids=["paths-float", "steps-float", "instances-float", "horizon-underflows", "orlicz-flat",
+    ids=["paths-float", "steps-float", "instances-float", "horizon-underflows", "coupling-sub-step", "orlicz-flat",
          "moment-alpha-underflows", "modulus-alpha-underflows"],
 )
 def test_degenerate_numbers_exit_2(tmp_path, capsys, command, cfg):
@@ -728,12 +738,16 @@ def _mutated_path_files(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(content=_mutated_path_files())
+@example(content="t,value\ninf,0\ninf,1\n")  # inf - inf would warn
 def test_report_exit_contract_on_mutated_path_files(content):
     with tempfile.TemporaryDirectory() as tmp:
         paths_dir = Path(tmp) / "paths"
         paths_dir.mkdir()
         (paths_dir / "path-0000.csv").write_text(content)
         path = write_config(Path(tmp), "cfg.json", {"paths_dir": str(paths_dir), **_REPORT_CHECKS})
-        code, err = _exit_and_stderr(["report", "--config", path, "--out-dir", str(Path(tmp) / "o")])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = _exit_and_stderr(["report", "--config", path, "--out-dir", str(Path(tmp) / "o")])
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+    assert not caught

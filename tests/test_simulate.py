@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -136,21 +137,62 @@ def test_sample_paths_workers_agree():
     spec = HermiteKernelSpec.fbm(0.6)
     grid = GridSpec(left=4.0, cells=160, steps=32)
     serial = sample_paths(spec, grid, 6, seed=3, workers=1)
-    for workers in (3, 4):  # 4 workers for 6 paths falls back to the serial loop
-        parallel = sample_paths(spec, grid, 6, seed=3, workers=workers)
+    for count, workers in ((6, 3), (6, 4), (3, 4)):  # (3, 4): more workers than paths
+        parallel = sample_paths(spec, grid, count, seed=3, workers=workers)
+        assert len(parallel) == count
         for a, b in zip(serial, parallel):
             assert np.array_equal(a.values, b.values)
 
 
 def test_worker_count_defaults_to_one(monkeypatch):
-    # the environment sets no worker count: without workers= no pool opens
+    # the environment sets no worker count: without workers= one worker opens
+    opened = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            opened.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setenv("CHAOSLAB_WORKERS", "2")
+    monkeypatch.setattr("chaoslab.simulate.ProcessPoolExecutor", RecordingPool)
+    spec = HermiteKernelSpec.fbm(0.6)
+    assert len(sample_paths(spec, GridSpec(left=4.0, cells=160, steps=32), 6, seed=3)) == 6
+    assert opened == [1]
+
+
+def test_workers_take_the_callers_discretization(monkeypatch):
+    spec = HermiteKernelSpec(order=2, beta1=-0.1, beta2=0.8)
+    grid = GridSpec.build(spec, steps=32, left_units=4)
+    kd = KernelDiscretization(spec, grid)
+
+    def no_discretization(*args, **kwargs):
+        raise AssertionError("a discretization was built")
+
+    # forked workers inherit the patch
+    monkeypatch.setattr("chaoslab.simulate.KernelDiscretization", no_discretization)
+    paths = sample_paths(spec, grid, 4, seed=9, workers=2, kd=kd)
+    # the caller's kd gains its scale, and the spectra stay in the workers
+    assert "scale" in vars(kd)
+    assert not {"envelope_spectrum", "filter_spectrum"} & set(vars(kd))
+    monkeypatch.undo()
+    fresh = KernelDiscretization(spec, grid)
+    for path in paths:
+        xi = philox_stream(9, path.stream).standard_normal(fresh.cells)
+        assert sample_path_values(fresh, xi).tobytes() == path.values.tobytes()
+
+
+def test_no_pool_for_bad_worker_count_or_no_paths(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was opened")
 
-    monkeypatch.setenv("CHAOSLAB_WORKERS", "2")
     monkeypatch.setattr("chaoslab.simulate.ProcessPoolExecutor", no_pool)
     spec = HermiteKernelSpec.fbm(0.6)
-    assert len(sample_paths(spec, GridSpec(left=4.0, cells=160, steps=32), 6, seed=3)) == 6
+    grid = GridSpec(left=4.0, cells=160, steps=32)
+    with pytest.raises(ValueError, match="workers=0"):
+        sample_paths(spec, grid, 2, seed=3, workers=0)
+    with pytest.raises(ValueError, match="count=-1"):
+        sample_paths(spec, grid, -1, seed=3)
+    assert sample_paths(spec, grid, 0, seed=3, workers=2) == []
 
 
 def test_normalization_contract_fbm():
