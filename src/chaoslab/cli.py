@@ -108,8 +108,9 @@ CONFIG_SCHEMAS = {
             "kernel": KERNEL_SCHEMA,
             "grid": GRID_SCHEMA,
             "upper_levels": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
-            "coupling_levels": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 2},
-            "overlap_levels": {"type": "array", "items": {"type": "integer"}, "minItems": 2},
+            "coupling_levels": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 2,
+                                "uniqueItems": True},
+            "overlap_levels": {"type": "array", "items": {"type": "integer"}, "minItems": 2, "uniqueItems": True},
             "drift_tolerance": {"type": "number", "exclusiveMinimum": 0},
             "skip_refinement": {"type": "boolean"},
             "truncation_probe": {"type": "boolean"},
@@ -127,7 +128,7 @@ CONFIG_SCHEMAS = {
                 "type": "object",
                 "properties": {
                     "p": {"type": "number", "minimum": 1},
-                    "levels": {"type": "array", "items": {"type": "integer"}, "minItems": 2},
+                    "levels": {"type": "array", "items": {"type": "integer"}, "minItems": 2, "uniqueItems": True},
                     "expected_alpha": {"type": "number"},
                     "tolerance": {"type": "number", "exclusiveMinimum": 0},
                 },
@@ -465,9 +466,16 @@ def _load_paths(paths_dir):
         if (data is None or data.shape[1] != 2 or not np.isfinite(data).all()
                 or not np.all(data[1:, 0] > data[:-1, 0])):
             raise ConfigError(f"{f}: need a t,value header and at least two finite rows of increasing t")
+        t = data[:, 0]
+        with np.errstate(over="ignore", invalid="ignore"):  # t near +-1e308 overflows; the checks then fail
+            tol = 1e-9 * (t[-1] - t[0])
+            uniform = math.isfinite(tol) and np.all(np.abs(np.diff(t) - (t[-1] - t[0]) / (t.size - 1)) <= tol)
+            shared = not out or (t.size == out[0].times.size and np.all(np.abs(t - out[0].times) <= tol))
+        if not (uniform and shared):
+            raise ConfigError(f"{f}: t needs uniform steps (to 1e-9 of its span) and the t column of {files[0].name}")
         out.append(
             PathSample(
-                times=data[:, 0],
+                times=t,
                 values=data[:, 1],
                 seed=meta.get("seed", 0),
                 stream=meta.get("first_stream", 0) + i,

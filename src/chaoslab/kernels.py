@@ -22,8 +22,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import next_fast_len, rfft
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .tensors import MAX_DENSE_ENTRIES, SymTensor
 
@@ -55,6 +54,33 @@ LOWER_STABILITY_TOL = 0.25  # and change less than this (relative) between its l
 QUAD_CORE_CELLS = 256  # filter quadrature: linear cells on [-2s, s]
 QUAD_TAIL_CELLS = 128  # log-spaced cells left of -2s
 QUAD_TAIL_FACTOR = 1e4  # the tail reaches QUAD_TAIL_FACTOR^(1/(1 - beta1)) * s
+
+
+# -- FFT convolution -------------------------------------------------------------
+
+
+def _spectrum(x, length):
+    """(n, rfft of ``x`` at length n) for the shortest fast n >= ``length``."""
+    n = next_fast_len(length, real=True)
+    return n, rfft(x, n)
+
+
+def _circular(x, spectrum):
+    """Circular convolution of ``x`` with the filter whose (n, rfft) is given."""
+    n, hat = spectrum
+    out = rfft(x, n)
+    out *= hat
+    return irfft(out, n, overwrite_x=True)
+
+
+def fftconvolve(a, b):
+    """Full linear convolution of two 1-D float arrays, bitwise equal to
+    ``scipy.signal.fftconvolve(a, b)``, which also multiplies directly when
+    an operand has one entry."""
+    if a.size == 1 or b.size == 1:
+        return a * b
+    length = a.size + b.size - 1
+    return _circular(a, _spectrum(b, length))[:length]
 
 
 # -- analytic ingredients -----------------------------------------------------
@@ -296,8 +322,7 @@ class KernelDiscretization:
         all cells otherwise (n >= 2 cells - 1).
         """
         read = self.time_cells if self.spec.beta1 == 0.0 else self.cells
-        n = next_fast_len(self.cells + read - 1, real=True)
-        return n, rfft(self.envelope, n)
+        return _spectrum(self.envelope, self.cells + read - 1)
 
     @cached_property
     def filter_spectrum(self):
@@ -316,8 +341,7 @@ class KernelDiscretization:
         filt = np.diff((np.arange(self.cells + 1) * self.h) ** g / g, prepend=0.0)
         if self.spec.order == 1:
             filt = math.sqrt(self.h) * fftconvolve(self.envelope, filt)[: self.cells + 1]
-        n = next_fast_len(self.cells + self.time_cells, real=True)
-        return n, rfft(filt, n)
+        return _spectrum(filt, self.cells + self.time_cells)
 
     def pair_inner(self, wa, wb):
         """<A, B> for two weight vectors, via the stationary Gram."""
@@ -508,7 +532,7 @@ def _loglog_fit(scales, values):
 def _resolved_levels(kd, levels, first, last, fewest, name):
     """Dyadic levels j, by default first..last cut at the finest level the time
     grid resolves; a level whose window T 2^-j is shorter than one time step
-    is rejected, and fewer than ``fewest`` levels are too."""
+    is rejected, and fewer than ``fewest`` distinct levels are too."""
     steps = kd.grid.steps
     if levels is None:
         levels = range(first, min(last, int(steps).bit_length() - 1) + 1)
@@ -516,8 +540,8 @@ def _resolved_levels(kd, levels, first, last, fewest, name):
     unresolved = [j for j in levels if 2.0**j > steps]
     if unresolved:
         raise ValueError(f"{name} levels {unresolved}: window T*2^-j is shorter than one time step (T/{steps})")
-    if len(levels) < fewest:
-        raise ValueError(f"{name} levels {levels}: need {fewest} resolved by {steps} time step(s)")
+    if len(set(levels)) < fewest:
+        raise ValueError(f"{name} levels {levels}: need {fewest} distinct levels resolved by {steps} time step(s)")
     return levels
 
 

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import kendalltau
 
 __all__ = [
     "PathSample",
@@ -274,8 +273,16 @@ def scaling_exponent_fit(paths, p, levels):
 
 
 def _kendall(xs, ys):
-    tau = kendalltau(xs, ys).statistic
-    return float(tau) if np.isfinite(tau) else 0.0
+    """Kendall's tau-b by ``scipy.stats.kendalltau``'s arithmetic on direct pair
+    counts, (concordant - discordant) / sqrt(x-untied pairs) / sqrt(y-untied
+    pairs) clipped to [-1, 1]; 0.0 when either side is constant or has a nan."""
+    x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    i, j = np.triu_indices(x.size, 1)
+    sx, sy = ((v[j] > v[i]).astype(np.int64) - (v[j] < v[i]) for v in (x, y))
+    untied_x, untied_y = np.count_nonzero(sx), np.count_nonzero(sy)
+    if not untied_x or not untied_y or np.isnan(x).any() or np.isnan(y).any():
+        return 0.0
+    return min(1.0, max(-1.0, int(sx @ sy) / math.sqrt(untied_x) / math.sqrt(untied_y)))
 
 
 @dataclass

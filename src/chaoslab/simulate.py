@@ -8,8 +8,10 @@ the filter convolution degenerates to a cumulative sum for compact filters.
 
 Both convolutions are circular, against spectra the discretization computes
 once per process (``KernelDiscretization.envelope_spectrum`` and
-``filter_spectrum``), at the shortest fast length that keeps every output a
-path reads free of wrap-around: a compact filter reads only the u-cells in
+``filter_spectrum``).  The spectra and the circular convolution
+(``_circular``) live in the FFT layer of ``kernels``, which also serves the
+Gram sums.  Each spectrum has the shortest fast length that keeps every output
+a path reads free of wrap-around: a compact filter reads only the u-cells in
 [0, T], and the filter convolution is read only at the grid times.  A path
 thus costs two real transforms per convolution.  At order 1 the Hermite
 transform is the identity, so for a non-compact filter the two convolutions
@@ -30,11 +32,10 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-from scipy.fft import irfft, rfft
-from scipy.signal import fftconvolve  # noqa: F401  (chaosbench/bench_trace.py hooks this name)
 
 from .chaos import hermite_he, philox_stream
-from .kernels import KernelDiscretization
+from .kernels import KernelDiscretization, _circular
+from .kernels import fftconvolve  # noqa: F401  (chaosbench/bench_trace.py hooks this name)
 from .regularity import PathSample
 
 __all__ = ["provenance_tag", "sample_path_values", "sample_paths"]
@@ -43,14 +44,6 @@ __all__ = ["provenance_tag", "sample_path_values", "sample_paths"]
 def provenance_tag(spec, grid):
     payload = json.dumps({"spec": spec.to_dict(), "grid": vars(grid)}, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def _circular(x, spectrum):
-    """Circular convolution of ``x`` with the filter whose (n, rfft) is given."""
-    n, hat = spectrum
-    out = rfft(x, n)
-    out *= hat
-    return irfft(out, n, overwrite_x=True)
 
 
 def _wick_profile(kd, xi, first):

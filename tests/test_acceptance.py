@@ -62,7 +62,7 @@ def report(number, passed, detail):
 def rosenblatt_paths():
     spec = HermiteKernelSpec.hermite(2, 0.7)
     grid = GridSpec.build(spec, steps=2**13)
-    return sample_paths(spec, grid, 50, seed=31_415)
+    return sample_paths(spec, grid, 50, seed=31_415, workers=2)
 
 
 def test_criterion_1_expansion_oracle_equivalence():
@@ -173,7 +173,7 @@ def test_criterion_6_fbm_regularity():
     for alpha in (0.3, 0.5, 0.75):
         spec = HermiteKernelSpec.fbm(alpha)
         grid = GridSpec.build(spec, steps=2**14)
-        paths = sample_paths(spec, grid, 50, seed=2024)
+        paths = sample_paths(spec, grid, 50, seed=2024, workers=2)
         fit = scaling_exponent_fit(paths, p=2, levels=range(3, 11))
         results[alpha] = fit.slope_mean
     elapsed = time.monotonic() - start
@@ -199,7 +199,7 @@ def test_criterion_7_rosenblatt_regularity(rosenblatt_paths):
 
     spec = HermiteKernelSpec.hermite(2, 0.7)
     coarse = GridSpec.build(spec, steps=2**9, left_units=30)
-    g1 = np.array([p.values[-1] for p in sample_paths(spec, coarse, 10_000, seed=777)])
+    g1 = np.array([p.values[-1] for p in sample_paths(spec, coarse, 10_000, seed=777, workers=2)])
     skew = float(((g1 - g1.mean()) ** 3).mean() / g1.std(ddof=1) ** 3)
     rng = np.random.default_rng(0)
     boot = []

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -11,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chaoslab.cli import main, make_grid, make_spec, write_json
+import chaoslab
+from chaoslab.cli import _load_paths, main, make_grid, make_spec, write_csv, write_json
 from chaoslab.kernels import KernelDiscretization
 from chaoslab.regularity import BesovLevel, BesovSeminormReport
 from chaoslab.tensors import SymTensor
@@ -26,6 +30,16 @@ def write_config(tmp_path, name, cfg):
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def test_cli_import_loads_no_scipy_signal_or_stats():
+    # scipy is used through scipy.fft only; signal and stats cost most of the import
+    code = ("import sys, chaoslab.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.stats'))))")
+    src = str(Path(chaoslab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_expand_counterexample_fixture(tmp_path):
@@ -451,6 +465,7 @@ _VERIFY_BASE = {
     [
         ("report", {"slope": {"p": 2, "levels": []}}),
         ("report", {"slope": {"p": 2, "levels": [3]}}),
+        ("report", {"slope": {"p": 2, "levels": [3, 3]}}),
         ("report", {"moment_growth": {"alpha": 0.5, "exponents": [1.0], "levels": []}}),
         ("report", {"moment_growth": {"alpha": 0.5, "exponents": [], "levels": [3, 4]}}),
         ("report", {"moment_growth": {"alpha": 0.5, "exponents": [1.0], "ells": []}}),
@@ -459,15 +474,17 @@ _VERIFY_BASE = {
         ("verify", {"coupling_levels": []}),
         ("verify", {"coupling_levels": [3]}),
         ("verify", {"coupling_levels": [0, 1]}),
+        ("verify", {"coupling_levels": [3, 3]}),
         ("verify", {"overlap_levels": []}),
         ("verify", {"overlap_levels": [3]}),
+        ("verify", {"overlap_levels": [3, 3]}),
         ("verify", {"upper_levels": []}),
     ],
     ids=[
-        "slope-empty", "slope-one", "moment-levels-empty", "moment-exponents-empty",
+        "slope-empty", "slope-one", "slope-repeated", "moment-levels-empty", "moment-exponents-empty",
         "moment-ells-empty", "subsample-zero", "subsample-empty", "coupling-empty", "coupling-one",
-        "coupling-level-zero",
-        "overlap-empty", "overlap-one", "upper-empty",
+        "coupling-level-zero", "coupling-repeated",
+        "overlap-empty", "overlap-one", "overlap-repeated", "upper-empty",
     ],
 )
 def test_short_lists_exit_2(tmp_path, capsys, command, block):
@@ -516,14 +533,37 @@ def test_path_file_without_rows_exits_2_with_one_line(tmp_path, capsys, content)
     assert not caught
 
 
-@pytest.mark.parametrize("times", ["equal", "reversed"])
+@pytest.mark.parametrize("times", ["equal", "reversed", "jittered", "other-horizon"])
 def test_path_file_times_must_increase(tmp_path, capsys, times):
-    paths_dir = _path_dir(tmp_path, count=1)
-    header, *rows = (paths_dir / "path-0000.csv").read_text().splitlines()
-    rows = ["0.5," + r.partition(",")[2] for r in rows] if times == "equal" else rows[::-1]
-    (paths_dir / "path-0000.csv").write_text("\n".join([header, *rows]) + "\n")
+    # t increases in uniform steps, and every file has the first file's t
+    paths_dir = _path_dir(tmp_path)
+    path = paths_dir / ("path-0001.csv" if times == "other-horizon" else "path-0000.csv")
+    header, *rows = path.read_text().splitlines()
+    t = np.linspace(0.0, 1.0, len(rows))
+    if times == "equal":
+        t[:] = 0.5
+    elif times == "reversed":
+        t = t[::-1]
+    elif times == "jittered":
+        # still increasing, and the first step exact: t from the third on moves
+        # by less than half a step
+        t[2:-1] += np.random.default_rng(0).uniform(0.004, 0.006, t.size - 3)
+    else:
+        t *= 2.0
+    rows = [f"{a!r},{r.partition(',')[2]}" for a, r in zip(t.tolist(), rows)]
+    path.write_text("\n".join([header, *rows]) + "\n")
     cfg = write_config(tmp_path, "cfg.json", {"paths_dir": str(paths_dir), **_REPORT_CHECKS})
     _assert_clean_exit_2(["report", "--config", cfg, "--out-dir", str(tmp_path / "o")], capsys)
+
+
+def test_simulated_time_column_loads_at_2_20_steps(tmp_path):
+    # the t column cmd_simulate writes: sample_paths' times, through write_csv
+    steps, horizon = 2**20, 0.3
+    times = np.arange(steps + 1) * (horizon / steps)
+    paths_dir = tmp_path / "paths"
+    paths_dir.mkdir()
+    write_csv(paths_dir / "path-0000.csv", ["t", "value"], zip(times.tolist(), [0.0] * (steps + 1)))
+    assert np.array_equal(_load_paths(paths_dir)[0].times, times)
 
 
 @pytest.mark.parametrize("content", [[], "str", {"first_stream": "x"}], ids=["list", "string", "stream-string"])

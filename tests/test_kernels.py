@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve as scipy_fftconvolve
 from scipy.special import beta as beta_fn
 
 from chaoslab.kernels import (
@@ -11,6 +12,7 @@ from chaoslab.kernels import (
     coupling_integral,
     coupling_scaling_report,
     envelope_cell_averages,
+    fftconvolve,
     filter_cell_integrals,
     filter_overlap_integral,
     fractional_filter,
@@ -362,3 +364,21 @@ def test_tail_decay_exponent_and_truncation_report():
     spec2 = HermiteKernelSpec.hermite(2, 0.7)
     rep2 = truncation_report(spec2, left_units=30.0, probe_cells=1024)
     assert rep2["relative_tail"] < 0.5  # heavy tail, honestly reported
+
+
+def test_fftconvolve_is_bitwise_scipy():
+    rng = np.random.default_rng(8)
+    sizes = [(1, 1), (1, 9), (9, 1), (2, 2), (600_000, 500_001)]
+    sizes += [tuple(int(n) for n in rng.integers(1, 5000, 2)) for _ in range(40)]
+    for na, nb in sizes:
+        a, b = rng.standard_normal(na), rng.standard_normal(nb)
+        # reversed views, as pair_inner, autocorr and norm_sq pass them
+        for x, y in ((a, b), (a, b[::-1]), (a[::-1], b)):
+            ours, ref = fftconvolve(x, y), scipy_fftconvolve(x, y)
+            assert ours.shape == ref.shape and ours.tobytes() == ref.tobytes(), (na, nb)
+
+
+def test_coupling_levels_must_be_distinct():
+    kd = KernelDiscretization(HermiteKernelSpec.fbm(0.75), GridSpec(left=4.0, cells=320, steps=64))
+    with pytest.raises(ValueError, match="distinct"):
+        coupling_scaling_report(kd, levels=[3, 3])

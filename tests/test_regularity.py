@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.stats import kendalltau
 from hypothesis import strategies as st
 
 from chaoslab.regularity import (
     OrliczFunction,
+    _kendall,
     PathSample,
     dyadic_besov_seminorm,
     increment_lp_norm,
@@ -351,3 +353,16 @@ def test_path_sample_validation_and_subsample():
     assert sub.step == pytest.approx(4 * path.step)
     with pytest.raises(ValueError):
         path.subsample(5)
+
+
+def test_kendall_is_scipy_tau_b():
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        n = int(rng.integers(2, 9))
+        # few distinct values, so that both sides tie often
+        xs, ys = rng.integers(0, 4, n) * 0.5, rng.integers(0, 4, n) * rng.standard_normal()
+        if np.ptp(xs) == 0 or np.ptp(ys) == 0:
+            continue
+        assert _kendall(xs, ys) == kendalltau(xs, ys).statistic, (xs, ys)
+    assert _kendall([2.0, 4.0, 6.0, 8.0], [1.0, 1.0, 1.0, 1.0]) == 0.0
+    assert _kendall([3.0, 3.0, 3.0], [1.0, 2.0, 0.5]) == 0.0
