@@ -9,7 +9,6 @@ reproducible from (config, seed).  Exit codes: 0 pass, 1 contract violation,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -273,11 +272,18 @@ def _fmt(x):
 
 
 def write_csv(path, header, rows):
+    """Comma-separated lines, the bytes ``csv.writer`` would write unquoted.
+
+    No field needs CSV quoting: every field is a header name, an ``_fmt``
+    number (digits, sign, '.', 'e', inf or nan), lengths joined by 'x', or an
+    empty string in a row of several fields.  None holds a comma, quote or
+    line break.
+    """
+    lines = [",".join(header)]
+    lines.extend([",".join([_fmt(x) for x in row]) for row in rows])
+    lines.append("")
     with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        fh.write("\n".join(lines))
 
 
 def _jsonable(obj):

@@ -54,6 +54,7 @@ LOWER_STABILITY_TOL = 0.25  # and change less than this (relative) between its l
 QUAD_CORE_CELLS = 256  # filter quadrature: linear cells on [-2s, s]
 QUAD_TAIL_CELLS = 128  # log-spaced cells left of -2s
 QUAD_TAIL_FACTOR = 1e4  # the tail reaches QUAD_TAIL_FACTOR^(1/(1 - beta1)) * s
+EDGE_TOL = 1e-14  # t is the cell edge k h when |k h - t| <= EDGE_TOL * t
 
 
 # -- FFT convolution -------------------------------------------------------------
@@ -280,10 +281,31 @@ class KernelDiscretization:
 
     @cached_property
     def scale(self):
+        """1 / sqrt(n! ||A_t||^2) at t = min(1, T): unit process variance
+        there, unless the spec fixes the scale.
+
+        At order 1 with beta1 != 0 and t a cell edge t = k h (every T <= 1),
+        X_t = sum_i xi_i (F[lam + k - i] - F[lam - i]) / beta1 for the
+        folded response F = ``filter_response`` and lam = left_cells, with
+        F[r] = 0 for r < 0; the variance is then an O(cells) sum over F,
+        which the sampler's spectrum is built from.  Every other kernel and
+        horizon takes the exact norm (``norm_sq``).
+        """
         if self.spec.scale is not None:
             return float(self.spec.scale)
         t_ref = min(1.0, self.spec.horizon)
-        var = math.factorial(self.spec.order) * self.norm_sq(self._raw_weights(t_ref), exact=True)
+        k = round(t_ref / self.h)
+        beta1 = self.spec.beta1
+        if self.spec.order == 1 and beta1 != 0.0 and abs(k * self.h - t_ref) <= EDGE_TOL * t_ref:
+            lam = self.left_cells
+            response = self.filter_response
+            # F[lam + k - i] for i < cells: the reversed slice stops at F[0],
+            # so the terms with lam + k - i < 0 (T > 1) are left out, not wrapped
+            diff = response[lam + k :: -1][: self.cells].copy()
+            diff[: lam + 1] -= response[lam::-1]
+            var = float(diff @ diff) / beta1**2
+        else:
+            var = math.factorial(self.spec.order) * self.norm_sq(self._raw_weights(t_ref), exact=True)
         if var <= 0:
             raise ValueError("cannot normalize a degenerate kernel")
         return 1.0 / math.sqrt(var)
@@ -325,23 +347,31 @@ class KernelDiscretization:
         return _spectrum(self.envelope, self.cells + read - 1)
 
     @cached_property
-    def filter_spectrum(self):
-        """(n, rfft at length n of the filter cell integrals) for beta1 != 0.
+    def filter_response(self):
+        """The cell vector of the sampler's filter convolution (beta1 != 0).
 
         Entry r is the integral of x_+^beta1 over [(r-1)h, rh],
         ((rh)^g - ((r-1)h)^g) / g with g = beta1 + 1, for r = 0..cells.
         Convolved with a cell vector, output left_cells + k is the vector's
         integral against (t - u)_+^beta1 at t = k h, and output left_cells
-        the t-independent (-u)_+^beta1 half.  At n >= cells + time_cells
-        those outputs are free of wrap-around.  At order 1 the Hermite
+        the t-independent (-u)_+^beta1 half.  At order 1 the Hermite
         transform is the identity, so the envelope convolution (times
-        sqrt(h)) is folded in and the vector is the cell Gaussians.
+        sqrt(h)) is folded in and the vector is the cell Gaussians; the
+        scale reads this folded response too, so it is built once, where
+        the scale is.
         """
         g = self.spec.beta1 + 1.0
         filt = np.diff((np.arange(self.cells + 1) * self.h) ** g / g, prepend=0.0)
         if self.spec.order == 1:
             filt = math.sqrt(self.h) * fftconvolve(self.envelope, filt)[: self.cells + 1]
-        return _spectrum(filt, self.cells + self.time_cells)
+        return filt
+
+    @cached_property
+    def filter_spectrum(self):
+        """(n, rfft of ``filter_response`` at length n).  At n >= cells +
+        time_cells the outputs left_cells + k, k = 0..time_cells, are free
+        of wrap-around."""
+        return _spectrum(self.filter_response, self.cells + self.time_cells)
 
     def pair_inner(self, wa, wb):
         """<A, B> for two weight vectors, via the stationary Gram."""
@@ -360,9 +390,15 @@ class KernelDiscretization:
         """||A||^2 for a weight vector.
 
         The stationary Gram ignores that cells near the left edge see a
-        shorter envelope; ``exact=True`` subtracts the exact deficit (suffix
-        sums of the envelope autocorrelation), affordable when the weights
-        are compactly supported.
+        shorter envelope; ``exact=True`` sums the exact Gram over the weight
+        support [lo, hi] instead, with FFTs only as long as that support
+        needs.  At order 1 the norm is h * sum_i profile_i^2, profile_i =
+        sum_u w_u env[u - i], one convolution of the support with
+        env[:hi + 1].  At order n >= 2 the exact Gram
+        gram(u, u + m) = h * sum_{k <= u} env[k] env[k + m] is Q_m, the sum
+        over k <= lo (one correlation of env[lo::-1] with env[:lo + span],
+        wrap-free at length lo + span), plus a prefix sum over k in (lo, u]
+        read inside the support; this needs a compact support.
         """
         if not exact:
             return self.pair_inner(w, w)
@@ -370,30 +406,22 @@ class KernelDiscretization:
         if support.size == 0:
             return 0.0
         lo, hi = support[0], support[-1]
-        if self.spec.order == 1:
-            # exact for any support: profile_i = sum_u w_u env[u - i]
-            profile = fftconvolve(w, self.envelope[::-1])[self.cells - 1 :]
-            return float(self.h * np.sum(profile**2))
         span = hi - lo + 1
+        ws = w[lo : hi + 1]
+        env = self.envelope
+        if self.spec.order == 1:
+            profile = fftconvolve(ws, env[hi::-1])[span - 1 :]
+            return float(self.h * np.sum(profile**2))
         if span > 65536:
             raise ValueError(f"exact norm: support span {span} too large")
         n = self.spec.order
-        env = self.envelope
+        q = self.h * _circular(env[lo::-1], _spectrum(env[: lo + span], lo + span))[lo : lo + span]
         total = 0.0
         for m in range(span):
-            u = np.arange(lo, hi + 1 - m)
-            ww = w[u] * w[u + m]
-            # gram(u, u+m) = autocorr[m] - h * sum_{i > u, i <= cells-1-m} env_i env_{i+m}
-            i_hi = self.cells - 1 - m
-            if lo + 1 <= i_hi:
-                seg = env[lo + 1 : i_hi + 1] * env[lo + 1 + m : i_hi + 1 + m]
-                suffix = np.concatenate((np.cumsum(seg[::-1])[::-1], [0.0]))
-                tail = suffix[np.minimum(u - lo, seg.size)]
-            else:
-                tail = 0.0
-            gram = self.autocorr[m] - self.h * tail
+            seg = env[lo + 1 : hi + 1 - m] * env[lo + 1 + m : hi + 1]
+            gram = q[m] + self.h * np.concatenate(([0.0], np.cumsum(seg)))
             factor = 1.0 if m == 0 else 2.0
-            total += factor * float(np.sum(ww * gram**n))
+            total += factor * float(np.sum(ws[: span - m] * ws[m:] * gram**n))
         return total
 
     def increment_norm(self, x, s):

@@ -27,6 +27,7 @@ LUXEMBURG_REL_TOL = 1e-12  # luxemburg_norm bisection: relative bracket width
 LUXEMBURG_MAX_ITER = 200  # and step limit
 PSUP_RATIO = 1.25  # ratio of consecutive exponents p in psup_norm's grid
 MOMENT_QUANTILE = 0.99  # pooled quantile of moment_growth_report (q99 in moment_quantiles.csv)
+BOOTSTRAP_BLOCK_ENTRIES = 1 << 22  # moment_growth_report: resampled ratios held at once
 
 
 @dataclass(frozen=True)
@@ -323,16 +324,20 @@ def moment_growth_report(
             for b, lag in enumerate(lags):
                 raw[i, a, b] = increment_lp_norm(path, lag, ell) / lag**alpha
     rng = np.random.default_rng(bootstrap_seed)
+    block = max(1, BOOTSTRAP_BLOCK_ENTRIES // max(raw.size, 1))  # resamples per quantile call
     by_exponent = {}
     for e in exponents:
         ratios = raw / np.asarray(ells)[None, :, None] ** e
         q = [float(np.quantile(ratios[:, a, :], MOMENT_QUANTILE)) for a in range(len(ells))]
         tau = _kendall(ells, q)
+        picks = [rng.integers(0, len(paths), size=len(paths)) for _ in range(bootstrap)]
+        picks = np.asarray(picks, dtype=np.intp).reshape(bootstrap, len(paths))
+        # one quantile per block of resamples, shaped (resamples, ells, paths * lags)
         taus = []
-        for _ in range(bootstrap):
-            pick = rng.integers(0, len(paths), size=len(paths))
-            qb = [float(np.quantile(ratios[pick][:, a, :], MOMENT_QUANTILE)) for a in range(len(ells))]
-            taus.append(_kendall(ells, qb))
+        for first in range(0, bootstrap, block):
+            pooled = ratios[picks[first : first + block]].transpose(0, 2, 1, 3)
+            qbs = np.quantile(pooled.reshape(pooled.shape[0], len(ells), -1), MOMENT_QUANTILE, axis=-1)
+            taus.extend(_kendall(ells, qb) for qb in qbs)
         by_exponent[float(e)] = {
             "quantiles": q,
             "kendall_tau": tau,

@@ -15,13 +15,17 @@ a path reads free of wrap-around: a compact filter reads only the u-cells in
 [0, T], and the filter convolution is read only at the grid times.  A path
 thus costs two real transforms per convolution.  At order 1 the Hermite
 transform is the identity, so for a non-compact filter the two convolutions
-fold into one against a precomputed envelope-filter response.  The
-t-independent (-u)_+ half of a non-compact filter is the t = 0 output of the
-same convolution, so every path starts at exactly 0.
+fold into one against the envelope-filter response
+``KernelDiscretization.filter_response``.  The t-independent (-u)_+ half of a
+non-compact filter is the t = 0 output of the same convolution, so every path
+starts at exactly 0.
 
 Every call samples in ``min(workers, count)`` worker processes that inherit
-the caller's discretization.  Each path owns stream ``(seed, stream_index)`` of
-a counter-based generator, so a path is bitwise the same for any worker count.
+the caller's discretization.  The caller computes the scale first: at order 1
+with a non-compact filter it reads the folded response, which the workers then
+inherit and only transform; the spectra are built in the workers alone.  Each
+path owns stream ``(seed, stream_index)`` of a counter-based generator, so a
+path is bitwise the same for any worker count.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ def sample_path_values(kd, xi):
     xi = np.asarray(xi, dtype=float)
     if xi.size != kd.cells:
         raise ValueError(f"need one Gaussian per cell ({kd.cells}), got {xi.size}")
-    scale = kd.scale  # before the spectra, so the exact norm runs without them
+    scale = kd.scale  # before the spectra, so the scale is computed without them in memory
     offsets = kd.per_step * np.arange(kd.grid.steps + 1)  # grid times, in cells
     lam = kd.left_cells
     beta1 = kd.spec.beta1
@@ -110,7 +114,8 @@ def sample_paths(spec, grid, count, seed, workers=1, first_stream=0, kd=None):
     workers = min(workers, count)
     # Workers inherit kd: under fork without a copy, under spawn or forkserver
     # pickled once each.  Its scale is computed first so that every worker
-    # gets the exact norm; the spectra are built only in the workers.
+    # gets it, with the folded response it may build; the spectra are built
+    # only in the workers.
     kd.scale
     values = [None] * count
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(kd,)) as pool:

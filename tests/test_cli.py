@@ -1,4 +1,6 @@
 import contextlib
+import csv
+import functools
 import io
 import json
 import math
@@ -15,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chaoslab
+from chaoslab import cli
 from chaoslab.cli import _load_paths, main, make_grid, make_spec, write_csv, write_json
 from chaoslab.kernels import KernelDiscretization
 from chaoslab.regularity import BesovLevel, BesovSeminormReport
@@ -176,30 +179,45 @@ def test_report_with_inline_simulation_and_tolerance(tmp_path):
 
 
 def test_simulate_computes_scale_once(tmp_path, monkeypatch):
+    # Rosenblatt: one exact norm.  fBm alpha = 0.3 (beta1 != 0): no norm; the
+    # folded response the scale reads is built once, in this process, and
+    # the workers inherit it
     norm_sq = KernelDiscretization.norm_sq
+    response = KernelDiscretization.filter_response
     calls = []
+    builds = tmp_path / "builds.txt"
 
     def counted(self, *args, **kwargs):
         calls.append(args)
         return norm_sq(self, *args, **kwargs)
 
+    def built(self):
+        with open(builds, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return response.func(self)
+
+    counted_response = functools.cached_property(built)
+    counted_response.__set_name__(KernelDiscretization, "filter_response")
     monkeypatch.setattr(KernelDiscretization, "norm_sq", counted)
-    sim_cfg = {
-        "kernel": {"type": "hermite", "order": 2, "alpha": 0.7},
-        "grid": {"steps": 128, "left_units": 10},
-        "paths": 4,
-        "seed": 2,
-    }
-    cfg = write_config(tmp_path, "sim.json", sim_cfg)
-    for workers in ("1", "2"):
-        calls.clear()
-        out = tmp_path / f"w{workers}"
-        assert main(["simulate", "--config", cfg, "--out-dir", str(out), "--workers", workers]) == 0
-        assert len(calls) == 1
+    monkeypatch.setattr(KernelDiscretization, "filter_response", counted_response)
+    kernels = {"rosenblatt": ({"type": "hermite", "order": 2, "alpha": 0.7}, 1, 0),
+               "fbm": ({"type": "fbm", "alpha": 0.3}, 0, 1)}
+    grid = {"steps": 128, "left_units": 10}
+    scales = {}
+    for name, (kernel, norms, responses) in kernels.items():
+        cfg = write_config(tmp_path, f"{name}.json", {"kernel": kernel, "grid": grid, "paths": 4, "seed": 2})
+        for workers in ("1", "2"):
+            calls.clear()
+            builds.write_text("")
+            out = tmp_path / f"{name}-w{workers}"
+            assert main(["simulate", "--config", cfg, "--out-dir", str(out), "--workers", workers]) == 0
+            assert len(calls) == norms
+            assert builds.read_text().split() == [str(os.getpid())] * responses
+        scales[name] = read_json(out / "run.json")["scale"]
     monkeypatch.undo()
-    spec = make_spec(sim_cfg["kernel"])
-    kd = KernelDiscretization(spec, make_grid(sim_cfg["grid"], spec))
-    assert read_json(out / "run.json")["scale"].hex() == kd.scale.hex()
+    for name, (kernel, _, _) in kernels.items():
+        spec = make_spec(kernel)
+        assert scales[name].hex() == KernelDiscretization(spec, make_grid(grid, spec)).scale.hex()
 
 
 def test_verify_levels_finer_than_a_time_step_exit_2(tmp_path, capsys):
@@ -554,6 +572,38 @@ def test_path_file_times_must_increase(tmp_path, capsys, times):
     path.write_text("\n".join([header, *rows]) + "\n")
     cfg = write_config(tmp_path, "cfg.json", {"paths_dir": str(paths_dir), **_REPORT_CHECKS})
     _assert_clean_exit_2(["report", "--config", cfg, "--out-dir", str(tmp_path / "o")], capsys)
+
+
+def test_written_csv_files_are_csv_writer_bytes(tmp_path, monkeypatch):
+    # write_csv joins fields without quoting; every CSV that simulate, report
+    # and fuzz write is byte for byte what csv.writer writes
+    real, written = cli.write_csv, []
+
+    def spy(path, header, rows):
+        rows = list(rows)
+        written.append((path, header, rows))
+        real(path, header, rows)
+
+    monkeypatch.setattr(cli, "write_csv", spy)
+    sim = write_config(tmp_path, "sim.json", {**_TINY_FBM, "grid": {"steps": 256, "left_units": 2}})
+    assert main(["simulate", "--config", sim, "--out-dir", str(tmp_path / "sim")]) == 0
+    report = {"paths_dir": str(tmp_path / "sim"), "slope": {"p": 2, "levels": [2, 3, 4]},
+              "besov": {"smoothness": 0.75, "orlicz_beta": 1.0},
+              "moment_growth": {"alpha": 0.75, "exponents": [1.0], "levels": [2, 3, 4]},
+              "modulus": {"alpha": 0.75, "log_exponent": 1.0, "subsample_factors": [1, 2]}}
+    main(["report", "--config", write_config(tmp_path, "rep.json", report), "--out-dir", str(tmp_path / "rep")])
+    fuzz = {"equivalence_instances": 3, "inequality_instances": 30, "seed": 4}
+    main(["fuzz", "--config", write_config(tmp_path, "fuzz.json", fuzz), "--out-dir", str(tmp_path / "fuzz")])
+    names = {Path(path).name for path, _, _ in written}
+    assert {"path-0000.csv", "slopes.csv", "besov_levels.csv", "moment_quantiles.csv", "modulus.csv",
+            "fuzz_equivalence.csv", "fuzz_inequalities.csv"} <= names
+    assert any("" in row for _, _, rows in written for row in rows)  # composition residual of no survivors
+    for path, header, rows in written:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([cli._fmt(x) for x in row] for row in rows)
+        assert Path(path).read_bytes() == buf.getvalue().encode(), path
 
 
 def test_simulated_time_column_loads_at_2_20_steps(tmp_path):

@@ -188,6 +188,84 @@ def test_dense_matches_exact_gram_norm():
         assert kd.norm_sq(w, exact=True) == pytest.approx(inner(dense, dense), rel=1e-12)
 
 
+def reference_exact_norm_sq(kd, w):
+    """Exact ||A||^2 by the stationary Gram minus per-lag suffix sums of the
+    envelope correlation (order >= 2), or by the full-length profile
+    convolution (order 1); slow, kept as the reference of ``norm_sq``."""
+    support = np.flatnonzero(np.abs(w) > 0)
+    lo, hi = support[0], support[-1]
+    env = kd.envelope
+    if kd.spec.order == 1:
+        profile = fftconvolve(w, env[::-1])[kd.cells - 1 :]
+        return float(kd.h * np.sum(profile**2))
+    total = 0.0
+    for m in range(hi - lo + 1):
+        u = np.arange(lo, hi + 1 - m)
+        ww = w[u] * w[u + m]
+        # gram(u, u+m) = autocorr[m] - h * sum_{i > u, i <= cells-1-m} env_i env_{i+m}
+        i_hi = kd.cells - 1 - m
+        if lo + 1 <= i_hi:
+            seg = env[lo + 1 : i_hi + 1] * env[lo + 1 + m : i_hi + 1 + m]
+            suffix = np.concatenate((np.cumsum(seg[::-1])[::-1], [0.0]))
+            tail = suffix[np.minimum(u - lo, seg.size)]
+        else:
+            tail = 0.0
+        gram = kd.autocorr[m] - kd.h * tail
+        total += (1.0 if m == 0 else 2.0) * float(np.sum(ww * gram**kd.spec.order))
+    return total
+
+
+@pytest.mark.parametrize(
+    "spec, steps, left_units, times",
+    [
+        (HermiteKernelSpec.hermite(2, 0.7), 2**10, 30, (1.0, 0.5)),
+        (HermiteKernelSpec.hermite(3, 0.7), 2**8, 20, (1.0, 0.5)),
+        (HermiteKernelSpec(order=2, beta1=-0.1, beta2=0.8), 64, 20, (1.0, 0.5)),
+        (HermiteKernelSpec(order=3, beta1=0.1, beta2=0.8), 64, 20, (1.0, 0.5)),
+        (HermiteKernelSpec.fbm(0.75), 2**10, 30, (1.0, 0.5)),  # order 1, trimmed weights
+        (HermiteKernelSpec.fbm(0.3), 2**10, 30, (1.0, 0.5)),  # order 1, weights from cell 0
+    ],
+    ids=["rosenblatt", "hermite3", "custom2-neg-beta1", "custom3-pos-beta1", "fbm-compact", "fbm-noncompact"],
+)
+def test_exact_norm_matches_suffix_sum_reference(spec, steps, left_units, times):
+    kd = KernelDiscretization(spec, GridSpec.build(spec, steps=steps, left_units=left_units))
+    for t in times:
+        w = kd._raw_weights(t)
+        assert (w[0] != 0) == (spec.beta1 != 0)
+        assert kd.norm_sq(w, exact=True) == pytest.approx(reference_exact_norm_sq(kd, w), rel=1e-13)
+    w = kd._raw_weights(0.75) - kd._raw_weights(0.25)
+    assert kd.norm_sq(w, exact=True) == pytest.approx(reference_exact_norm_sq(kd, w), rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "spec, steps",
+    [
+        (HermiteKernelSpec.fbm(0.3), 2**10),
+        (HermiteKernelSpec.fbm(0.5), 2**10),
+        (HermiteKernelSpec(order=1, beta1=0.1, beta2=0.5), 2**10),
+        (HermiteKernelSpec.fbm(0.3, horizon=0.5), 2**10),
+        (HermiteKernelSpec.fbm(0.3, horizon=1.3), 13 * 2**6),  # t = 1 is cell 640
+        (HermiteKernelSpec.fbm(0.3, horizon=1.5), 3 * 2**9),  # t = 1 is cell 1024
+    ],
+    ids=["fbm-0.3", "fbm-0.5", "custom1-pos-beta1", "T0.5", "T1.3", "T1.5"],
+)
+def test_order_one_response_scale_matches_exact_norm(spec, steps):
+    kd = KernelDiscretization(spec, GridSpec.build(spec, steps=steps, left_units=30))
+    var = kd.scale**-2
+    assert "filter_response" in vars(kd)  # the scale took the response route
+    exact = kd.norm_sq(kd._raw_weights(min(1.0, spec.horizon)), exact=True)
+    assert var == pytest.approx(exact, rel=1e-13)
+
+
+def test_off_edge_scale_takes_the_exact_norm():
+    # T = 1.3 on 1024 steps: t = 1 falls inside a cell
+    spec = HermiteKernelSpec.fbm(0.3, horizon=1.3)
+    kd = KernelDiscretization(spec, GridSpec.build(spec, steps=2**10, left_units=30))
+    scale = kd.scale
+    assert "filter_response" not in vars(kd)
+    assert scale == 1.0 / math.sqrt(kd.norm_sq(kd._raw_weights(1.0), exact=True))
+
+
 def test_dense_vs_gram_contractions_two_path():
     # product-kernel reduction vs dense tensor contraction at order 2
     _, _, kd = small_rosenblatt()
