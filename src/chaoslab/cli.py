@@ -161,7 +161,7 @@ CONFIG_SCHEMAS = {
                     "alpha": {"type": "number"},
                     "log_exponent": {"type": "number"},
                     "subsample_factors": {"type": "array", "items": {"type": "integer", "minimum": 1},
-                                          "minItems": 1},
+                                          "minItems": 1, "uniqueItems": True},
                     "growth_tolerance": {"type": "number"},
                 },
                 "required": ["alpha", "log_exponent"],
@@ -219,18 +219,34 @@ _STRICT_INTEGERS = jsonschema.validators.extend(
     ),
 )
 
+# built once: jsonschema.validate would check the schema itself on every call
+_CONFIG_VALIDATORS = {name: _STRICT_INTEGERS(schema) for name, schema in CONFIG_SCHEMAS.items()}
+_RUN_VALIDATOR = _STRICT_INTEGERS(RUN_SCHEMA)
+_TENSOR_FILE_VALIDATOR = _STRICT_INTEGERS(TENSOR_FILE_SCHEMA)
 
-def _validate(obj, schema, source):
-    """Schema check whose failure is a one-line ConfigError naming the spot."""
-    try:
-        jsonschema.validate(obj, schema, cls=_STRICT_INTEGERS)
-    except jsonschema.ValidationError as exc:
-        where = "".join(f"[{p!r}]" for p in exc.absolute_path)
-        raise ConfigError(f"{source}{where}: {exc.message}") from None
+
+def _validate(obj, validator, source):
+    """Schema check whose failure is a one-line ConfigError naming the spot;
+    the error is the one ``jsonschema.validate`` would raise."""
+    error = jsonschema.exceptions.best_match(validator.iter_errors(obj))
+    if error is not None:
+        where = "".join(f"[{p!r}]" for p in error.absolute_path)
+        raise ConfigError(f"{source}{where}: {error.message}")
+
+
+# keys that a kernel type sets itself: given, they would go unread
+_SET_BY_TYPE = {"fbm": ("beta1",), "hermite": ("beta1", "beta2"), "custom": ("alpha",)}
 
 
 def make_spec(cfg):
     kind = cfg["type"]
+    # a zero kernel is the fbm (order 1) or hermite kernel at scale 0
+    like = ("fbm" if cfg.get("order", 1) == 1 else "hermite") if kind == "zero" else kind
+    unread = [key for key in _SET_BY_TYPE[like] if key in cfg]
+    if unread:
+        raise ConfigError(f"{kind} kernel takes no {unread[0]}")
+    if kind == "fbm" and cfg.get("order", 1) != 1:
+        raise ConfigError(f"fbm kernel takes order 1 only, got order {cfg['order']}")
     horizon = cfg.get("horizon", 1.0)
     scale = cfg.get("scale")
     if kind == "fbm":
@@ -242,10 +258,8 @@ def make_spec(cfg):
             raise ConfigError("hermite kernel needs order and alpha")
         return HermiteKernelSpec.hermite(cfg["order"], cfg["alpha"], horizon=horizon, scale=scale)
     if kind == "zero":
-        base = dict(cfg)
-        base["type"] = "fbm" if cfg.get("order", 1) == 1 else "hermite"
-        base.setdefault("alpha", 0.5 if base["type"] == "fbm" else 0.7)
-        base["scale"] = 0.0
+        base = dict(cfg, type=like, scale=0.0)
+        base.setdefault("alpha", 0.5 if like == "fbm" else 0.7)
         return make_spec(base)
     missing = [k for k in ("order", "beta1", "beta2") if k not in cfg]
     if missing:
@@ -346,7 +360,7 @@ def cmd_expand(cfg, out_dir):
     elif "tensors" in cfg:
         with open(cfg["tensors"]) as fh:
             objs = json.load(fh)
-        _validate(objs, TENSOR_FILE_SCHEMA, cfg["tensors"])
+        _validate(objs, _TENSOR_FILE_VALIDATOR, cfg["tensors"])
         tensors = [SymTensor.from_dict(obj) for obj in objs]
     else:
         raise ConfigError("expand needs 'tensors' or 'fixture'")
@@ -415,9 +429,12 @@ def cmd_verify(cfg, out_dir):
 
 
 def _write_paths(out_dir, paths):
+    # indices padded to one width, 4 digits at least, so that the sorted
+    # names are in index order
+    width = max(4, len(str(len(paths) - 1)))
     for i, path in enumerate(paths):
         rows = zip(path.times.tolist(), path.values.tolist())
-        write_csv(out_dir / f"path-{i:04d}.csv", ["t", "value"], rows)
+        write_csv(out_dir / f"path-{i:0{width}d}.csv", ["t", "value"], rows)
 
 
 def _simulate(cfg, workers):
@@ -461,7 +478,7 @@ def _load_paths(paths_dir):
     run = Path(paths_dir) / "run.json"
     if run.exists():
         meta = json.loads(run.read_text())
-        _validate(meta, RUN_SCHEMA, str(run))
+        _validate(meta, _RUN_VALIDATOR, str(run))
     out = []
     for i, f in enumerate(files):
         # the rows loadtxt reads as data; with none it would warn, not fail
@@ -697,7 +714,7 @@ def main(argv=None):
             if getattr(args, key, None) is not None:
                 cfg[key] = getattr(args, key)
         _apply_overrides(cfg, args.set)
-        _validate(cfg, CONFIG_SCHEMAS[args.command], "config")
+        _validate(cfg, _CONFIG_VALIDATORS[args.command], "config")
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         write_json(out_dir / "resolved_config.json", {"command": args.command, "config": cfg})

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 from .tensors import MAX_DENSE_ENTRIES, SymTensor
 
@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 CONTRACTION_WINDOW_CAP = 4096  # widest weight support (cells) of a middle contraction
+EXACT_SPAN_CAP = 65536  # widest weight support (cells) of an exact norm at order >= 2
 COUPLING_RESOLUTION = 16  # coupling quadrature offsets per min(s, t)
 COUPLING_MAX_OFFSETS = 257  # and at most in all
 UPPER_X_COUNT = 17  # window positions x per level of the upper sweep
@@ -60,9 +61,26 @@ EDGE_TOL = 1e-14  # t is the cell edge k h when |k h - t| <= EDGE_TOL * t
 # -- FFT convolution -------------------------------------------------------------
 
 
+def _fast_len(n):
+    """The smallest 2^a 3^b 5^c >= n, a length pocketfft transforms fast."""
+    n = int(n)
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two >= n / p35
+            m = p35 << ((n - 1) // p35).bit_length()
+            if m < best:
+                best = m
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _spectrum(x, length):
     """(n, rfft of ``x`` at length n) for the shortest fast n >= ``length``."""
-    n = next_fast_len(length, real=True)
+    n = _fast_len(length)
     return n, rfft(x, n)
 
 
@@ -71,7 +89,7 @@ def _circular(x, spectrum):
     n, hat = spectrum
     out = rfft(x, n)
     out *= hat
-    return irfft(out, n, overwrite_x=True)
+    return irfft(out, n)
 
 
 def fftconvolve(a, b):
@@ -412,8 +430,11 @@ class KernelDiscretization:
         if self.spec.order == 1:
             profile = fftconvolve(ws, env[hi::-1])[span - 1 :]
             return float(self.h * np.sum(profile**2))
-        if span > 65536:
-            raise ValueError(f"exact norm: support span {span} too large")
+        if span > EXACT_SPAN_CAP:
+            raise ValueError(
+                f"exact norm: support span {span} exceeds the cap of {EXACT_SPAN_CAP} cells; "
+                f"use a smaller grid.left_units, or give kernel.scale to skip the norm"
+            )
         n = self.spec.order
         q = self.h * _circular(env[lo::-1], _spectrum(env[: lo + span], lo + span))[lo : lo + span]
         total = 0.0

@@ -11,6 +11,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +21,7 @@ import chaoslab
 from chaoslab import cli
 from chaoslab.cli import _load_paths, main, make_grid, make_spec, write_csv, write_json
 from chaoslab.kernels import KernelDiscretization
-from chaoslab.regularity import BesovLevel, BesovSeminormReport
+from chaoslab.regularity import BesovLevel, BesovSeminormReport, PathSample
 from chaoslab.tensors import SymTensor
 
 
@@ -35,10 +36,9 @@ def read_json(path):
         return json.load(fh)
 
 
-def test_cli_import_loads_no_scipy_signal_or_stats():
-    # scipy is used through scipy.fft only; signal and stats cost most of the import
-    code = ("import sys, chaoslab.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.stats'))))")
+def test_cli_import_loads_no_scipy():
+    # chaoslab runs on numpy alone; scipy is a reference of the tests
+    code = "import sys, chaoslab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     src = str(Path(chaoslab.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
@@ -386,6 +386,83 @@ def test_write_json_converts_reports(tmp_path):
     }
 
 
+def test_config_schemas_are_valid_schemas():
+    # the prebuilt validators skip this check, which jsonschema.validate runs on every call
+    for schema in [*cli.CONFIG_SCHEMAS.values(), cli.SIMULATE_SCHEMA, cli.RUN_SCHEMA, cli.TENSOR_FILE_SCHEMA]:
+        cli._STRICT_INTEGERS.check_schema(schema)
+
+
+def test_validate_raises_the_error_jsonschema_validate_raises():
+    bad = [
+        ("simulate", {**_TINY_FBM, "paths": 2.0}),
+        ("simulate", {**_TINY_FBM, "grid": {"steps": 0, "left": 3}}),
+        ("verify", {"kernel": {"type": "spline"}, "grid": {"steps": 8}, "upper_levels": []}),
+        ("report", {"slope": {"p": 0, "levels": [3, 3]}, "extra": 1}),
+        ("fuzz", {"seed": "x", "max_dim": 1}),
+    ]
+    for command, cfg in bad:
+        with pytest.raises(jsonschema.ValidationError) as ref:
+            jsonschema.validate(cfg, cli.CONFIG_SCHEMAS[command], cls=cli._STRICT_INTEGERS)
+        where = "".join(f"[{p!r}]" for p in ref.value.absolute_path)
+        with pytest.raises(cli.ConfigError) as ours:
+            cli._validate(cfg, cli._CONFIG_VALIDATORS[command], "config")
+        assert str(ours.value) == f"config{where}: {ref.value.message}"
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        {"type": "fbm", "alpha": 0.75},
+        {"type": "hermite", "order": 2, "alpha": 0.7},
+        {"type": "custom", "order": 2, "beta1": 0.0, "beta2": 0.7},
+        {"type": "zero", "order": 1},
+    ],
+    ids=["fbm", "hermite", "custom", "zero"],
+)
+def test_readme_kernel_blocks_run(tmp_path, kernel):
+    cfg = write_config(tmp_path, "cfg.json", {**_TINY_FBM, "kernel": kernel})
+    assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize(
+    "kernel, key",
+    [
+        ({"type": "hermite", "order": 2, "alpha": 0.7, "beta1": -0.2}, "beta1"),
+        ({"type": "hermite", "order": 2, "alpha": 0.7, "beta2": 0.7}, "beta2"),
+        ({"type": "fbm", "alpha": 0.75, "beta1": 0.0}, "beta1"),
+        ({"type": "fbm", "alpha": 0.75, "order": 2}, "order"),
+        ({"type": "custom", "order": 2, "beta1": 0.0, "beta2": 0.7, "alpha": 0.7}, "alpha"),
+        ({"type": "zero", "order": 1, "beta1": -0.2}, "beta1"),
+        ({"type": "zero", "order": 2, "beta2": 0.7}, "beta2"),
+    ],
+    ids=["hermite-beta1", "hermite-beta2", "fbm-beta1", "fbm-order-2", "custom-alpha", "zero-fbm-beta1",
+         "zero-hermite-beta2"],
+)
+def test_kernel_key_its_type_ignores_exits_2(tmp_path, capsys, kernel, key):
+    cfg = write_config(tmp_path, "cfg.json", {**_TINY_FBM, "kernel": kernel})
+    err = _assert_clean_exit_2(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "o")], capsys)
+    assert f"config error: {kernel['type']} kernel takes" in err and key in err
+
+
+def test_exact_norm_span_cap_names_the_ways_past_it(tmp_path, capsys):
+    # order 2 with beta1 != 0: the weights span every cell, 300 horizons deep by default
+    kernel = {"type": "custom", "order": 2, "beta1": -0.1, "beta2": 0.8}
+    cfg = write_config(tmp_path, "cfg.json", {"kernel": kernel, "grid": {"steps": 1024}, "paths": 1})
+    err = _assert_clean_exit_2(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "o")], capsys)
+    assert "support span 308224 exceeds the cap of 65536 cells" in err
+    assert "grid.left_units" in err and "kernel.scale" in err
+
+
+def test_paths_past_10000_load_in_index_order(tmp_path):
+    times = np.array([0.0, 0.5, 1.0])
+    paths = [PathSample(times=times, values=np.array([0.0, float(i), 0.0])) for i in range(10_001)]
+    cli._write_paths(tmp_path, paths)
+    assert (tmp_path / "path-00000.csv").exists() and (tmp_path / "path-10000.csv").exists()
+    loaded = _load_paths(tmp_path)
+    assert [p.values[1] for p in loaded] == list(range(10_001))
+    assert [p.stream for p in loaded] == list(range(10_001))
+
+
 def test_custom_kernel_missing_betas_exits_2(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -489,6 +566,7 @@ _VERIFY_BASE = {
         ("report", {"moment_growth": {"alpha": 0.5, "exponents": [1.0], "ells": []}}),
         ("report", {"modulus": {"alpha": 0.5, "log_exponent": 1.0, "subsample_factors": [0]}}),
         ("report", {"modulus": {"alpha": 0.5, "log_exponent": 1.0, "subsample_factors": []}}),
+        ("report", {"modulus": {"alpha": 0.5, "log_exponent": 1.0, "subsample_factors": [2, 2]}}),
         ("verify", {"coupling_levels": []}),
         ("verify", {"coupling_levels": [3]}),
         ("verify", {"coupling_levels": [0, 1]}),
@@ -500,8 +578,8 @@ _VERIFY_BASE = {
     ],
     ids=[
         "slope-empty", "slope-one", "slope-repeated", "moment-levels-empty", "moment-exponents-empty",
-        "moment-ells-empty", "subsample-zero", "subsample-empty", "coupling-empty", "coupling-one",
-        "coupling-level-zero", "coupling-repeated",
+        "moment-ells-empty", "subsample-zero", "subsample-empty", "modulus-repeated", "coupling-empty",
+        "coupling-one", "coupling-level-zero", "coupling-repeated",
         "overlap-empty", "overlap-one", "overlap-repeated", "upper-empty",
     ],
 )

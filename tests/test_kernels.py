@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve as scipy_fftconvolve
 from scipy.special import beta as beta_fn
 
@@ -9,6 +10,7 @@ from chaoslab.kernels import (
     GridSpec,
     HermiteKernelSpec,
     KernelDiscretization,
+    _fast_len,
     coupling_integral,
     coupling_scaling_report,
     envelope_cell_averages,
@@ -454,6 +456,14 @@ def test_fftconvolve_is_bitwise_scipy():
         for x, y in ((a, b), (a, b[::-1]), (a[::-1], b)):
             ours, ref = fftconvolve(x, y), scipy_fftconvolve(x, y)
             assert ours.shape == ref.shape and ours.tobytes() == ref.tobytes(), (na, nb)
+
+
+def test_fast_len_is_scipy_next_fast_len():
+    ns = list(range(1, 300_001))
+    ns += np.random.default_rng(10).integers(1, 2 * 10**7, 20_000, endpoint=True).tolist()
+    assert [_fast_len(n) for n in ns] == [next_fast_len(n, real=True) for n in ns]
+    n = _fast_len(np.int64(4097))  # norm_sq passes numpy integers
+    assert type(n) is int and n == next_fast_len(4097, real=True)
 
 
 def test_coupling_levels_must_be_distinct():
