@@ -58,7 +58,7 @@ KERNEL_SCHEMA = {
 GRID_SCHEMA = {
     "type": "object",
     "properties": {
-        # 2**20 steps keep GridSpec.build's default node budget a bound on cells
+        # 2**20 steps keep kernels.GRID_CELL_BUDGET a bound on cells
         "steps": {"type": "integer", "minimum": 1, "maximum": 2**20},
         "left_units": {"type": "number", "exclusiveMinimum": 0},
     },
@@ -112,7 +112,6 @@ CONFIG_SCHEMAS = {
             "overlap_levels": {"type": "array", "items": {"type": "integer"}, "minItems": 2, "uniqueItems": True},
             "drift_tolerance": {"type": "number", "exclusiveMinimum": 0},
             "skip_refinement": {"type": "boolean"},
-            "truncation_probe": {"type": "boolean"},
         },
         "required": ["kernel", "grid"],
         "additionalProperties": False,
@@ -243,6 +242,8 @@ def make_spec(cfg):
     # a zero kernel is the fbm (order 1) or hermite kernel at scale 0
     like = ("fbm" if cfg.get("order", 1) == 1 else "hermite") if kind == "zero" else kind
     unread = [key for key in _SET_BY_TYPE[like] if key in cfg]
+    if kind == "zero" and "scale" in cfg:  # its scale is 0
+        unread.append("scale")
     if unread:
         raise ConfigError(f"{kind} kernel takes no {unread[0]}")
     if kind == "fbm" and cfg.get("order", 1) != 1:
@@ -408,8 +409,12 @@ def cmd_verify(cfg, out_dir):
     if "overlap_levels" in cfg:
         overlap = overlap_scaling_report(spec, levels=cfg["overlap_levels"])
     trunc = None
-    if cfg.get("truncation_probe", True) and spec.scale != 0.0:
-        trunc = truncation_report(spec, grid.left / spec.horizon)
+    if spec.scale != 0.0:
+        try:
+            trunc = truncation_report(kd)
+        except ValueError as exc:
+            # a given kernel.scale lets a grid past the exact norm's span cap get here
+            trunc = {"unresolved": str(exc)}
     passed = upper.passed and lower.passed and (degenerate or coupling["passed"])
     report = {
         "kernel": spec.to_dict(),
@@ -710,6 +715,8 @@ def main(argv=None):
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"{args.config}: the top level must be a JSON object")
         for key in ("seed", "tolerance"):
             if getattr(args, key, None) is not None:
                 cfg[key] = getattr(args, key)

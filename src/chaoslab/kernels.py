@@ -18,7 +18,7 @@ for partial contractions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -40,6 +40,7 @@ __all__ = [
     "overlap_scaling_report",
     "upper_scaling_report",
     "lower_scaling_report",
+    "continuum_norm_sq",
     "truncation_report",
 ]
 
@@ -56,6 +57,7 @@ QUAD_CORE_CELLS = 256  # filter quadrature: linear cells on [-2s, s]
 QUAD_TAIL_CELLS = 128  # log-spaced cells left of -2s
 QUAD_TAIL_FACTOR = 1e4  # the tail reaches QUAD_TAIL_FACTOR^(1/(1 - beta1)) * s
 EDGE_TOL = 1e-14  # t is the cell edge k h when |k h - t| <= EDGE_TOL * t
+GRID_CELL_BUDGET = 4_000_000  # most cells GridSpec.build puts on a grid
 
 
 # -- FFT convolution -------------------------------------------------------------
@@ -209,14 +211,7 @@ class HermiteKernelSpec:
         return cls(order=order, beta1=0.0, beta2=beta2, horizon=horizon, scale=scale)
 
     def to_dict(self):
-        return {
-            "order": self.order,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "horizon": self.horizon,
-            "scale": self.scale,
-            "alpha": self.alpha,
-        }
+        return dict(vars(self), alpha=self.alpha)
 
 
 @dataclass(frozen=True)
@@ -247,21 +242,23 @@ class GridSpec:
         return h, time_cells
 
     @classmethod
-    def build(cls, spec, steps, left_units=None, per_step=1, node_budget=4_000_000):
+    def build(cls, spec, steps, left_units=None, per_step=1):
         """Grid with one u-cell per ``1/per_step`` time step and a left tail.
 
         ``left_units`` is the truncation depth in units of the horizon; when
         omitted a default is chosen from the kernel's tail decay (heavier
-        tails get more, capped by the node budget).
+        tails get more).  Either is cut to GRID_CELL_BUDGET cells.
         """
         if left_units is None:
             p = tail_decay_exponent(spec)
-            # aim at ~1e-3 relative tail assuming an O(1) constant
+            # 1e3^(1/p) horizons in [4, 300]; every beta1 = 0 kernel hits 300, where
+            # order >= 2 keeps a large tail (truncation_report): 0.12 of ||A_1||^2 for
+            # Rosenblatt at alpha = 0.7 (0.2 at 30 horizons), 0.37 for Hermite n = 3
             left_units = min(max(4.0, 1e3 ** (1.0 / p)), 300.0)
         time_cells = steps * per_step
         h = spec.horizon / time_cells
         left_cells = int(math.ceil(left_units * spec.horizon / h))
-        left_cells = min(left_cells, max(node_budget - time_cells, time_cells))
+        left_cells = min(left_cells, max(GRID_CELL_BUDGET - time_cells, time_cells))
         return cls(left=left_cells * h, cells=left_cells + time_cells, steps=steps)
 
 
@@ -663,15 +660,8 @@ def upper_scaling_report(kd, alpha=None, levels=None, refined=None, drift_tol=0.
         kappa2 = max(v[0] for v in stats2.values())
         drift = abs(kappa2 - kappa) / kappa if kappa > 0 else 0.0
     passed = math.isfinite(kappa) and not diverging and (drift is None or drift < drift_tol)
-    return UpperScalingReport(
-        kappa=kappa,
-        worst_x=stats[worst_j][2],
-        worst_s=T * 2.0**-worst_j,
-        level_sups=sups,
-        refinement_drift=drift,
-        diverging=diverging,
-        passed=passed,
-    )
+    return UpperScalingReport(kappa=kappa, worst_x=stats[worst_j][2], worst_s=T * 2.0**-worst_j, level_sups=sups,
+                              refinement_drift=drift, diverging=diverging, passed=passed)
 
 
 @dataclass
@@ -755,34 +745,42 @@ def overlap_scaling_report(spec, levels=range(1, 7)):
     }
 
 
-# -- truncation bookkeeping ------------------------------------------------------
+# -- continuum reference and truncation -------------------------------------------
 
 
-def truncation_report(spec, left_units, probe_cells=2048):
-    """Estimated relative left-tail mass of ||A_t||^2 lost to truncation at
-    t = min(1, T), the time the scale normalizes.
+def continuum_norm_sq(spec, t):
+    """||A_t||^2 of the continuum kernel at scale 1, in closed form.
 
-    Measures the norm gain from doubling the domain on a coarse probe grid
-    and extrapolates the geometric tail with the kernel's decay exponent.
+    Per factor <phi_u, phi_v> = B(beta2/2, 1 - beta2) |u - v|^g, g = n (beta2 - 1).
+    In the spectral representation the filter has |hat f_t|^2 = c |e^{iwt} - 1|^2
+    |w|^(-2 beta1 - 2) with c = Gamma(beta1)^2 (1 at beta1 = 0), |x|^g has
+    2 Gamma(g + 1) sin(-pi g / 2) |w|^(-g - 1), and what is left is the
+    Mandelbrot-Van Ness integral 2 pi / (Gamma(2 alpha + 1) sin(pi alpha)).
     """
+    n, beta1, beta2, alpha = spec.order, spec.beta1, spec.beta2, spec.alpha
+    g = n * (beta2 - 1.0)
+    envelope = math.gamma(beta2 / 2.0) * math.gamma(1.0 - beta2) / math.gamma(1.0 - beta2 / 2.0)
+    c = 1.0 if beta1 == 0.0 else math.gamma(beta1) ** 2
+    separation = 2.0 * math.gamma(g + 1.0) * math.sin(-math.pi * g / 2.0)
+    mvn = math.gamma(2.0 * alpha + 1.0) * math.sin(math.pi * alpha)
+    return envelope**n * c * separation / mvn * t ** (2.0 * alpha)
+
+
+def truncation_report(kd):
+    """Grid norms at scale 1 against ``continuum_norm_sq``; r(t) is their ratio.
+
+    ``relative_tail`` is 1 - r(t_ref) at t_ref = min(1, T), where the scale
+    normalizes.  It mixes the mass the left truncation loses with the
+    discretization error, so it can be slightly negative.  ``self_similarity``
+    maps j = 0..min(8, log2 steps) to r(t_ref 2^-j) / r(t_ref), which is
+    Var X_t / t^(2 alpha) of the normalized process: 1 if it is self-similar.
+    """
+    spec = kd.spec
+    exact = spec.beta1 == 0.0 or spec.order == 1
     t_ref = min(1.0, spec.horizon)
-    p = tail_decay_exponent(spec)
-    probe = replace(spec, scale=1.0)
-
-    def norm_at(lu):
-        cells_per_T = max(64, int(probe_cells / (lu + 1)))
-        grid = GridSpec.build(probe, steps=cells_per_T, left_units=lu, node_budget=10_000_000)
-        kd = KernelDiscretization(probe, grid)
-        return kd.norm_sq(kd.weights(t_ref), exact=(probe.beta1 == 0.0 or probe.order == 1))
-
-    n1 = norm_at(left_units)
-    n2 = norm_at(2.0 * left_units)
-    gain = max(n2 - n1, 0.0)
-    tail = gain / (1.0 - 2.0**-p) / n2 if n2 > 0 else 0.0
-    return {
-        "left_units": float(left_units),
-        "decay_exponent": p,
-        "norm_sq": n1,
-        "norm_sq_doubled": n2,
-        "relative_tail": tail,
-    }
+    times = [t_ref * 2.0**-j for j in range(min(8, int(kd.grid.steps).bit_length() - 1) + 1)]
+    norms = [kd.norm_sq(kd._raw_weights(t), exact=exact) for t in times]
+    ratios = [norm / continuum_norm_sq(spec, t) for norm, t in zip(norms, times)]
+    return {"left_units": kd.grid.left / spec.horizon, "norm_sq": norms[0],
+            "continuum_norm_sq": continuum_norm_sq(spec, t_ref), "relative_tail": 1.0 - ratios[0],
+            "self_similarity": {j: r / ratios[0] for j, r in enumerate(ratios)}}

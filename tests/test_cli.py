@@ -105,7 +105,6 @@ def test_verify_zero_kernel_fails(tmp_path):
             "kernel": {"type": "zero", "order": 1},
             "grid": {"steps": 128, "left_units": 8},
             "skip_refinement": True,
-            "truncation_probe": False,
         },
     )
     out = tmp_path / "out"
@@ -276,6 +275,16 @@ def _assert_clean_exit_2(argv, capsys):
     return err
 
 
+@pytest.mark.parametrize("content", [[], "x", 3, None], ids=["list", "string", "number", "null"])
+@pytest.mark.parametrize("argv", [["expand", "--seed", "1"], ["verify", "--set", "a=1"]], ids=["seed", "set"])
+def test_config_top_level_not_an_object_exits_2(tmp_path, capsys, content, argv):
+    # rejected before any override is applied, and before the output directory is made
+    cfg = write_config(tmp_path, "cfg.json", content)
+    err = _assert_clean_exit_2([argv[0], "--config", cfg, "--out-dir", str(tmp_path / "o"), *argv[1:]], capsys)
+    assert "top level must be a JSON object" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_set_through_scalar_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "cfg.json", {"fixture": "counterexample", "seed": 1})
     _assert_clean_exit_2(
@@ -434,9 +443,10 @@ def test_readme_kernel_blocks_run(tmp_path, kernel):
         ({"type": "custom", "order": 2, "beta1": 0.0, "beta2": 0.7, "alpha": 0.7}, "alpha"),
         ({"type": "zero", "order": 1, "beta1": -0.2}, "beta1"),
         ({"type": "zero", "order": 2, "beta2": 0.7}, "beta2"),
+        ({"type": "zero", "order": 1, "scale": 2.0}, "scale"),
     ],
     ids=["hermite-beta1", "hermite-beta2", "fbm-beta1", "fbm-order-2", "custom-alpha", "zero-fbm-beta1",
-         "zero-hermite-beta2"],
+         "zero-hermite-beta2", "zero-scale"],
 )
 def test_kernel_key_its_type_ignores_exits_2(tmp_path, capsys, kernel, key):
     cfg = write_config(tmp_path, "cfg.json", {**_TINY_FBM, "kernel": kernel})
@@ -451,6 +461,32 @@ def test_exact_norm_span_cap_names_the_ways_past_it(tmp_path, capsys):
     err = _assert_clean_exit_2(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "o")], capsys)
     assert "support span 308224 exceeds the cap of 65536 cells" in err
     assert "grid.left_units" in err and "kernel.scale" in err
+
+
+def test_verify_reports_the_tail_of_a_custom_kernel_past_the_span_cap(tmp_path):
+    # 77,056 cells, past the exact norm's span cap; the given scale skips the
+    # norm, and the tail against the closed form needs none of the cap
+    kernel = {"type": "custom", "order": 2, "beta1": -0.1, "beta2": 0.8, "scale": 1.0}
+    cfg = write_config(tmp_path, "cfg.json", {"kernel": kernel, "grid": {"steps": 256}, "skip_refinement": True})
+    out = tmp_path / "o"
+    assert main(["verify", "--config", cfg, "--out-dir", str(out)]) == 1
+    report = read_json(out / "verify_report.json")
+    assert "unresolved" in report["coupling"]  # middle contractions need compact support
+    assert report["grid"]["cells"] == 77_056
+    assert report["truncation"]["relative_tail"] == pytest.approx(0.232, abs=2e-3)
+    assert len(report["truncation"]["self_similarity"]) == 9
+
+
+def test_verify_truncation_past_the_span_cap_is_unresolved(tmp_path, monkeypatch):
+    # with kernel.scale given, only the truncation report needs an exact norm
+    # at order 2; past the cap it is reported unresolved and decides nothing
+    monkeypatch.setattr(chaoslab.kernels, "EXACT_SPAN_CAP", 16)
+    kernel = {"type": "custom", "order": 2, "beta1": 0.0, "beta2": 0.7, "scale": 1.0}
+    cfg = write_config(tmp_path, "cfg.json", {**_VERIFY_BASE, "kernel": kernel})
+    out = tmp_path / "o"
+    assert main(["verify", "--config", cfg, "--out-dir", str(out)]) == 0
+    report = read_json(out / "verify_report.json")
+    assert "exceeds the cap of 16 cells" in report["truncation"]["unresolved"]
 
 
 def test_paths_past_10000_load_in_index_order(tmp_path):
@@ -551,7 +587,6 @@ _VERIFY_BASE = {
     "kernel": {"type": "fbm", "alpha": 0.75},
     "grid": {"steps": 64, "left_units": 4},
     "skip_refinement": True,
-    "truncation_probe": False,
 }
 
 
@@ -729,7 +764,7 @@ def test_verify_default_upper_levels_follow_the_grid(tmp_path, steps, levels):
         tmp_path,
         "cfg.json",
         {"kernel": {"type": "hermite", "order": 2, "alpha": 0.7}, "grid": {"steps": steps, "left_units": 5},
-         "skip_refinement": True, "truncation_probe": False},
+         "skip_refinement": True},
     )
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out-dir", str(out)]) in (0, 1)
@@ -829,7 +864,7 @@ def _mutated_configs(draw):
     command = draw(st.sampled_from(["verify", "simulate", "report", "fuzz"]))
     cfg = json.loads(json.dumps(_RERUN_CONFIGS[command]))
     if command == "verify":
-        cfg.update(skip_refinement=True, truncation_probe=False)
+        cfg.update(skip_refinement=True)
     for _ in range(draw(st.integers(1, 2))):
         # a random object node of the config, then one change in it (a key
         # outside the node one time in four)

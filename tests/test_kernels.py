@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len
+from scipy.integrate import quad
 from scipy.signal import fftconvolve as scipy_fftconvolve
 from scipy.special import beta as beta_fn
 
 from chaoslab.kernels import (
+    GRID_CELL_BUDGET,
     GridSpec,
     HermiteKernelSpec,
     KernelDiscretization,
     _fast_len,
+    continuum_norm_sq,
     coupling_integral,
     coupling_scaling_report,
     envelope_cell_averages,
@@ -146,10 +149,11 @@ def test_grid_validation():
 
 
 def test_grid_build_budget():
+    # a deep left_units is cut to the budget; integer arithmetic, no discretization
     spec = HermiteKernelSpec.hermite(2, 0.7)
-    grid = GridSpec.build(spec, steps=128, node_budget=10_000)
-    assert grid.cells <= 10_000
-    grid.validate(spec.horizon)
+    grid = GridSpec.build(spec, steps=128, left_units=1e6)
+    assert grid.cells == GRID_CELL_BUDGET
+    assert grid.validate(spec.horizon)[1] == 128
 
 
 # -- discretization ---------------------------------------------------------------
@@ -436,14 +440,89 @@ def test_overlap_negative_beta1_exponent():
     assert report["slope_per_variable"] >= 1.0 + spec.beta1 - 0.05
 
 
+def _truncation(spec, steps, left_units=None):
+    return truncation_report(KernelDiscretization(spec, GridSpec.build(spec, steps=steps, left_units=left_units)))
+
+
 def test_tail_decay_exponent_and_truncation_report():
     spec = HermiteKernelSpec.fbm(0.3)
     assert tail_decay_exponent(spec) == pytest.approx(2 - 2 * 0.3)
-    rep = truncation_report(spec, left_units=20.0, probe_cells=1024)
+    rep = _truncation(spec, 64, 20.0)
     assert 0 <= rep["relative_tail"] < 0.05
-    spec2 = HermiteKernelSpec.hermite(2, 0.7)
-    rep2 = truncation_report(spec2, left_units=30.0, probe_cells=1024)
+    rep2 = _truncation(HermiteKernelSpec.hermite(2, 0.7), 64, 30.0)
     assert rep2["relative_tail"] < 0.5  # heavy tail, honestly reported
+
+
+def _mandelbrot_van_ness_norm_sq(spec, t):
+    """||A_t||^2 by a time-domain reduction, independent of the spectral one.
+
+    |u - v|^g = int psi(u - x) psi(v - x) dx / B(d, -g) with psi = x_+^(d - 1),
+    d = (g + 1) / 2, turns the filter into k ((t - x)_+^h - (-x)_+^h) with
+    h = alpha - 1/2, whose squared L2 norm is
+    t^(2 alpha) (int_0^inf ((1 + s)^h - s^h)^2 ds + 1 / (2 alpha)).
+    """
+    n, b1, b2, alpha = spec.order, spec.beta1, spec.beta2, spec.alpha
+    g = n * (b2 - 1.0)
+    h, d = alpha - 0.5, (g + 1.0) / 2.0
+    k = 1.0 / d if b1 == 0.0 else beta_fn(b1 + 1.0, d) / b1
+
+    def gap_sq(s):  # ((1 + s)^h - s^h)^2 without cancellation at large s; quad never asks s = 0
+        return (s**h * math.expm1(h * math.log1p(1.0 / s))) ** 2
+
+    near = quad(gap_sq, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+    far = quad(lambda w: gap_sq(1.0 / w) / w**2, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+    return beta_fn(b2 / 2, 1 - b2) ** n / beta_fn(d, -g) * k**2 * t ** (2 * alpha) * (near + far + 0.5 / alpha)
+
+
+@pytest.mark.parametrize(
+    "order, beta1, beta2",
+    [(1, -0.6, 0.5), (1, -0.2, 0.8), (1, 0.15, 0.5), (2, -0.1, 0.8), (2, 0.0, 0.7), (2, 0.1, 0.8),
+     (3, 0.0, 0.8), (3, -0.2, 0.9), (1, 0.0, 0.5)],
+)
+def test_continuum_norm_matches_time_domain_quadrature(order, beta1, beta2):
+    spec = HermiteKernelSpec(order=order, beta1=beta1, beta2=beta2)
+    assert abs(spec.alpha - 0.5) > 0.1
+    for t in (1.0, 0.3):
+        assert continuum_norm_sq(spec, t) == pytest.approx(_mandelbrot_van_ness_norm_sq(spec, t), rel=1e-10)
+
+
+def test_continuum_norm_at_beta1_zero():
+    for spec in (HermiteKernelSpec.hermite(2, 0.7), HermiteKernelSpec.hermite(3, 0.6), HermiteKernelSpec.fbm(0.8)):
+        a = spec.alpha
+        ref = beta_fn(spec.beta2 / 2, 1 - spec.beta2) ** spec.order * 2 * 0.7 ** (2 * a) / ((2 * a - 1) * 2 * a)
+        assert continuum_norm_sq(spec, 0.7) == pytest.approx(ref, rel=1e-13)
+
+
+def test_brownian_grid_norm_is_the_continuum_norm():
+    # fBm at alpha = 1/2 (beta1 = -0.4) has no truncation tail: every depth reads 1
+    spec = HermiteKernelSpec.fbm(0.5)
+    for left_units in (10, 40, 160):
+        rep = _truncation(spec, 256, left_units)
+        assert abs(rep["relative_tail"]) < 1e-4
+        assert rep["continuum_norm_sq"] == continuum_norm_sq(spec, 1.0)
+
+
+@pytest.mark.parametrize("spec", [HermiteKernelSpec.hermite(2, 0.7), HermiteKernelSpec.fbm(0.75)],
+                         ids=["rosenblatt", "fbm-0.75"])
+def test_truncation_tail_converges_at_the_envelope_rate(spec):
+    # at beta1 = 0 the tail falls as (L/T)^-(1 - beta2): the ratio of successive
+    # differences over L, 2L, 4L tends to 2^(1 - beta2) from below
+    tails = [_truncation(spec, 64, L)["relative_tail"] for L in (5, 10, 20, 40, 80, 160)]
+    ratios = [(a - b) / (b - c) for a, b, c in zip(tails, tails[1:], tails[2:])]
+    limit = 2.0 ** (1.0 - spec.beta2)
+    assert all(r1 < r2 < limit for r1, r2 in zip(ratios, ratios[1:]))
+    assert ratios[-1] > 0.95 * limit
+
+
+def test_hermite_3_self_similarity_at_default_depth():
+    # Var X_t / t^(2 alpha) at t = 2^-j on 1,024 steps and 300 horizons; the
+    # truncated grid is not self-similar (a record for a sampler to improve on)
+    rep = _truncation(HermiteKernelSpec.hermite(3, 0.7), 1024)
+    assert rep["left_units"] == 300.0
+    assert rep["relative_tail"] == pytest.approx(0.3678, abs=1e-3)
+    expected = [1.0, 1.0515, 1.0944, 1.1277, 1.1506, 1.1616, 1.1587, 1.1397, 1.1021]
+    assert list(rep["self_similarity"]) == list(range(9))
+    assert list(rep["self_similarity"].values()) == pytest.approx(expected, abs=1e-3)
 
 
 def test_fftconvolve_is_bitwise_scipy():
