@@ -200,9 +200,6 @@ class ChaosExpansion:
         term = self.terms.get(0)
         return 0.0 if term is None else term.item()
 
-    def evaluate(self, xi):
-        return float(sum(wick_eval(t, xi) for t in self.terms.values()))
-
     def evaluate_batch(self, xis):
         xis = np.asarray(xis, dtype=float)
         out = np.zeros(xis.shape[0] if xis.ndim == 2 else 1)

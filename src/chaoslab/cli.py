@@ -40,6 +40,9 @@ from .regularity import (
 from .simulate import sample_paths
 from .tensors import MAX_DENSE_ENTRIES, SymTensor, symmetrize, tensor_product
 
+MODULUS_GROWTH_TOL = 2.0  # report.modulus passes while the finest/coarsest mean ratio is below this
+FUZZ_SLACK_TOL = 1e-12  # fuzz passes while every bound slack is at least -FUZZ_SLACK_TOL
+
 KERNEL_SCHEMA = {
     "type": "object",
     "properties": {
@@ -110,7 +113,6 @@ CONFIG_SCHEMAS = {
             "coupling_levels": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 2,
                                 "uniqueItems": True},
             "overlap_levels": {"type": "array", "items": {"type": "integer"}, "minItems": 2, "uniqueItems": True},
-            "drift_tolerance": {"type": "number", "exclusiveMinimum": 0},
             "skip_refinement": {"type": "boolean"},
         },
         "required": ["kernel", "grid"],
@@ -161,7 +163,6 @@ CONFIG_SCHEMAS = {
                     "log_exponent": {"type": "number"},
                     "subsample_factors": {"type": "array", "items": {"type": "integer", "minimum": 1},
                                           "minItems": 1, "uniqueItems": True},
-                    "growth_tolerance": {"type": "number"},
                 },
                 "required": ["alpha", "log_exponent"],
                 "additionalProperties": False,
@@ -181,7 +182,6 @@ CONFIG_SCHEMAS = {
             "max_dim": {"type": "integer", "minimum": 2},
             "max_total": {"type": "integer", "minimum": 2},
             "tolerance": {"type": "number", "exclusiveMinimum": 0},
-            "slack_tolerance": {"type": "number", "exclusiveMinimum": 0},
         },
         "additionalProperties": False,
     },
@@ -389,9 +389,7 @@ def cmd_verify(cfg, out_dir):
     grid = make_grid(cfg["grid"], spec)
     kd = KernelDiscretization(spec, grid)
     refined = None if cfg.get("skip_refinement") else kd.refined()
-    upper = upper_scaling_report(
-        kd, refined=refined, **_given(cfg, levels="upper_levels", drift_tol="drift_tolerance")
-    )
+    upper = upper_scaling_report(kd, refined=refined, **_given(cfg, levels="upper_levels"))
     lower = lower_scaling_report(kd)
     degenerate = upper.kappa <= 0.0
     coupling = None
@@ -595,8 +593,7 @@ def cmd_report(cfg, out_dir, workers=1):
             fine = by_factor[min(factors)]
             growth = fine / coarse if coarse > 0 else math.inf
             entry["growth"] = growth
-            tol = sub.get("growth_tolerance", 2.0)
-            entry["passed"] = bool(growth < tol)
+            entry["passed"] = bool(growth < MODULUS_GROWTH_TOL)
             failed |= not entry["passed"]
         summary["checks"]["modulus"] = entry
     summary["passed"] = not failed
@@ -610,7 +607,6 @@ def cmd_report(cfg, out_dir, workers=1):
 def cmd_fuzz(cfg, out_dir):
     seed = cfg.get("seed", 0)
     tol = cfg.get("tolerance", 1e-9)
-    slack_tol = cfg.get("slack_tolerance", 1e-12)
     caps = _given(cfg, max_blocks="max_blocks", max_order="max_order", max_dim="max_dim",
                   max_total="max_total")
     eq_kwargs = dict(caps, **_given(cfg, pointwise_seeds="pointwise_seeds"))
@@ -653,14 +649,14 @@ def cmd_fuzz(cfg, out_dir):
     passed = (
         worst["relative_gap"] <= tol
         and worst["pointwise_max_error"] <= tol
-        and worst["min_norm_bound_slack"] >= -slack_tol
-        and worst["min_inner_bound_slack"] >= -slack_tol
+        and worst["min_norm_bound_slack"] >= -FUZZ_SLACK_TOL
+        and worst["min_inner_bound_slack"] >= -FUZZ_SLACK_TOL
         and worst["max_permutation_residual"] <= tol
         and worst["max_composition_residual"] <= tol
     )
     write_json(
         out_dir / "fuzz_summary.json",
-        {"seed": seed, "tolerance": tol, "slack_tolerance": slack_tol, "worst": worst,
+        {"seed": seed, "tolerance": tol, "slack_tolerance": FUZZ_SLACK_TOL, "worst": worst,
          "equivalence_instances": len(eq_rows), "inequality_instances": len(ineq_rows),
          "passed": bool(passed)},
     )

@@ -41,19 +41,14 @@ def random_decomposition(rng, max_blocks=4, max_order=3, max_total=10):
             return IntervalDecomposition(lengths)
 
 
-def random_tensors(rng, decomp, dim, symmetric=True, unit_norm=True):
+def random_tensors(rng, decomp, dim, symmetric=True):
+    """One unit-norm Gaussian tensor per block, symmetrized if asked."""
     out = []
     for d in decomp.lengths:
         t = SymTensor(rng.standard_normal((dim,) * d))
         if symmetric:
             t = symmetrize(t)
-        if unit_norm:
-            scale = norm(t)
-            if scale == 0.0:
-                t = SymTensor(np.ones((dim,) * d))
-                scale = norm(t)
-            t = SymTensor(t.entries / scale, symmetric=t.symmetric)
-        out.append(t)
+        out.append(SymTensor(t.entries / norm(t), symmetric=t.symmetric))
     return out
 
 

@@ -50,6 +50,7 @@ COUPLING_RESOLUTION = 16  # coupling quadrature offsets per min(s, t)
 COUPLING_MAX_OFFSETS = 257  # and at most in all
 UPPER_X_COUNT = 17  # window positions x per level of the upper sweep
 UPPER_TREND_TOL = 1.5  # coarsest/finest level sup ratio beyond which the sups trend
+UPPER_DRIFT_TOL = 0.10  # the upper constant must change less than this (relative) under refinement
 LOWER_X_COUNT = 33  # window positions x per level of the lower sweep
 LOWER_MIN_KAPPA = 1e-6  # the lower constant must exceed this
 LOWER_STABILITY_TOL = 0.25  # and change less than this (relative) between its levels
@@ -242,31 +243,23 @@ class GridSpec:
         return h, time_cells
 
     @classmethod
-    def build(cls, spec, steps, left_units=None, per_step=1):
-        """Grid with one u-cell per ``1/per_step`` time step and a left tail.
+    def build(cls, spec, steps, left_units=None):
+        """Grid with one u-cell per time step and a left tail of ``left_units``
+        horizons, cut to GRID_CELL_BUDGET cells.
 
-        ``left_units`` is the truncation depth in units of the horizon; when
-        omitted a default is chosen from the kernel's tail decay (heavier
-        tails get more).  Either is cut to GRID_CELL_BUDGET cells.
+        The default depth is 300 horizons for alpha >= 1/2 and
+        min(1e3^(1/(2 - 2 alpha)), 300) below: the left tail's relative mass
+        falls as (L/T)^-(2 - 2 alpha) in the depth L.
         """
         if left_units is None:
-            p = tail_decay_exponent(spec)
-            # 1e3^(1/p) horizons in [4, 300]; every beta1 = 0 kernel hits 300, where
-            # order >= 2 keeps a large tail (truncation_report): 0.12 of ||A_1||^2 for
-            # Rosenblatt at alpha = 0.7 (0.2 at 30 horizons), 0.37 for Hermite n = 3
-            left_units = min(max(4.0, 1e3 ** (1.0 / p)), 300.0)
-        time_cells = steps * per_step
-        h = spec.horizon / time_cells
+            # every beta1 = 0 kernel has alpha > 1/2 and gets 300, where order >= 2 keeps
+            # a large tail (truncation_report): 0.12 of ||A_1||^2 for Rosenblatt at
+            # alpha = 0.7 (0.2 at 30 horizons), 0.37 for Hermite n = 3
+            left_units = min(1e3 ** (1.0 / max(2.0 - 2.0 * spec.alpha, 1.0)), 300.0)
+        h = spec.horizon / steps
         left_cells = int(math.ceil(left_units * spec.horizon / h))
-        left_cells = min(left_cells, max(GRID_CELL_BUDGET - time_cells, time_cells))
-        return cls(left=left_cells * h, cells=left_cells + time_cells, steps=steps)
-
-
-def tail_decay_exponent(spec):
-    """Decay exponent p of the relative left-tail mass ~ (L/T)^-p."""
-    if spec.beta1 == 0.0:
-        return 1.0 - spec.beta2
-    return 2.0 - 2.0 * spec.alpha
+        left_cells = min(left_cells, max(GRID_CELL_BUDGET - steps, steps))
+        return cls(left=left_cells * h, cells=left_cells + steps, steps=steps)
 
 
 # -- discretization ------------------------------------------------------------
@@ -320,7 +313,12 @@ class KernelDiscretization:
             diff[: lam + 1] -= response[lam::-1]
             var = float(diff @ diff) / beta1**2
         else:
-            var = math.factorial(self.spec.order) * self.norm_sq(self._raw_weights(t_ref), exact=True)
+            try:
+                var = math.factorial(self.spec.order) * self.norm_sq(self._raw_weights(t_ref), exact=True)
+            except ValueError as exc:  # past the span cap: name the ways past it
+                raise ValueError(
+                    f"{exc}; use a smaller grid.left_units, or give kernel.scale to skip the norm"
+                ) from None
         if var <= 0:
             raise ValueError("cannot normalize a degenerate kernel")
         return 1.0 / math.sqrt(var)
@@ -428,10 +426,7 @@ class KernelDiscretization:
             profile = fftconvolve(ws, env[hi::-1])[span - 1 :]
             return float(self.h * np.sum(profile**2))
         if span > EXACT_SPAN_CAP:
-            raise ValueError(
-                f"exact norm: support span {span} exceeds the cap of {EXACT_SPAN_CAP} cells; "
-                f"use a smaller grid.left_units, or give kernel.scale to skip the norm"
-            )
+            raise ValueError(f"exact norm: support span {span} exceeds the cap of {EXACT_SPAN_CAP} cells")
         n = self.spec.order
         q = self.h * _circular(env[lo::-1], _spectrum(env[: lo + span], lo + span))[lo : lo + span]
         total = 0.0
@@ -631,14 +626,15 @@ def _scaling_sweep(increment_norm, alpha, T, levels, x_count):
     return level_stats
 
 
-def upper_scaling_report(kd, alpha=None, levels=None, refined=None, drift_tol=0.10):
+def upper_scaling_report(kd, alpha=None, levels=None, refined=None):
     """Estimate the constant in ||A_{x,s}|| <= kappa s^alpha over a dyadic sweep.
 
     ``refined`` (a finer discretization of the same spec) measures grid
-    sensitivity; a monotone blow-up or collapse of the per-level sups flags a
-    mismatched exponent.  Levels default to 1..7, cut at the finest level
-    the time grid resolves; levels whose window T 2^-j is shorter than one
-    time step are rejected (``_resolved_levels``).
+    sensitivity, which must stay under UPPER_DRIFT_TOL; a monotone blow-up
+    or collapse of the per-level sups flags a mismatched exponent.  Levels
+    default to 1..7, cut at the finest level the time grid resolves; levels
+    whose window T 2^-j is shorter than one time step are rejected
+    (``_resolved_levels``).
     """
     alpha = kd.spec.alpha if alpha is None else alpha
     T = kd.spec.horizon
@@ -659,7 +655,7 @@ def upper_scaling_report(kd, alpha=None, levels=None, refined=None, drift_tol=0.
         stats2 = _scaling_sweep(refined.increment_norm, alpha, T, levels, UPPER_X_COUNT)
         kappa2 = max(v[0] for v in stats2.values())
         drift = abs(kappa2 - kappa) / kappa if kappa > 0 else 0.0
-    passed = math.isfinite(kappa) and not diverging and (drift is None or drift < drift_tol)
+    passed = math.isfinite(kappa) and not diverging and (drift is None or drift < UPPER_DRIFT_TOL)
     return UpperScalingReport(kappa=kappa, worst_x=stats[worst_j][2], worst_s=T * 2.0**-worst_j, level_sups=sups,
                               refinement_drift=drift, diverging=diverging, passed=passed)
 

@@ -27,7 +27,9 @@ LUXEMBURG_REL_TOL = 1e-12  # luxemburg_norm bisection: relative bracket width
 LUXEMBURG_MAX_ITER = 200  # and step limit
 PSUP_RATIO = 1.25  # ratio of consecutive exponents p in psup_norm's grid
 MOMENT_QUANTILE = 0.99  # pooled quantile of moment_growth_report (q99 in moment_quantiles.csv)
-BOOTSTRAP_BLOCK_ENTRIES = 1 << 22  # moment_growth_report: resampled ratios held at once
+BOOTSTRAP_SEED = 0  # moment_growth_report: seed of the path resampling
+BOOTSTRAP_BLOCK_ENTRIES = 1 << 22  # and resampled ratios held at once
+MODULUS_MAX_GAP = 0.5  # modulus_holder_statistic: pairs 0 < |s - t| < this (< 1: positive log weight)
 
 
 @dataclass(frozen=True)
@@ -302,7 +304,6 @@ def moment_growth_report(
     levels=range(5, 11),
     ells=(2, 4, 6, 8),
     bootstrap=200,
-    bootstrap_seed=0,
 ):
     """Quantiles of Y_{l, lag} / (lag^alpha l^e) across paths and dyadic lags.
 
@@ -323,15 +324,14 @@ def moment_growth_report(
         for a, ell in enumerate(ells):
             for b, lag in enumerate(lags):
                 raw[i, a, b] = increment_lp_norm(path, lag, ell) / lag**alpha
-    rng = np.random.default_rng(bootstrap_seed)
+    rng = np.random.default_rng(BOOTSTRAP_SEED)
     block = max(1, BOOTSTRAP_BLOCK_ENTRIES // max(raw.size, 1))  # resamples per quantile call
     by_exponent = {}
     for e in exponents:
         ratios = raw / np.asarray(ells)[None, :, None] ** e
         q = [float(np.quantile(ratios[:, a, :], MOMENT_QUANTILE)) for a in range(len(ells))]
         tau = _kendall(ells, q)
-        picks = [rng.integers(0, len(paths), size=len(paths)) for _ in range(bootstrap)]
-        picks = np.asarray(picks, dtype=np.intp).reshape(bootstrap, len(paths))
+        picks = rng.integers(0, len(paths), size=(bootstrap, len(paths)))
         # one quantile per block of resamples, shaped (resamples, ells, paths * lags)
         taus = []
         for first in range(0, bootstrap, block):
@@ -348,16 +348,13 @@ def moment_growth_report(
     )
 
 
-def modulus_holder_statistic(path, alpha, log_exponent, max_gap=0.5):
+def modulus_holder_statistic(path, alpha, log_exponent):
     """sup over grid pairs of |G(s) - G(t)| / (|s-t|^alpha |log|s-t||^e).
 
-    Pairs are restricted to 0 < |s - t| < ``max_gap`` (< 1 so the log weight
-    is positive).
+    Pairs are restricted to 0 < |s - t| < MODULUS_MAX_GAP.
     """
-    if not 0 < max_gap < 1:
-        raise ValueError("max_gap must lie in (0, 1)")
     step = path.step
-    r_max = int(math.ceil(max_gap / step)) - 1
+    r_max = int(math.ceil(MODULUS_MAX_GAP / step)) - 1
     if r_max < 1:
         raise ValueError("grid too coarse for the gap window")
     v = path.values

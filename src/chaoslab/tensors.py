@@ -108,10 +108,6 @@ class SymTensor:
         return cls(entries.reshape((dim,) * order), dim=dim, symmetric=bool(obj.get("symmetric", False)))
 
     @classmethod
-    def zeros(cls, order, dim):
-        return cls(np.zeros((dim,) * order), dim=dim, symmetric=True)
-
-    @classmethod
     def scalar(cls, value, dim):
         return cls(np.asarray(float(value)), dim=dim, symmetric=True)
 

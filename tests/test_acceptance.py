@@ -226,7 +226,6 @@ def test_criterion_8_moment_growth_shape(rosenblatt_paths):
         levels=range(5, 11),
         ells=(2, 4, 6, 8),
         bootstrap=200,
-        bootstrap_seed=8008,
     )
     main = rep.by_exponent[1.0]
     alt = rep.by_exponent[0.5]

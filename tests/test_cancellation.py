@@ -21,7 +21,7 @@ from chaoslab.tensors import SymTensor, allclose, elementary, norm, tensor_produ
 def test_cancel_empty_is_product_fold():
     rng = np.random.default_rng(0)
     dec = IntervalDecomposition((2, 1, 2))
-    tensors = random_tensors(rng, dec, 3, symmetric=False, unit_norm=False)
+    tensors = [SymTensor(rng.standard_normal((3,) * d)) for d in dec.lengths]
     out = cancel(PairSet(dec, []), tensors)
     expected = tensor_product(tensor_product(tensors[0], tensors[1]), tensors[2])
     assert allclose(out, expected)
@@ -179,7 +179,7 @@ def test_norm_bound_orthogonal_pairing():
 def test_norm_bound_empty_pairset_equality():
     rng = np.random.default_rng(12)
     dec = IntervalDecomposition((2, 1))
-    tensors = random_tensors(rng, dec, 3, symmetric=False, unit_norm=False)
+    tensors = [SymTensor(rng.standard_normal((3,) * d)) for d in dec.lengths]
     assert norm_bound_slack(PairSet(dec, []), tensors) == pytest.approx(0.0, abs=1e-12)
 
 

@@ -381,7 +381,11 @@ def _reference_cases():
     for i in range(30):
         decomp = random_decomposition(rng, max_blocks=4, max_order=3, max_total=8)
         dim = int(rng.integers(2, 4))
-        cases.append(random_tensors(rng, decomp, dim, symmetric=i % 2 == 0, unit_norm=i % 3 != 0))
+        if i % 3:
+            cases.append(random_tensors(rng, decomp, dim, symmetric=i % 2 == 0))
+        else:  # unnormalized draws too
+            raw = [SymTensor(rng.standard_normal((dim,) * d)) for d in decomp.lengths]
+            cases.append([symmetrize(t) for t in raw] if i % 2 == 0 else raw)
     return cases
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -285,6 +286,25 @@ def test_config_top_level_not_an_object_exits_2(tmp_path, capsys, content, argv)
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "command, cfg, extra, message",
+    [
+        ("simulate", {"kernel": {"type": "fbm"}, "grid": {"steps": 16}, "paths": 1}, [], "fbm kernel needs alpha"),
+        ("expand", {"seed": 1}, [], "expand needs 'tensors' or 'fixture'"),
+        ("report", {"paths_dir": "."}, [], "no path-*.csv files"),
+        ("report", {"slope": {"p": 2, "levels": [1, 2]}}, [], "report needs 'paths_dir' or 'simulate'"),
+        ("expand", {"fixture": "counterexample"}, ["--set", "foo"], "--set expects key.path=json_value"),
+    ],
+    ids=["fbm-without-alpha", "expand-without-input", "paths-dir-without-paths", "report-without-paths",
+         "set-without-equals"],
+)
+def test_config_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch, command, cfg, extra, message):
+    monkeypatch.chdir(tmp_path)  # "." holds only the config
+    path = write_config(tmp_path, "cfg.json", cfg)
+    err = _assert_clean_exit_2([command, "--config", path, "--out-dir", str(tmp_path / "o"), *extra], capsys)
+    assert err.startswith("chaoslab: config error: ") and message in err
+
+
 def test_set_through_scalar_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "cfg.json", {"fixture": "counterexample", "seed": 1})
     _assert_clean_exit_2(
@@ -401,6 +421,20 @@ def test_config_schemas_are_valid_schemas():
         cli._STRICT_INTEGERS.check_schema(schema)
 
 
+def test_readme_names_every_config_key():
+    # a key counts as named when it is a word of a README code span, inline or fenced
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    spans = re.findall(r"```.*?```|`[^`\n]+`", readme, flags=re.S)
+    words = {w for span in spans for w in re.findall(r"\w+", span)}
+    keys = set()
+    nodes = list(cli.CONFIG_SCHEMAS.values())
+    while nodes:
+        properties = nodes.pop().get("properties", {})
+        keys.update(properties)
+        nodes.extend(properties.values())
+    assert sorted(keys - words) == []
+
+
 def test_validate_raises_the_error_jsonschema_validate_raises():
     bad = [
         ("simulate", {**_TINY_FBM, "paths": 2.0}),
@@ -454,6 +488,37 @@ def test_kernel_key_its_type_ignores_exits_2(tmp_path, capsys, kernel, key):
     assert f"config error: {kernel['type']} kernel takes" in err and key in err
 
 
+@pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        ("verify", {"kernel": {"type": "fbm", "alpha": 0.75}, "grid": {"steps": 64}, "drift_tolerance": 0.2},
+         "drift_tolerance"),
+        ("report", {"paths_dir": "p", "modulus": {"alpha": 0.5, "log_exponent": 1.0, "growth_tolerance": 3.0}},
+         "growth_tolerance"),
+        ("fuzz", {"seed": 1, "slack_tolerance": 1e-9}, "slack_tolerance"),
+    ],
+    ids=["verify-drift", "report-growth", "fuzz-slack"],
+)
+def test_fixed_tolerance_keys_exit_2(tmp_path, capsys, command, cfg, key):
+    # the refinement drift, modulus growth and bound slack tolerances are constants
+    path = write_config(tmp_path, "cfg.json", cfg)
+    err = _assert_clean_exit_2([command, "--config", path, "--out-dir", str(tmp_path / "o")], capsys)
+    assert "config error" in err and key in err
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [{"type": "hermite", "order": 3, "alpha": 0.99}, {"type": "fbm", "alpha": 0.999}],
+    ids=["hermite3-0.99", "fbm-0.999"],
+)
+def test_default_depth_near_alpha_1_runs(tmp_path, kernel):
+    # 2 - 2 alpha is tiny here; the default depth is 300 horizons, as for every alpha >= 1/2
+    cfg = write_config(tmp_path, "cfg.json", {"kernel": kernel, "grid": {"steps": 16}, "paths": 1})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 0
+    assert read_json(out / "run.json")["grid"] == {"left": 300.0, "cells": 4816, "steps": 16}
+
+
 def test_exact_norm_span_cap_names_the_ways_past_it(tmp_path, capsys):
     # order 2 with beta1 != 0: the weights span every cell, 300 horizons deep by default
     kernel = {"type": "custom", "order": 2, "beta1": -0.1, "beta2": 0.8}
@@ -487,6 +552,7 @@ def test_verify_truncation_past_the_span_cap_is_unresolved(tmp_path, monkeypatch
     assert main(["verify", "--config", cfg, "--out-dir", str(out)]) == 0
     report = read_json(out / "verify_report.json")
     assert "exceeds the cap of 16 cells" in report["truncation"]["unresolved"]
+    assert "kernel.scale" not in report["truncation"]["unresolved"]  # the config gives it already
 
 
 def test_paths_past_10000_load_in_index_order(tmp_path):

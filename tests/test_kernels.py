@@ -24,7 +24,6 @@ from chaoslab.kernels import (
     increment_coupling,
     lower_scaling_report,
     overlap_scaling_report,
-    tail_decay_exponent,
     truncation_report,
     upper_scaling_report,
 )
@@ -154,6 +153,24 @@ def test_grid_build_budget():
     grid = GridSpec.build(spec, steps=128, left_units=1e6)
     assert grid.cells == GRID_CELL_BUDGET
     assert grid.validate(spec.horizon)[1] == 128
+
+
+@pytest.mark.parametrize(
+    "spec, steps, left, cells",
+    [
+        (HermiteKernelSpec.fbm(0.3), 1024, 138.9501953125, 143_309),  # 1e3^(1/1.4) horizons
+        (HermiteKernelSpec.hermite(2, 0.7), 1024, 300.0, 308_224),
+        (HermiteKernelSpec.fbm(0.5), 2**14, 243.140625, GRID_CELL_BUDGET),  # cut to the budget
+        (HermiteKernelSpec.hermite(3, 0.99), 16, 300.0, 4816),
+        (HermiteKernelSpec.fbm(0.999), 16, 300.0, 4816),
+    ],
+    ids=["fbm-0.3", "rosenblatt", "budget", "hermite3-0.99", "fbm-0.999"],
+)
+def test_default_depth(spec, steps, left, cells):
+    # 300 horizons for alpha >= 1/2, else min(1e3^(1/(2 - 2 alpha)), 300), cut to the cell budget;
+    # near alpha = 1 the exponent 2 - 2 alpha is tiny and must not overflow the power
+    grid = GridSpec.build(spec, steps=steps)
+    assert (grid.left, grid.cells, grid.steps) == (left, cells, steps)
 
 
 # -- discretization ---------------------------------------------------------------
@@ -446,7 +463,8 @@ def _truncation(spec, steps, left_units=None):
 
 def test_tail_decay_exponent_and_truncation_report():
     spec = HermiteKernelSpec.fbm(0.3)
-    assert tail_decay_exponent(spec) == pytest.approx(2 - 2 * 0.3)
+    # the default depth is 1e3^(1/p) horizons for the tail decay exponent p = 2 - 2 alpha
+    assert GridSpec.build(spec, steps=64).left == pytest.approx(1e3 ** (1 / (2 - 2 * 0.3)), rel=1e-3)
     rep = _truncation(spec, 64, 20.0)
     assert 0 <= rep["relative_tail"] < 0.05
     rep2 = _truncation(HermiteKernelSpec.hermite(2, 0.7), 64, 30.0)

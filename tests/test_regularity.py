@@ -336,9 +336,11 @@ def test_modulus_low_exponent_inflates_more():
 
 
 def test_modulus_validation():
-    path = make_path(np.zeros(5), horizon=1.0)
-    with pytest.raises(ValueError):
-        modulus_holder_statistic(path, 0.5, 0.5, max_gap=1.5)
+    # steps of 1/2 leave no pair closer than the gap window of 1/2
+    path = make_path(np.zeros(3), horizon=1.0)
+    with pytest.raises(ValueError, match="too coarse"):
+        modulus_holder_statistic(path, 0.5, 0.5)
+    assert modulus_holder_statistic(make_path(np.zeros(5), horizon=1.0), 0.5, 0.5) == 0.0
 
 
 # -- PathSample ---------------------------------------------------------------------------

@@ -80,8 +80,10 @@ def direct_path(kd, xi):
 )
 def test_short_transforms_do_not_alias(spec, steps, per_step):
     # cells >> time_cells: the short transforms are far shorter than 2 cells
-    grid = GridSpec.build(spec, steps=steps, left_units=60, per_step=per_step)
-    kd = KernelDiscretization(spec, grid)
+    kd = KernelDiscretization(spec, GridSpec.build(spec, steps=steps, left_units=60))
+    if per_step == 2:  # two u-cells per time step, as in verify's refinement
+        kd = kd.refined()
+    assert kd.per_step == per_step
     assert kd.cells > 50 * kd.time_cells
     xi = np.random.default_rng(steps + per_step).standard_normal(kd.cells)
     values = sample_path_values(kd, xi)
