@@ -59,6 +59,7 @@ QUAD_TAIL_CELLS = 128  # log-spaced cells left of -2s
 QUAD_TAIL_FACTOR = 1e4  # the tail reaches QUAD_TAIL_FACTOR^(1/(1 - beta1)) * s
 EDGE_TOL = 1e-14  # t is the cell edge k h when |k h - t| <= EDGE_TOL * t
 GRID_CELL_BUDGET = 4_000_000  # most cells GridSpec.build puts on a grid
+WINDOW_CHUNK_POINTS = 1 << 18  # transform points per chunk of blocks in a windowed convolution
 
 
 # -- FFT convolution -------------------------------------------------------------
@@ -81,20 +82,6 @@ def _fast_len(n):
     return best
 
 
-def _spectrum(x, length):
-    """(n, rfft of ``x`` at length n) for the shortest fast n >= ``length``."""
-    n = _fast_len(length)
-    return n, rfft(x, n)
-
-
-def _circular(x, spectrum):
-    """Circular convolution of ``x`` with the filter whose (n, rfft) is given."""
-    n, hat = spectrum
-    out = rfft(x, n)
-    out *= hat
-    return irfft(out, n)
-
-
 def fftconvolve(a, b):
     """Full linear convolution of two 1-D float arrays, bitwise equal to
     ``scipy.signal.fftconvolve(a, b)``, which also multiplies directly when
@@ -102,7 +89,55 @@ def fftconvolve(a, b):
     if a.size == 1 or b.size == 1:
         return a * b
     length = a.size + b.size - 1
-    return _circular(a, _spectrum(b, length))[:length]
+    n = _fast_len(length)
+    out = rfft(a, n)
+    out *= rfft(b, n)
+    return irfft(out, n)[:length]
+
+
+def _window_spectra(g, first, width):
+    """(n, block spectra) for outputs first .. first + width - 1 of x (*) g,
+    by sectioned convolution (Stockham, AFIPS 1966).
+
+    x is cut into blocks of ``width`` cells ending at first + width; block j,
+    counted leftwards from 0, holds x[first - j w : first - j w + w] and meets
+    only g[(j - 1) w : (j + 1) w] (zero left of 0), since every lag a window
+    output needs from it lies in (j w - w, j w + w).  The spectra hold that
+    segment's rfft at n = _fast_len(2 w) per block, in the blocks' order in x:
+    a block's product is then wrap-free at [w, 2 w), where the window is read.
+    Blocks left of x[0] or meeting only zeros of g are left out.
+    """
+    count = min(-(-first // width), -(-g.size // width)) + 1
+    padded = np.zeros((count + 1) * width)
+    padded[width : width + min(g.size, count * width)] = g[: count * width]
+    segments = np.lib.stride_tricks.sliding_window_view(padded, 2 * width)[::width][::-1]
+    n = _fast_len(2 * width)
+    step = max(1, WINDOW_CHUNK_POINTS // n)
+    hats = np.empty((count, n // 2 + 1), dtype=complex)
+    for i in range(0, count, step):
+        hats[i : i + step] = rfft(segments[i : i + step], n)
+    return n, hats
+
+
+def _windowed(x, first, width, spectra):
+    """Outputs first .. first + width - 1 of the linear convolution x (*) g,
+    for ``spectra`` = ``_window_spectra(g, first, width)``: the block spectra
+    of x times those of g, summed, then one inverse transform."""
+    n, hats = spectra
+    count = hats.shape[0]
+    lo = first - (count - 1) * width  # x index where the leftmost block starts
+    seg = x[max(lo, 0) : first + width]
+    if seg.size < count * width:  # the leftmost block starts left of x[0], or x ends inside the window
+        left = max(-lo, 0)
+        seg = np.concatenate((np.zeros(left), seg, np.zeros(count * width - left - seg.size)))
+    blocks = seg.reshape(count, width)
+    step = max(1, WINDOW_CHUNK_POINTS // n)
+    total = np.zeros(n // 2 + 1, dtype=complex)
+    for i in range(0, count, step):
+        part = rfft(blocks[i : i + step], n)
+        part *= hats[i : i + step]
+        total += part.sum(axis=0)
+    return irfft(total, n)[width : 2 * width]
 
 
 # -- analytic ingredients -----------------------------------------------------
@@ -296,7 +331,7 @@ class KernelDiscretization:
         X_t = sum_i xi_i (F[lam + k - i] - F[lam - i]) / beta1 for the
         folded response F = ``filter_response`` and lam = left_cells, with
         F[r] = 0 for r < 0; the variance is then an O(cells) sum over F,
-        which the sampler's spectrum is built from.  Every other kernel and
+        which the sampler's filter window is built from.  Every other kernel and
         horizon takes the exact norm (``norm_sq``).
         """
         if self.spec.scale is not None:
@@ -345,19 +380,16 @@ class KernelDiscretization:
         """Stationary envelope Gram: entry m is h * sum_j env[j] env[j+m]."""
         return self.h * fftconvolve(self.envelope, self.envelope[::-1])[self.cells - 1 :]
 
-    # path-sampling spectra ------------------------------------------------------
+    # path-sampling windows -------------------------------------------------------
 
     @cached_property
-    def envelope_spectrum(self):
-        """(n, rfft of the envelope at length n) for the sampler's envelope
-        convolution with one value per cell.
-
-        The circular convolution equals the linear one on every u-cell a path
-        reads: the cells in [0, T] at beta1 = 0 (n >= cells + time_cells - 1),
-        all cells otherwise (n >= 2 cells - 1).
-        """
-        read = self.time_cells if self.spec.beta1 == 0.0 else self.cells
-        return _spectrum(self.envelope, self.cells + read - 1)
+    def envelope_window(self):
+        """(first, width, spectra) of the sampler's envelope convolution, for
+        ``_windowed``: the u-cells a path reads, those in [0, T] at beta1 = 0,
+        every cell otherwise (one block).  At beta1 = 0 the exact scale's Q_m
+        correlation at t = T has the same window and builds it."""
+        first, width = (self.left_cells, self.time_cells) if self.spec.beta1 == 0.0 else (0, self.cells)
+        return first, width, _window_spectra(self.envelope, first, width)
 
     @cached_property
     def filter_response(self):
@@ -380,11 +412,12 @@ class KernelDiscretization:
         return filt
 
     @cached_property
-    def filter_spectrum(self):
-        """(n, rfft of ``filter_response`` at length n).  At n >= cells +
-        time_cells the outputs left_cells + k, k = 0..time_cells, are free
-        of wrap-around."""
-        return _spectrum(self.filter_response, self.cells + self.time_cells)
+    def filter_window(self):
+        """(first, width, spectra) of the sampler's filter convolution
+        (beta1 != 0), for ``_windowed``: outputs left_cells + k,
+        k = 0..time_cells, convolved with ``filter_response``."""
+        first, width = self.left_cells, self.time_cells + 1
+        return first, width, _window_spectra(self.filter_response, first, width)
 
     def pair_inner(self, wa, wb):
         """<A, B> for two weight vectors, via the stationary Gram."""
@@ -409,9 +442,10 @@ class KernelDiscretization:
         sum_u w_u env[u - i], one convolution of the support with
         env[:hi + 1].  At order n >= 2 the exact Gram
         gram(u, u + m) = h * sum_{k <= u} env[k] env[k + m] is Q_m, the sum
-        over k <= lo (one correlation of env[lo::-1] with env[:lo + span],
-        wrap-free at length lo + span), plus a prefix sum over k in (lo, u]
-        read inside the support; this needs a compact support.
+        over k <= lo, plus a prefix sum over k in (lo, u] read inside the
+        support; this needs a compact support.  Q_m is output lo + m of
+        env[lo::-1] (*) env, the window (lo, span) of ``_windowed``; at
+        beta1 = 0 and t = T that is the sampler's ``envelope_window``.
         """
         if not exact:
             return self.pair_inner(w, w)
@@ -428,7 +462,11 @@ class KernelDiscretization:
         if span > EXACT_SPAN_CAP:
             raise ValueError(f"exact norm: support span {span} exceeds the cap of {EXACT_SPAN_CAP} cells")
         n = self.spec.order
-        q = self.h * _circular(env[lo::-1], _spectrum(env[: lo + span], lo + span))[lo : lo + span]
+        if self.spec.beta1 == 0.0 and (lo, span) == (self.left_cells, self.time_cells):
+            window = self.envelope_window
+        else:
+            window = (lo, span, _window_spectra(env, lo, span))
+        q = self.h * _windowed(env[lo::-1], *window)
         total = 0.0
         for m in range(span):
             seg = env[lo + 1 : hi + 1 - m] * env[lo + 1 + m : hi + 1]

@@ -30,6 +30,7 @@ MOMENT_QUANTILE = 0.99  # pooled quantile of moment_growth_report (q99 in moment
 BOOTSTRAP_SEED = 0  # moment_growth_report: seed of the path resampling
 BOOTSTRAP_BLOCK_ENTRIES = 1 << 22  # and resampled ratios held at once
 MODULUS_MAX_GAP = 0.5  # modulus_holder_statistic: pairs 0 < |s - t| < this (< 1: positive log weight)
+MODULUS_BLOCK_DIVISOR = 16  # and lags [a, a + a // this] share one bound
 
 
 @dataclass(frozen=True)
@@ -351,17 +352,44 @@ def moment_growth_report(
 def modulus_holder_statistic(path, alpha, log_exponent):
     """sup over grid pairs of |G(s) - G(t)| / (|s-t|^alpha |log|s-t||^e).
 
-    Pairs are restricted to 0 < |s - t| < MODULUS_MAX_GAP.
+    Pairs are restricted to 0 < |s - t| < MODULUS_MAX_GAP.  The lags r are
+    cut into blocks [a, a + a // MODULUS_BLOCK_DIVISOR].  spread(b), the
+    largest max - min over b + 1 consecutive values (from sparse tables of
+    running maxima and minima), bounds every |v[i + r] - v[i]| with r <= b,
+    also as computed floats, since rounding is monotone; so does
+    spread(b) / (least denominator in the block) bound the block's ratios.
+    Blocks are visited by decreasing bound, and a block is scanned only
+    while its bound exceeds the best ratio so far.  The result is bitwise
+    the maximum over every lag's ratio.
     """
     step = path.step
     r_max = int(math.ceil(MODULUS_MAX_GAP / step)) - 1
     if r_max < 1:
         raise ValueError("grid too coarse for the gap window")
     v = path.values
+    lags = min(r_max, v.size - 1)
+    denoms = [0.0] + [(r * step) ** alpha * abs(math.log(r * step)) ** log_exponent for r in range(1, lags + 1)]
+    highs, lows = [v], [v]  # level k: max / min of v[i : i + 2^k]
+    while 2 ** len(highs) <= lags + 1:
+        k = 2 ** (len(highs) - 1)
+        highs.append(np.maximum(highs[-1][:-k], highs[-1][k:]))
+        lows.append(np.minimum(lows[-1][:-k], lows[-1][k:]))
+    blocks = []
+    a = 1
+    while a <= lags:
+        b = min(a + a // MODULUS_BLOCK_DIVISOR, lags)
+        k = (b + 1).bit_length() - 1  # windows v[i : i + b + 1] as two overlapping 2^k windows
+        starts = v.size - b
+        shift = b + 1 - 2**k
+        top = np.maximum(highs[k][:starts], highs[k][shift : shift + starts])
+        bottom = np.minimum(lows[k][:starts], lows[k][shift : shift + starts])
+        blocks.append((float(np.max(top - bottom)) / min(denoms[a : b + 1]), a, b))
+        a = b + 1
     best = 0.0
-    for r in range(1, min(r_max, v.size - 1) + 1):
-        gap = r * step
-        peak = float(np.max(np.abs(v[r:] - v[:-r])))
-        denom = gap**alpha * abs(math.log(gap)) ** log_exponent
-        best = max(best, peak / denom)
+    for bound, a, b in sorted(blocks, reverse=True):
+        if bound <= best:
+            break
+        for r in range(a, b + 1):
+            peak = float(np.max(np.abs(v[r:] - v[:-r])))
+            best = max(best, peak / denoms[r])
     return best

@@ -6,24 +6,26 @@ path to one envelope convolution (all inner products at once), a Hermite
 transform per u-cell, and one filter convolution (all time points at once);
 the filter convolution degenerates to a cumulative sum for compact filters.
 
-Both convolutions are circular, against spectra the discretization computes
-once per process (``KernelDiscretization.envelope_spectrum`` and
-``filter_spectrum``).  The spectra and the circular convolution
-(``_circular``) live in the FFT layer of ``kernels``, which also serves the
-Gram sums.  Each spectrum has the shortest fast length that keeps every output
-a path reads free of wrap-around: a compact filter reads only the u-cells in
-[0, T], and the filter convolution is read only at the grid times.  A path
-thus costs two real transforms per convolution.  At order 1 the Hermite
-transform is the identity, so for a non-compact filter the two convolutions
-fold into one against the envelope-filter response
-``KernelDiscretization.filter_response``.  The t-independent (-u)_+ half of a
-non-compact filter is the t = 0 output of the same convolution, so every path
-starts at exactly 0.
+Each convolution is read only on a window of its outputs: the u-cells in
+[0, T] for the envelope convolution at beta1 = 0 (the compact filter's sum
+reads no other), every u-cell for it otherwise, and the grid times for the
+filter convolution.  Both are sectioned convolutions over that window
+(``_windowed`` in the FFT layer of ``kernels``, which also serves the Gram
+sums), against block spectra the discretization builds once per process
+(``KernelDiscretization.envelope_window`` and ``filter_window``): the cells
+left of the window are cut into blocks of its width, each transformed at
+about twice the width, so a path never transforms at the full grid length
+unless it reads the whole grid.  At order 1 the Hermite transform is the
+identity, so for a non-compact filter the two convolutions fold into one
+against the envelope-filter response ``KernelDiscretization.filter_response``.
+The t-independent (-u)_+ half of a non-compact filter is the t = 0 output of
+the same convolution, so every path starts at exactly 0.
 
 Every call samples in ``min(workers, count)`` worker processes that inherit
-the caller's discretization.  The caller computes the scale first: at order 1
-with a non-compact filter it reads the folded response, which the workers then
-inherit and only transform; the spectra are built in the workers alone.  Each
+the caller's discretization.  The caller computes the scale first, and the
+workers inherit what it built: at beta1 = 0 the exact norm's Q_m correlation
+builds the envelope window, and at order 1 with a non-compact filter the scale
+reads the folded response.  Every other window is built in the workers.  Each
 path owns stream ``(seed, stream_index)`` of a counter-based generator, so a
 path is bitwise the same for any worker count.
 """
@@ -38,7 +40,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .chaos import hermite_he, philox_stream
-from .kernels import KernelDiscretization, _circular
+from .kernels import KernelDiscretization, _windowed
 from .kernels import fftconvolve  # noqa: F401  (chaosbench/bench_trace.py hooks this name)
 from .regularity import PathSample
 
@@ -50,13 +52,14 @@ def provenance_tag(spec, grid):
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _wick_profile(kd, xi, first):
-    """Per-u-cell Hermite transform |phi_u|^n He_n(<phi_u, xi>/|phi_u|) for
-    the u-cells from ``first`` on."""
+def _wick_profile(kd, xi):
+    """Per-u-cell Hermite transform |phi_u|^n He_n(<phi_u, xi>/|phi_u|) on
+    the u-cells of the envelope window."""
     n = kd.spec.order
-    z = _circular(xi, kd.envelope_spectrum)[first : kd.cells]
+    first, width, spectra = kd.envelope_window
+    z = _windowed(xi, first, width, spectra)
     z *= math.sqrt(kd.h)
-    norms = np.sqrt(kd.envelope_norm_sq[first:])
+    norms = np.sqrt(kd.envelope_norm_sq[first : first + width])
     return norms**n * hermite_he(n, z / norms)
 
 
@@ -65,19 +68,18 @@ def sample_path_values(kd, xi):
     xi = np.asarray(xi, dtype=float)
     if xi.size != kd.cells:
         raise ValueError(f"need one Gaussian per cell ({kd.cells}), got {xi.size}")
-    scale = kd.scale  # before the spectra, so the scale is computed without them in memory
+    scale = kd.scale  # first: it may build a window the sampler then reuses
     offsets = kd.per_step * np.arange(kd.grid.steps + 1)  # grid times, in cells
-    lam = kd.left_cells
     beta1 = kd.spec.beta1
     if beta1 == 0.0:
-        csum = np.concatenate(([0.0], np.cumsum(_wick_profile(kd, xi, lam))))
+        csum = np.concatenate(([0.0], np.cumsum(_wick_profile(kd, xi))))
         return scale * kd.h * csum[offsets]
-    # at order 1 the envelope is folded into the filter spectrum
-    b = xi if kd.spec.order == 1 else _wick_profile(kd, xi, 0)
-    conv = _circular(b, kd.filter_spectrum)
-    # conv[lam] is the t-independent (-u)_+ half of the filter; subtracted
-    # as values[0] - values, so that t = 0 gives +0.0 (not -0.0) for beta1 < 0
-    values = conv[lam + offsets]
+    # at order 1 the envelope is folded into the filter response
+    b = xi if kd.spec.order == 1 else _wick_profile(kd, xi)
+    # output 0 of the window is the t-independent (-u)_+ half of the filter;
+    # subtracted as values[0] - values, so that t = 0 gives +0.0 (not -0.0)
+    # for beta1 < 0
+    values = _windowed(b, *kd.filter_window)[offsets]
     return (scale / -beta1) * (values[0] - values)
 
 
@@ -114,8 +116,8 @@ def sample_paths(spec, grid, count, seed, workers=1, first_stream=0, kd=None):
     workers = min(workers, count)
     # Workers inherit kd: under fork without a copy, under spawn or forkserver
     # pickled once each.  Its scale is computed first so that every worker
-    # gets it, with the folded response it may build; the spectra are built
-    # only in the workers.
+    # gets it, with the window or folded response it may build; the other
+    # windows are built only in the workers.
     kd.scale
     values = [None] * count
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(kd,)) as pool:

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import csv
 import functools
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 import chaoslab
 from chaoslab import cli
 from chaoslab.cli import _load_paths, main, make_grid, make_spec, write_csv, write_json
-from chaoslab.kernels import KernelDiscretization
+from chaoslab.kernels import KernelDiscretization, _window_spectra
 from chaoslab.regularity import BesovLevel, BesovSeminormReport, PathSample
 from chaoslab.tensors import SymTensor
 
@@ -181,11 +182,14 @@ def test_report_with_inline_simulation_and_tolerance(tmp_path):
 def test_simulate_computes_scale_once(tmp_path, monkeypatch):
     # Rosenblatt: one exact norm.  fBm alpha = 0.3 (beta1 != 0): no norm; the
     # folded response the scale reads is built once, in this process, and
-    # the workers inherit it
+    # the workers inherit it.  Window spectra: Rosenblatt's envelope window
+    # is built once, by the scale in this process, and the workers inherit
+    # it; fBm's filter window is built once in each worker.
     norm_sq = KernelDiscretization.norm_sq
     response = KernelDiscretization.filter_response
     calls = []
     builds = tmp_path / "builds.txt"
+    windows = tmp_path / "windows.txt"
 
     def counted(self, *args, **kwargs):
         calls.append(args)
@@ -196,26 +200,37 @@ def test_simulate_computes_scale_once(tmp_path, monkeypatch):
             fh.write(f"{os.getpid()}\n")
         return response.func(self)
 
+    def counted_windows(*args):
+        with open(windows, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return _window_spectra(*args)
+
     counted_response = functools.cached_property(built)
     counted_response.__set_name__(KernelDiscretization, "filter_response")
     monkeypatch.setattr(KernelDiscretization, "norm_sq", counted)
     monkeypatch.setattr(KernelDiscretization, "filter_response", counted_response)
-    kernels = {"rosenblatt": ({"type": "hermite", "order": 2, "alpha": 0.7}, 1, 0),
-               "fbm": ({"type": "fbm", "alpha": 0.3}, 0, 1)}
+    monkeypatch.setattr("chaoslab.kernels._window_spectra", counted_windows)
+    # (kernel, norms, responses, windows in this process, windows per worker)
+    kernels = {"rosenblatt": ({"type": "hermite", "order": 2, "alpha": 0.7}, 1, 0, 1, 0),
+               "fbm": ({"type": "fbm", "alpha": 0.3}, 0, 1, 0, 1)}
     grid = {"steps": 128, "left_units": 10}
     scales = {}
-    for name, (kernel, norms, responses) in kernels.items():
+    for name, (kernel, norms, responses, caller_windows, worker_windows) in kernels.items():
         cfg = write_config(tmp_path, f"{name}.json", {"kernel": kernel, "grid": grid, "paths": 4, "seed": 2})
         for workers in ("1", "2"):
             calls.clear()
             builds.write_text("")
+            windows.write_text("")
             out = tmp_path / f"{name}-w{workers}"
             assert main(["simulate", "--config", cfg, "--out-dir", str(out), "--workers", workers]) == 0
             assert len(calls) == norms
             assert builds.read_text().split() == [str(os.getpid())] * responses
+            pids = collections.Counter(windows.read_text().split())
+            assert pids.pop(str(os.getpid()), 0) == caller_windows
+            assert list(pids.values()) == [worker_windows] * (int(workers) if worker_windows else 0)
         scales[name] = read_json(out / "run.json")["scale"]
     monkeypatch.undo()
-    for name, (kernel, _, _) in kernels.items():
+    for name, (kernel, *_) in kernels.items():
         spec = make_spec(kernel)
         assert scales[name].hex() == KernelDiscretization(spec, make_grid(grid, spec)).scale.hex()
 

@@ -13,6 +13,8 @@ from chaoslab.kernels import (
     HermiteKernelSpec,
     KernelDiscretization,
     _fast_len,
+    _window_spectra,
+    _windowed,
     continuum_norm_sq,
     coupling_integral,
     coupling_scaling_report,
@@ -553,6 +555,40 @@ def test_fftconvolve_is_bitwise_scipy():
         for x, y in ((a, b), (a, b[::-1]), (a[::-1], b)):
             ours, ref = fftconvolve(x, y), scipy_fftconvolve(x, y)
             assert ours.shape == ref.shape and ours.tobytes() == ref.tobytes(), (na, nb)
+
+
+@pytest.mark.parametrize("chunk_points", [None, 64])
+def test_windowed_matches_np_convolve(chunk_points, monkeypatch):
+    # outputs first .. first + width - 1 of x (*) g; 64 points per chunk
+    # splits the blocks into chunks of one to four
+    if chunk_points is not None:
+        monkeypatch.setattr("chaoslab.kernels.WINDOW_CHUNK_POINTS", chunk_points)
+    rng = np.random.default_rng(21)
+    cases = [  # (first, width, x size, g size)
+        (0, 9, 40, 40),  # one block
+        (0, 1, 5, 5),
+        (3, 8, 40, 40),  # first < width
+        (45, 8, 60, 70),  # first not a multiple of width
+        (48, 8, 60, 70),  # and a multiple
+        (40, 8, 45, 100),  # x ends inside the window
+        (40, 8, 30, 100),  # x ends before it
+        (64, 8, 100, 20),  # g shorter than first + width
+        (64, 16, 100, 5),  # g shorter than width
+        (1000, 1, 1001, 1001),  # width 1: 1001 blocks
+    ]
+    cases += [tuple(int(v) for v in rng.integers((0, 1, 1, 1), (300, 60, 400, 400))) for _ in range(200)]
+    for first, width, nx, ng in cases:
+        x, g = rng.standard_normal(nx), rng.standard_normal(ng)
+        full = np.concatenate((np.convolve(x, g), np.zeros(first + width)))
+        ref = full[first : first + width]
+        out = _windowed(x, first, width, _window_spectra(g, first, width))
+        assert out.shape == (width,)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref), initial=0.0), (first, width, nx, ng)
+    # reversed views, as norm_sq passes env[lo::-1]
+    x = rng.standard_normal(50)[::-1]
+    out = _windowed(x[30::-1], 30, 12, _window_spectra(x, 30, 12))
+    ref = np.convolve(x[30::-1], x)[30:42]
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_fast_len_is_scipy_next_fast_len():

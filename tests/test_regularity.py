@@ -13,6 +13,7 @@ from chaoslab.regularity import (
     dyadic_besov_seminorm,
     increment_lp_norm,
     luxemburg_norm,
+    MODULUS_MAX_GAP,
     modulus_holder_statistic,
     moment_growth_report,
     psup_norm,
@@ -341,6 +342,60 @@ def test_modulus_validation():
     with pytest.raises(ValueError, match="too coarse"):
         modulus_holder_statistic(path, 0.5, 0.5)
     assert modulus_holder_statistic(make_path(np.zeros(5), horizon=1.0), 0.5, 0.5) == 0.0
+
+
+def modulus_by_every_lag(path, alpha, log_exponent):
+    """The statistic by a scan of every lag: the reference the pruned scan
+    must equal bitwise."""
+    step = path.step
+    r_max = int(math.ceil(MODULUS_MAX_GAP / step)) - 1
+    if r_max < 1:
+        raise ValueError("grid too coarse for the gap window")
+    v = path.values
+    best = 0.0
+    for r in range(1, min(r_max, v.size - 1) + 1):
+        gap = r * step
+        peak = float(np.max(np.abs(v[r:] - v[:-r])))
+        denom = gap**alpha * abs(math.log(gap)) ** log_exponent
+        best = max(best, peak / denom)
+    return best
+
+
+def test_modulus_pruned_scan_is_bitwise_every_lag():
+    rng = np.random.default_rng(2024)
+    kinds = {
+        "white noise": lambda k: rng.standard_normal(k + 1),
+        "random walk": lambda k: np.concatenate(([0.0], np.cumsum(rng.standard_normal(k)))),
+        "chi-square walk": lambda k: np.concatenate(([0.0], np.cumsum(rng.standard_normal(k) ** 2 - 1.0))),
+        "constant": lambda k: np.full(k + 1, -1.5),
+    }
+    coarse = 0
+    for i in range(240):
+        kind = list(kinds)[i % len(kinds)]
+        steps = int(rng.integers(3, 2049))
+        # every fifth grid has steps of 0.2 to 0.9: a lag or two, or too coarse
+        horizon = steps * rng.uniform(0.2, 0.9) if i % 5 == 0 else float(rng.choice([1.0, rng.uniform(0.2, 4.0)]))
+        path = make_path(kinds[kind](steps) * rng.uniform(1e-3, 1e3), horizon=horizon)
+        alpha, e = rng.uniform(0.01, 0.99), (0.0, 0.5, 1.0, 2.0)[i % 4]
+        if path.step >= MODULUS_MAX_GAP:
+            coarse += 1
+            for statistic in (modulus_by_every_lag, modulus_holder_statistic):
+                with pytest.raises(ValueError, match="too coarse"):
+                    statistic(path, alpha, e)
+            continue
+        assert modulus_holder_statistic(path, alpha, e) == modulus_by_every_lag(path, alpha, e), (i, kind)
+    assert 10 < coarse < 40
+    # the three smallest grids: 3 steps, one and no lag in the gap window
+    for steps, horizon in ((3, 1.0), (3, 1.4), (3, 1.6)):
+        path = make_path(rng.standard_normal(steps + 1), horizon=horizon)
+        if path.step < MODULUS_MAX_GAP:
+            assert modulus_holder_statistic(path, 0.5, 1.0) == modulus_by_every_lag(path, 0.5, 1.0)
+        else:
+            with pytest.raises(ValueError, match="too coarse"):
+                modulus_holder_statistic(path, 0.5, 1.0)
+    # 2^16 steps: 32,767 lags, where scanning every lag takes seconds
+    walk = make_path(np.concatenate(([0.0], np.cumsum(rng.standard_normal(1 << 16)))) * 2.0**-11)
+    assert modulus_holder_statistic(walk, 0.5, 1.0) == modulus_by_every_lag(walk, 0.5, 1.0)
 
 
 # -- PathSample ---------------------------------------------------------------------------

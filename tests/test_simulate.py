@@ -1,3 +1,4 @@
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 
@@ -79,16 +80,20 @@ def direct_path(kd, xi):
     ids=["order1", "order2", "order3", "beta1-negative", "beta1-positive", "order2-beta1-negative"],
 )
 def test_short_transforms_do_not_alias(spec, steps, per_step):
-    # cells >> time_cells: the short transforms are far shorter than 2 cells
-    kd = KernelDiscretization(spec, GridSpec.build(spec, steps=steps, left_units=60))
-    if per_step == 2:  # two u-cells per time step, as in verify's refinement
-        kd = kd.refined()
-    assert kd.per_step == per_step
-    assert kd.cells > 50 * kd.time_cells
-    xi = np.random.default_rng(steps + per_step).standard_normal(kd.cells)
-    values = sample_path_values(kd, xi)
-    reference = direct_path(kd, xi)
-    assert np.max(np.abs(values - reference)) <= 1e-12 * np.max(np.abs(reference))
+    # cells >> time_cells: the short transforms are far shorter than 2 cells.
+    # At 60.5 horizons the leftmost block of either window is partial.
+    for left_units in (60, 60.5):
+        kd = KernelDiscretization(spec, GridSpec.build(spec, steps=steps, left_units=left_units))
+        if per_step == 2:  # two u-cells per time step, as in verify's refinement
+            kd = kd.refined()
+        assert kd.per_step == per_step
+        assert kd.cells > 50 * kd.time_cells
+        partial = kd.left_cells % kd.time_cells != 0 and kd.left_cells % (kd.time_cells + 1) != 0
+        assert partial == (left_units == 60.5)
+        xi = np.random.default_rng(steps + per_step).standard_normal(kd.cells)
+        values = sample_path_values(kd, xi)
+        reference = direct_path(kd, xi)
+        assert np.max(np.abs(values - reference)) <= 1e-12 * np.max(np.abs(reference)), left_units
 
 
 @pytest.mark.parametrize(
@@ -163,24 +168,30 @@ def test_worker_count_defaults_to_one(monkeypatch):
 
 
 def test_workers_take_the_callers_discretization(monkeypatch):
-    spec = HermiteKernelSpec(order=2, beta1=-0.1, beta2=0.8)
-    grid = GridSpec.build(spec, steps=32, left_units=4)
-    kd = KernelDiscretization(spec, grid)
+    # At beta1 = 0 the scale's exact norm builds the envelope window in the
+    # caller, and the workers inherit it; otherwise the windows are built in
+    # the workers alone.
+    windows = {"envelope_window", "filter_window"}
+    assert all(isinstance(vars(KernelDiscretization)[name], functools.cached_property) for name in windows)
+    cases = [(HermiteKernelSpec(order=2, beta1=-0.1, beta2=0.8), set()),
+             (HermiteKernelSpec.hermite(2, 0.7), {"envelope_window"})]
+    for spec, caller_windows in cases:
+        grid = GridSpec.build(spec, steps=32, left_units=4)
+        kd = KernelDiscretization(spec, grid)
 
-    def no_discretization(*args, **kwargs):
-        raise AssertionError("a discretization was built")
+        def no_discretization(*args, **kwargs):
+            raise AssertionError("a discretization was built")
 
-    # forked workers inherit the patch
-    monkeypatch.setattr("chaoslab.simulate.KernelDiscretization", no_discretization)
-    paths = sample_paths(spec, grid, 4, seed=9, workers=2, kd=kd)
-    # the caller's kd gains its scale, and the spectra stay in the workers
-    assert "scale" in vars(kd)
-    assert not {"envelope_spectrum", "filter_spectrum"} & set(vars(kd))
-    monkeypatch.undo()
-    fresh = KernelDiscretization(spec, grid)
-    for path in paths:
-        xi = philox_stream(9, path.stream).standard_normal(fresh.cells)
-        assert sample_path_values(fresh, xi).tobytes() == path.values.tobytes()
+        # forked workers inherit the patch
+        monkeypatch.setattr("chaoslab.simulate.KernelDiscretization", no_discretization)
+        paths = sample_paths(spec, grid, 4, seed=9, workers=2, kd=kd)
+        assert "scale" in vars(kd)
+        assert windows & set(vars(kd)) == caller_windows
+        monkeypatch.undo()
+        fresh = KernelDiscretization(spec, grid)
+        for path in paths:
+            xi = philox_stream(9, path.stream).standard_normal(fresh.cells)
+            assert sample_path_values(fresh, xi).tobytes() == path.values.tobytes()
 
 
 def test_no_pool_for_bad_worker_count_or_no_paths(monkeypatch):
