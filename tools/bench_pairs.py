@@ -4,10 +4,10 @@
         --pairs 10 --first-seed 701 --out BENCH_13.json
 
 Each tree is a source checkout with ``chaosbench/run.py``.  Pair i runs both
-trees on seed first_seed + i for ``--seconds`` each, the parent first on even
-i and the change first on odd i.  Per workload and end-to-end metric the file
-holds both sides' medians and quartiles, the pairs the change won (ties count
-for neither side), the seeds and every run's value.  A workload already in
+trees on seed first_seed + i for the ``run_seconds`` that BENCHMARK.json fixes,
+the parent first on even i and the change first on odd i.  Per workload and
+end-to-end metric the file holds both sides' medians and quartiles, the pairs
+the change won (ties count for neither side), the seeds and every run's value.  A workload already in
 ``--out`` is replaced; the others are kept.
 """
 
@@ -41,17 +41,17 @@ def main(argv=None):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=701)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
     seeds = [args.first_seed + i for i in range(args.pairs)]
     runs = {"parent": [], "change": []}
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run(getattr(args, side), args.workload, seed, args.seconds))
+            runs[side].append(run(getattr(args, side), args.workload, seed, seconds))
             print(f"pair {i} seed {seed} {side}: {runs[side][-1]['metrics']}", file=sys.stderr)
     metrics = {}
     for name, direction in better.items():
@@ -61,7 +61,7 @@ def main(argv=None):
         metrics[name] = {"unit": runs["parent"][0]["metrics"][name]["unit"], "better": direction,
                          "parent": summary(sides["parent"]), "change": summary(sides["change"]),
                          "change_wins": wins}
-    entry = {"pairs": args.pairs, "seeds": seeds, "seconds": args.seconds,
+    entry = {"pairs": args.pairs, "seeds": seeds, "seconds": seconds,
              "failed": {side: sum(r["failed"] for r in runs[side]) for side in runs},
              "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in runs},
              "metrics": metrics}
