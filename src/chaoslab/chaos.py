@@ -86,10 +86,16 @@ def hermite_he_coefficients(n):
 # -- seeds -------------------------------------------------------------------
 
 
+def _philox_key(seed, stream):
+    """Philox key of (seed, stream), one 64-bit word each; no two keys alias."""
+    if not (0 <= seed < 2**64 and 0 <= stream < 2**64):
+        raise ValueError(f"Philox seed and stream must lie in [0, 2^64), got seed {seed}, stream {stream}")
+    return np.array([seed, stream], dtype=np.uint64)
+
+
 def philox_stream(seed, stream=0):
     """Counter-based generator; (seed, stream) fully determines the draw."""
-    key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_philox_key(seed, stream)))
 
 
 # -- Wick evaluation ---------------------------------------------------------

@@ -383,15 +383,6 @@ class KernelDiscretization:
     # path-sampling windows -------------------------------------------------------
 
     @cached_property
-    def envelope_window(self):
-        """(first, width, spectra) of the sampler's envelope convolution, for
-        ``_windowed``: the u-cells a path reads, those in [0, T] at beta1 = 0,
-        every cell otherwise (one block).  At beta1 = 0 the exact scale's Q_m
-        correlation at t = T has the same window and builds it."""
-        first, width = (self.left_cells, self.time_cells) if self.spec.beta1 == 0.0 else (0, self.cells)
-        return first, width, _window_spectra(self.envelope, first, width)
-
-    @cached_property
     def filter_response(self):
         """The cell vector of the sampler's filter convolution (beta1 != 0).
 
@@ -402,8 +393,7 @@ class KernelDiscretization:
         the t-independent (-u)_+^beta1 half.  At order 1 the Hermite
         transform is the identity, so the envelope convolution (times
         sqrt(h)) is folded in and the vector is the cell Gaussians; the
-        scale reads this folded response too, so it is built once, where
-        the scale is.
+        scale reads this folded response too.
         """
         g = self.spec.beta1 + 1.0
         filt = np.diff((np.arange(self.cells + 1) * self.h) ** g / g, prepend=0.0)
@@ -412,12 +402,23 @@ class KernelDiscretization:
         return filt
 
     @cached_property
-    def filter_window(self):
-        """(first, width, spectra) of the sampler's filter convolution
-        (beta1 != 0), for ``_windowed``: outputs left_cells + k,
-        k = 0..time_cells, convolved with ``filter_response``."""
-        first, width = self.left_cells, self.time_cells + 1
-        return first, width, _window_spectra(self.filter_response, first, width)
+    def path_windows(self):
+        """(envelope, filter): the windows a path reads of its two
+        convolutions, each (first, width, spectra) for ``_windowed``, or None
+        where it makes none.  At beta1 = 0: the envelope convolution on the
+        u-cells in [0, T], which the compact filter's cumulative sum reads
+        (as does the exact scale at t = T), and no filter convolution.
+        Otherwise: the envelope convolution on every cell (one block), none
+        at order 1 where ``filter_response`` folds it in, and the filter
+        convolution with ``filter_response`` at outputs left_cells + k,
+        k = 0..time_cells."""
+        def window(g, first, width):
+            return first, width, _window_spectra(g, first, width)
+
+        if self.spec.beta1 == 0.0:
+            return window(self.envelope, self.left_cells, self.time_cells), None
+        envelope = None if self.spec.order == 1 else window(self.envelope, 0, self.cells)
+        return envelope, window(self.filter_response, self.left_cells, self.time_cells + 1)
 
     def pair_inner(self, wa, wb):
         """<A, B> for two weight vectors, via the stationary Gram."""
@@ -445,7 +446,7 @@ class KernelDiscretization:
         over k <= lo, plus a prefix sum over k in (lo, u] read inside the
         support; this needs a compact support.  Q_m is output lo + m of
         env[lo::-1] (*) env, the window (lo, span) of ``_windowed``; at
-        beta1 = 0 and t = T that is the sampler's ``envelope_window``.
+        beta1 = 0 and t = T that is the envelope window of ``path_windows``.
         """
         if not exact:
             return self.pair_inner(w, w)
@@ -463,7 +464,7 @@ class KernelDiscretization:
             raise ValueError(f"exact norm: support span {span} exceeds the cap of {EXACT_SPAN_CAP} cells")
         n = self.spec.order
         if self.spec.beta1 == 0.0 and (lo, span) == (self.left_cells, self.time_cells):
-            window = self.envelope_window
+            window = self.path_windows[0]
         else:
             window = (lo, span, _window_spectra(env, lo, span))
         q = self.h * _windowed(env[lo::-1], *window)

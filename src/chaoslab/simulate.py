@@ -11,23 +11,21 @@ Each convolution is read only on a window of its outputs: the u-cells in
 reads no other), every u-cell for it otherwise, and the grid times for the
 filter convolution.  Both are sectioned convolutions over that window
 (``_windowed`` in the FFT layer of ``kernels``, which also serves the Gram
-sums), against block spectra the discretization builds once per process
-(``KernelDiscretization.envelope_window`` and ``filter_window``): the cells
-left of the window are cut into blocks of its width, each transformed at
-about twice the width, so a path never transforms at the full grid length
-unless it reads the whole grid.  At order 1 the Hermite transform is the
-identity, so for a non-compact filter the two convolutions fold into one
-against the envelope-filter response ``KernelDiscretization.filter_response``.
-The t-independent (-u)_+ half of a non-compact filter is the t = 0 output of
-the same convolution, so every path starts at exactly 0.
+sums), against block spectra the discretization builds once
+(``KernelDiscretization.path_windows``): the cells left of the window are cut
+into blocks of its width, each transformed at about twice the width, so a
+path never transforms at the full grid length unless it reads the whole grid.
+At order 1 the Hermite transform is the identity, so for a non-compact filter
+the two convolutions fold into one against the envelope-filter response
+``KernelDiscretization.filter_response``.  The t-independent (-u)_+ half of a
+non-compact filter is the t = 0 output of the same convolution, so every path
+starts at exactly 0.
 
-Every call samples in ``min(workers, count)`` worker processes that inherit
-the caller's discretization.  The caller computes the scale first, and the
-workers inherit what it built: at beta1 = 0 the exact norm's Q_m correlation
-builds the envelope window, and at order 1 with a non-compact filter the scale
-reads the folded response.  Every other window is built in the workers.  Each
-path owns stream ``(seed, stream_index)`` of a counter-based generator, so a
-path is bitwise the same for any worker count.
+Every call samples in ``min(workers, count)`` worker processes.  The caller
+finishes the discretization first, its scale and every window a path reads,
+and the workers inherit it and only draw and transform.  Each path owns
+stream ``(seed, stream_index)`` of a counter-based generator, so a path is
+bitwise the same for any worker count.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .chaos import hermite_he, philox_stream
+from .chaos import _philox_key, hermite_he, philox_stream
 from .kernels import KernelDiscretization, _windowed
 from .kernels import fftconvolve  # noqa: F401  (chaosbench/bench_trace.py hooks this name)
 from .regularity import PathSample
@@ -52,35 +50,26 @@ def provenance_tag(spec, grid):
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _wick_profile(kd, xi):
-    """Per-u-cell Hermite transform |phi_u|^n He_n(<phi_u, xi>/|phi_u|) on
-    the u-cells of the envelope window."""
-    n = kd.spec.order
-    first, width, spectra = kd.envelope_window
-    z = _windowed(xi, first, width, spectra)
-    z *= math.sqrt(kd.h)
-    norms = np.sqrt(kd.envelope_norm_sq[first : first + width])
-    return norms**n * hermite_he(n, z / norms)
-
-
 def sample_path_values(kd, xi):
     """Process values at all grid time points for one coordinate draw."""
     xi = np.asarray(xi, dtype=float)
     if xi.size != kd.cells:
         raise ValueError(f"need one Gaussian per cell ({kd.cells}), got {xi.size}")
-    scale = kd.scale  # first: it may build a window the sampler then reuses
     offsets = kd.per_step * np.arange(kd.grid.steps + 1)  # grid times, in cells
-    beta1 = kd.spec.beta1
-    if beta1 == 0.0:
-        csum = np.concatenate(([0.0], np.cumsum(_wick_profile(kd, xi))))
-        return scale * kd.h * csum[offsets]
-    # at order 1 the envelope is folded into the filter response
-    b = xi if kd.spec.order == 1 else _wick_profile(kd, xi)
+    envelope, filt = kd.path_windows
+    b = xi  # at order 1 with beta1 != 0 the envelope is folded into the filter response
+    if envelope is not None:  # |phi_u|^n He_n(<phi_u, xi>/|phi_u|) on the u-cells of the window
+        first, width, _ = envelope
+        norms = np.sqrt(kd.envelope_norm_sq[first : first + width])
+        b = norms**kd.spec.order * hermite_he(kd.spec.order, math.sqrt(kd.h) * _windowed(xi, *envelope) / norms)
+    if filt is None:  # beta1 = 0
+        csum = np.concatenate(([0.0], np.cumsum(b)))
+        return kd.scale * kd.h * csum[offsets]
     # output 0 of the window is the t-independent (-u)_+ half of the filter;
     # subtracted as values[0] - values, so that t = 0 gives +0.0 (not -0.0)
     # for beta1 < 0
-    values = _windowed(b, *kd.filter_window)[offsets]
-    return (scale / -beta1) * (values[0] - values)
+    values = _windowed(b, *filt)[offsets]
+    return (kd.scale / -kd.spec.beta1) * (values[0] - values)
 
 
 _WORKER_KD = None
@@ -113,12 +102,12 @@ def sample_paths(spec, grid, count, seed, workers=1, first_stream=0, kd=None):
     if count == 0:
         return []
     streams = range(first_stream, first_stream + count)
+    _philox_key(seed, streams[0]), _philox_key(seed, streams[-1])  # before any work
     workers = min(workers, count)
-    # Workers inherit kd: under fork without a copy, under spawn or forkserver
-    # pickled once each.  Its scale is computed first so that every worker
-    # gets it, with the window or folded response it may build; the other
-    # windows are built only in the workers.
+    # The caller finishes kd; the workers inherit it, under fork without a
+    # copy, under spawn or forkserver pickled once each with its windows.
     kd.scale
+    kd.path_windows
     values = [None] * count
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(kd,)) as pool:
         chunks = pool.map(_worker_chunk, [seed] * workers, [streams[w::workers] for w in range(workers)])

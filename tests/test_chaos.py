@@ -104,6 +104,10 @@ def test_philox_streams_reproducible():
     c = philox_stream(5, 2).standard_normal(8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    philox_stream(2**64 - 1, 2**64 - 1)  # the largest key
+    for seed, stream in ((-1, 0), (2**64, 0), (0, -1), (0, 2**64)):
+        with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+            philox_stream(seed, stream)
 
 
 def test_rank_one_sum_single_vector():

@@ -180,57 +180,41 @@ def test_report_with_inline_simulation_and_tolerance(tmp_path):
 
 
 def test_simulate_computes_scale_once(tmp_path, monkeypatch):
-    # Rosenblatt: one exact norm.  fBm alpha = 0.3 (beta1 != 0): no norm; the
-    # folded response the scale reads is built once, in this process, and
-    # the workers inherit it.  Window spectra: Rosenblatt's envelope window
-    # is built once, by the scale in this process, and the workers inherit
-    # it; fBm's filter window is built once in each worker.
-    norm_sq = KernelDiscretization.norm_sq
-    response = KernelDiscretization.filter_response
-    calls = []
-    builds = tmp_path / "builds.txt"
-    windows = tmp_path / "windows.txt"
+    # simulate builds the exact norm, the folded response and the window
+    # spectra once each, in this process: a worker (forked, so patched too)
+    # that builds one fails.  The custom kernel's exact norm builds its own
+    # Q_m correlation window besides the path's envelope and filter windows.
+    caller = os.getpid()
+    builds = collections.Counter()
 
-    def counted(self, *args, **kwargs):
-        calls.append(args)
-        return norm_sq(self, *args, **kwargs)
+    def counted(name, build):
+        def wrapped(*args, **kwargs):
+            assert os.getpid() == caller, f"{name} built in a worker"
+            builds[name] += 1
+            return build(*args, **kwargs)
+        return wrapped
 
-    def built(self):
-        with open(builds, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return response.func(self)
-
-    def counted_windows(*args):
-        with open(windows, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return _window_spectra(*args)
-
-    counted_response = functools.cached_property(built)
-    counted_response.__set_name__(KernelDiscretization, "filter_response")
-    monkeypatch.setattr(KernelDiscretization, "norm_sq", counted)
-    monkeypatch.setattr(KernelDiscretization, "filter_response", counted_response)
-    monkeypatch.setattr("chaoslab.kernels._window_spectra", counted_windows)
-    # (kernel, norms, responses, windows in this process, windows per worker)
-    kernels = {"rosenblatt": ({"type": "hermite", "order": 2, "alpha": 0.7}, 1, 0, 1, 0),
-               "fbm": ({"type": "fbm", "alpha": 0.3}, 0, 1, 0, 1)}
+    response = functools.cached_property(counted("response", KernelDiscretization.filter_response.func))
+    response.__set_name__(KernelDiscretization, "filter_response")
+    monkeypatch.setattr(KernelDiscretization, "norm_sq", counted("norm", KernelDiscretization.norm_sq))
+    monkeypatch.setattr(KernelDiscretization, "filter_response", response)
+    monkeypatch.setattr("chaoslab.kernels._window_spectra", counted("windows", _window_spectra))
+    kernels = {"rosenblatt": ({"type": "hermite", "order": 2, "alpha": 0.7}, dict(norm=1, windows=1)),
+               "fbm": ({"type": "fbm", "alpha": 0.3}, dict(response=1, windows=1)),
+               "custom": ({"type": "custom", "order": 2, "beta1": -0.2, "beta2": 0.8},
+                          dict(norm=1, response=1, windows=3))}
     grid = {"steps": 128, "left_units": 10}
     scales = {}
-    for name, (kernel, norms, responses, caller_windows, worker_windows) in kernels.items():
+    for name, (kernel, expected) in kernels.items():
         cfg = write_config(tmp_path, f"{name}.json", {"kernel": kernel, "grid": grid, "paths": 4, "seed": 2})
         for workers in ("1", "2"):
-            calls.clear()
-            builds.write_text("")
-            windows.write_text("")
+            builds.clear()
             out = tmp_path / f"{name}-w{workers}"
             assert main(["simulate", "--config", cfg, "--out-dir", str(out), "--workers", workers]) == 0
-            assert len(calls) == norms
-            assert builds.read_text().split() == [str(os.getpid())] * responses
-            pids = collections.Counter(windows.read_text().split())
-            assert pids.pop(str(os.getpid()), 0) == caller_windows
-            assert list(pids.values()) == [worker_windows] * (int(workers) if worker_windows else 0)
+            assert builds == expected
         scales[name] = read_json(out / "run.json")["scale"]
     monkeypatch.undo()
-    for name, (kernel, *_) in kernels.items():
+    for name, (kernel, _) in kernels.items():
         spec = make_spec(kernel)
         assert scales[name].hex() == KernelDiscretization(spec, make_grid(grid, spec)).scale.hex()
 
@@ -519,6 +503,21 @@ def test_fixed_tolerance_keys_exit_2(tmp_path, capsys, command, cfg, key):
     path = write_config(tmp_path, "cfg.json", cfg)
     err = _assert_clean_exit_2([command, "--config", path, "--out-dir", str(tmp_path / "o")], capsys)
     assert "config error" in err and key in err
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [{"first_stream": 2**64}, {"seed": 3 - 2**64}, {"first_stream": 2**64 - 1, "paths": 2}],
+    ids=["stream-2^64", "seed-negative", "last-stream-2^64"],
+)
+def test_philox_key_outside_64_bits_exits_2(tmp_path, capsys, keys):
+    # seed and stream are each one 64-bit word of the Philox key; reduced
+    # mod 2^64 they would alias another key's paths under a different run.json
+    kernel = {"type": "fbm", "alpha": 0.75}
+    cfg = write_config(tmp_path, "cfg.json", {"kernel": kernel, "grid": {"steps": 16}, "paths": 1, **keys})
+    err = _assert_clean_exit_2(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "o")], capsys)
+    assert "[0, 2^64)" in err
+    assert not list((tmp_path / "o").glob("path-*.csv"))
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,13 @@
 import functools
 import math
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from chaoslab import chaos
+from chaoslab import chaos, kernels
 from chaoslab.chaos import philox_stream
 from chaoslab.kernels import GridSpec, HermiteKernelSpec, KernelDiscretization
 from chaoslab.simulate import provenance_tag, sample_path_values, sample_paths
@@ -96,15 +98,15 @@ def test_short_transforms_do_not_alias(spec, steps, per_step):
         assert np.max(np.abs(values - reference)) <= 1e-12 * np.max(np.abs(reference)), left_units
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        HermiteKernelSpec.hermite(2, 0.7),
-        HermiteKernelSpec.fbm(0.3),
-        HermiteKernelSpec(order=2, beta1=-0.2, beta2=0.8),
-    ],
-    ids=["beta1-zero", "beta1-negative", "order2-beta1-negative"],
-)
+# the three kernel layouts: which windows a path reads (see path_windows)
+LAYOUTS = {
+    "beta1-zero": HermiteKernelSpec.hermite(2, 0.7),
+    "beta1-negative": HermiteKernelSpec.fbm(0.3),
+    "order2-beta1-negative": HermiteKernelSpec(order=2, beta1=-0.2, beta2=0.8),
+}
+
+
+@pytest.mark.parametrize("spec", LAYOUTS.values(), ids=LAYOUTS)
 def test_pooled_paths_equal_serial_redraws(spec):
     # the benchmark's reproducibility gate: a fresh discretization, serial
     grid = GridSpec.build(spec, steps=64, left_units=8)
@@ -168,30 +170,51 @@ def test_worker_count_defaults_to_one(monkeypatch):
 
 
 def test_workers_take_the_callers_discretization(monkeypatch):
-    # At beta1 = 0 the scale's exact norm builds the envelope window in the
-    # caller, and the workers inherit it; otherwise the windows are built in
-    # the workers alone.
-    windows = {"envelope_window", "filter_window"}
-    assert all(isinstance(vars(KernelDiscretization)[name], functools.cached_property) for name in windows)
-    cases = [(HermiteKernelSpec(order=2, beta1=-0.1, beta2=0.8), set()),
-             (HermiteKernelSpec.hermite(2, 0.7), {"envelope_window"})]
-    for spec, caller_windows in cases:
+    # The caller finishes the discretization before the pool: the scale, the
+    # folded response and every window a path reads.  Forked workers inherit
+    # these patches, so a build in a worker raises there and fails the call.
+    caller = os.getpid()
+
+    def caller_only(build):
+        def wrapped(*args, **kwargs):
+            assert os.getpid() == caller, f"{build.__name__} ran in a worker"
+            return build(*args, **kwargs)
+        return wrapped
+
+    def no_discretization(*args, **kwargs):
+        raise AssertionError("a discretization was built")
+
+    response = functools.cached_property(caller_only(KernelDiscretization.filter_response.func))
+    response.__set_name__(KernelDiscretization, "filter_response")
+    monkeypatch.setattr("chaoslab.kernels._window_spectra", caller_only(kernels._window_spectra))
+    monkeypatch.setattr(KernelDiscretization, "norm_sq", caller_only(KernelDiscretization.norm_sq))
+    monkeypatch.setattr(KernelDiscretization, "filter_response", response)
+    monkeypatch.setattr("chaoslab.simulate.KernelDiscretization", no_discretization)
+    for spec in LAYOUTS.values():
         grid = GridSpec.build(spec, steps=32, left_units=4)
-        kd = KernelDiscretization(spec, grid)
-
-        def no_discretization(*args, **kwargs):
-            raise AssertionError("a discretization was built")
-
-        # forked workers inherit the patch
-        monkeypatch.setattr("chaoslab.simulate.KernelDiscretization", no_discretization)
-        paths = sample_paths(spec, grid, 4, seed=9, workers=2, kd=kd)
-        assert "scale" in vars(kd)
-        assert windows & set(vars(kd)) == caller_windows
-        monkeypatch.undo()
         fresh = KernelDiscretization(spec, grid)
-        for path in paths:
-            xi = philox_stream(9, path.stream).standard_normal(fresh.cells)
-            assert sample_path_values(fresh, xi).tobytes() == path.values.tobytes()
+        for workers in (1, 2):
+            kd = KernelDiscretization(spec, grid)
+            paths = sample_paths(spec, grid, 4, seed=9, workers=workers, kd=kd)
+            assert {"scale", "path_windows"} <= set(vars(kd))
+            for path in paths:
+                xi = philox_stream(9, path.stream).standard_normal(fresh.cells)
+                assert sample_path_values(fresh, xi).tobytes() == path.values.tobytes()
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_pickled_workers_draw_the_forked_paths(monkeypatch, method):
+    # Under spawn or forkserver (the default on Linux from Python 3.14) each
+    # worker unpickles the caller's discretization, windows included.
+    fork = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork"))
+    pickled = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context(method))
+    for spec in LAYOUTS.values():
+        grid = GridSpec.build(spec, steps=64, left_units=8)
+        runs = []
+        for pool in (fork, pickled):
+            monkeypatch.setattr("chaoslab.simulate.ProcessPoolExecutor", pool)
+            runs.append([p.values.tobytes() for p in sample_paths(spec, grid, 4, seed=21, workers=2)])
+        assert runs[0] == runs[1]
 
 
 def test_no_pool_for_bad_worker_count_or_no_paths(monkeypatch):

@@ -7,8 +7,12 @@ Each tree is a source checkout with ``chaosbench/run.py``.  Pair i runs both
 trees on seed first_seed + i for the ``run_seconds`` that BENCHMARK.json fixes,
 the parent first on even i and the change first on odd i.  Per workload and
 end-to-end metric the file holds both sides' medians and quartiles, the pairs
-the change won (ties count for neither side), the seeds and every run's value.  A workload already in
-``--out`` is replaced; the others are kept.
+the change won (ties count for neither side), the seeds and every run's value.
+A metric is ``unresolved`` when the parent's quartile spread, q3 - q1, is wider
+than the metric's BENCHMARK.json bound times the parent's median: its runs
+spread too widely to tell a change of that size.  A workload already in
+``--out`` is replaced, and the replaced entry, with its own earlier runs, moves
+under the new entry's ``earlier_runs``, so every run made is kept.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ def main(argv=None):
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metric_specs = {m["name"]: m for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
     seeds = [args.first_seed + i for i in range(args.pairs)]
     runs = {"parent": [], "change": []}
@@ -54,18 +58,22 @@ def main(argv=None):
             runs[side].append(run(getattr(args, side), args.workload, seed, seconds))
             print(f"pair {i} seed {seed} {side}: {runs[side][-1]['metrics']}", file=sys.stderr)
     metrics = {}
-    for name, direction in better.items():
+    for name, spec in metric_specs.items():
         sides = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
-        sign = 1.0 if direction == "higher" else -1.0
+        sign = 1.0 if spec["better"] == "higher" else -1.0
         wins = sum(sign * (c - p) > 0 for p, c in zip(sides["parent"], sides["change"]))
-        metrics[name] = {"unit": runs["parent"][0]["metrics"][name]["unit"], "better": direction,
-                         "parent": summary(sides["parent"]), "change": summary(sides["change"]),
-                         "change_wins": wins}
+        parent = summary(sides["parent"])
+        metrics[name] = {"unit": runs["parent"][0]["metrics"][name]["unit"], "better": spec["better"],
+                         "parent": parent, "change": summary(sides["change"]), "change_wins": wins,
+                         "unresolved": parent["q3"] - parent["q1"] > spec["bound"] * abs(parent["median"])}
     entry = {"pairs": args.pairs, "seeds": seeds, "seconds": seconds,
              "failed": {side: sum(r["failed"] for r in runs[side]) for side in runs},
              "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in runs},
              "metrics": metrics}
     out = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
+    earlier = out["workloads"].get(args.workload)
+    if earlier is not None:
+        entry["earlier_runs"] = earlier.pop("earlier_runs", []) + [earlier]
     out["workloads"][args.workload] = entry
     text = json.dumps(out, indent=1)
     # one line per list of numbers
