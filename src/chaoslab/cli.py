@@ -173,7 +173,8 @@ CONFIG_SCHEMAS = {
     "fuzz": {
         "type": "object",
         "properties": {
-            "seed": {"type": "integer"},
+            # the range simulate, report and expand take, though fuzz seeds numpy's PCG64
+            "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
             "equivalence_instances": {"type": "integer", "minimum": 0},
             "inequality_instances": {"type": "integer", "minimum": 0},
             "pointwise_seeds": {"type": "integer", "minimum": 1},

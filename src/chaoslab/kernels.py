@@ -96,48 +96,55 @@ def fftconvolve(a, b):
 
 
 def _window_spectra(g, first, width):
-    """(n, block spectra) for outputs first .. first + width - 1 of x (*) g,
-    by sectioned convolution (Stockham, AFIPS 1966).
+    """(n, start, block spectra) for outputs first .. first + width - 1 of
+    x (*) g, by overlap-save with blocks about four windows wide.
 
-    x is cut into blocks of ``width`` cells ending at first + width; block j,
-    counted leftwards from 0, holds x[first - j w : first - j w + w] and meets
-    only g[(j - 1) w : (j + 1) w] (zero left of 0), since every lag a window
-    output needs from it lies in (j w - w, j w + w).  The spectra hold that
-    segment's rfft at n = _fast_len(2 w) per block, in the blocks' order in x:
-    a block's product is then wrap-free at [w, 2 w), where the window is read.
-    Blocks left of x[0] or meeting only zeros of g are left out.
+    x is cut into blocks of b = n - width + 1 cells ending at first + width,
+    n = _fast_len(min(first + width, 4 width) + width - 1), so a window
+    costs about (1 + width / b) transform points per cell read.  Block j,
+    counted leftwards from 0, meets only g[j b - width + 1 : (j + 1) b]
+    (zero outside g), whose rfft at n the spectra hold per block, in the
+    blocks' order in x: a block's circular product is then wrap-free at
+    [b - 1, n), where the window is read.  Blocks left of x[0] or meeting
+    only zeros of g are left out, and so are the entries of x below
+    ``start`` = max(0, first - g.size + 1), which meet only zeros of g, so a
+    window that x cannot reach reads exactly 0.
     """
-    count = min(-(-first // width), -(-g.size // width)) + 1
-    padded = np.zeros((count + 1) * width)
-    padded[width : width + min(g.size, count * width)] = g[: count * width]
-    segments = np.lib.stride_tricks.sliding_window_view(padded, 2 * width)[::width][::-1]
-    n = _fast_len(2 * width)
+    n = _fast_len(min(first + width, 4 * width) + width - 1)
+    b = n - width + 1
+    count = -(-min(first + width, g.size + width - 1) // b)
+    padded = np.zeros((count - 1) * b + n)  # padded[p] = g[p - width + 1]
+    reach = min(g.size, padded.size - width + 1)
+    padded[width - 1 : width - 1 + reach] = g[:reach]
+    segments = np.lib.stride_tricks.sliding_window_view(padded, n)[::b][::-1]
     step = max(1, WINDOW_CHUNK_POINTS // n)
     hats = np.empty((count, n // 2 + 1), dtype=complex)
     for i in range(0, count, step):
         hats[i : i + step] = rfft(segments[i : i + step], n)
-    return n, hats
+    return n, max(0, first - g.size + 1), hats
 
 
 def _windowed(x, first, width, spectra):
     """Outputs first .. first + width - 1 of the linear convolution x (*) g,
     for ``spectra`` = ``_window_spectra(g, first, width)``: the block spectra
     of x times those of g, summed, then one inverse transform."""
-    n, hats = spectra
+    n, start, hats = spectra
     count = hats.shape[0]
-    lo = first - (count - 1) * width  # x index where the leftmost block starts
-    seg = x[max(lo, 0) : first + width]
-    if seg.size < count * width:  # the leftmost block starts left of x[0], or x ends inside the window
-        left = max(-lo, 0)
-        seg = np.concatenate((np.zeros(left), seg, np.zeros(count * width - left - seg.size)))
-    blocks = seg.reshape(count, width)
+    b = n - width + 1
+    lo = first + width - count * b  # x index where the leftmost block starts
     step = max(1, WINDOW_CHUNK_POINTS // n)
     total = np.zeros(n // 2 + 1, dtype=complex)
     for i in range(0, count, step):
-        part = rfft(blocks[i : i + step], n)
-        part *= hats[i : i + step]
+        k = min(step, count - i)
+        a, e = lo + i * b, lo + (i + k) * b
+        s = min(max(a, start), e)
+        seg = x[s : max(min(e, x.size), s)]
+        if seg.size < k * b:  # the chunk starts left of start, or x ends inside it
+            seg = np.concatenate((np.zeros(s - a), seg, np.zeros(e - s - seg.size)))
+        part = rfft(seg.reshape(k, b), n)
+        part *= hats[i : i + k]
         total += part.sum(axis=0)
-    return irfft(total, n)[width : 2 * width]
+    return irfft(total, n)[b - 1 :]
 
 
 # -- analytic ingredients -----------------------------------------------------
@@ -315,10 +322,17 @@ class KernelDiscretization:
         self.cells = grid.cells
         self.left_cells = self.cells - self.time_cells
         self.per_step = self.time_cells // grid.steps
-        self.edges = -grid.left + self.h * np.arange(self.cells + 1)
         self.envelope = envelope_cell_averages(spec.beta2, self.h, self.cells)
-        # ||phi_u||^2 = h * sum_{m<=u} envelope[m]^2
-        self.envelope_norm_sq = self.h * np.cumsum(self.envelope**2)
+
+    @cached_property
+    def edges(self):
+        """The cell edges, -left + h k for k = 0..cells (read by the weights)."""
+        return -self.grid.left + self.h * np.arange(self.cells + 1)
+
+    @cached_property
+    def envelope_norm_sq(self):
+        """||phi_u||^2 = h * sum_{m<=u} envelope[m]^2 per u-cell."""
+        return self.h * np.cumsum(self.envelope**2)
 
     # weights -----------------------------------------------------------------
 
@@ -405,20 +419,24 @@ class KernelDiscretization:
     def path_windows(self):
         """(envelope, filter): the windows a path reads of its two
         convolutions, each (first, width, spectra) for ``_windowed``, or None
-        where it makes none.  At beta1 = 0: the envelope convolution on the
-        u-cells in [0, T], which the compact filter's cumulative sum reads
-        (as does the exact scale at t = T), and no filter convolution.
-        Otherwise: the envelope convolution on every cell (one block), none
-        at order 1 where ``filter_response`` folds it in, and the filter
-        convolution with ``filter_response`` at outputs left_cells + k,
-        k = 0..time_cells."""
+        where it makes none; the envelope window also carries the norms
+        ||phi_u|| of its u-cells, which the Hermite transform reads.  At
+        beta1 = 0: the envelope convolution on the u-cells in [0, T], which
+        the compact filter's cumulative sum reads (as does the exact scale at
+        t = T), and no filter convolution.  Otherwise: the envelope
+        convolution on every cell (one block), none at order 1 where
+        ``filter_response`` folds it in, and the filter convolution with
+        ``filter_response`` at outputs left_cells + k, k = 0..time_cells."""
         def window(g, first, width):
             return first, width, _window_spectra(g, first, width)
 
+        def envelope_window(first, width):
+            return window(self.envelope, first, width) + (np.sqrt(self.envelope_norm_sq[first : first + width]),)
+
         if self.spec.beta1 == 0.0:
-            return window(self.envelope, self.left_cells, self.time_cells), None
-        envelope = None if self.spec.order == 1 else window(self.envelope, 0, self.cells)
-        return envelope, window(self.filter_response, self.left_cells, self.time_cells + 1)
+            return envelope_window(self.left_cells, self.time_cells), None
+        return (None if self.spec.order == 1 else envelope_window(0, self.cells),
+                window(self.filter_response, self.left_cells, self.time_cells + 1))
 
     def pair_inner(self, wa, wb):
         """<A, B> for two weight vectors, via the stationary Gram."""
@@ -442,11 +460,14 @@ class KernelDiscretization:
         needs.  At order 1 the norm is h * sum_i profile_i^2, profile_i =
         sum_u w_u env[u - i], one convolution of the support with
         env[:hi + 1].  At order n >= 2 the exact Gram
-        gram(u, u + m) = h * sum_{k <= u} env[k] env[k + m] is Q_m, the sum
-        over k <= lo, plus a prefix sum over k in (lo, u] read inside the
-        support; this needs a compact support.  Q_m is output lo + m of
-        env[lo::-1] (*) env, the window (lo, span) of ``_windowed``; at
-        beta1 = 0 and t = T that is the envelope window of ``path_windows``.
+        gram(u, u + m) = h * sum_{k <= u} env[k] env[k + m] is summed by
+        rows, which needs a compact support: row lo is Q_m, the sum over
+        k <= lo, and row u + 1 is row u without its last lag plus
+        h env[u + 1] env[u + 1 + m], so row u holds lags 0 .. hi - u and
+        adds w_u (2 sum_m w_{u+m} gram^n - w_u gram(u, u)^n) to the norm.
+        Q_m is output lo + m of env[lo::-1] (*) env, the window (lo, span)
+        of ``_windowed``; at beta1 = 0 and t = T that is the envelope window
+        of ``path_windows``.
         """
         if not exact:
             return self.pair_inner(w, w)
@@ -464,17 +485,18 @@ class KernelDiscretization:
             raise ValueError(f"exact norm: support span {span} exceeds the cap of {EXACT_SPAN_CAP} cells")
         n = self.spec.order
         if self.spec.beta1 == 0.0 and (lo, span) == (self.left_cells, self.time_cells):
-            window = self.path_windows[0]
+            window = self.path_windows[0][:3]
         else:
             window = (lo, span, _window_spectra(env, lo, span))
-        q = self.h * _windowed(env[lo::-1], *window)
+        row = self.h * _windowed(env[lo::-1], *window)  # gram(u, u + m), m = 0 .. hi - u, from u = lo on
         total = 0.0
-        for m in range(span):
-            seg = env[lo + 1 : hi + 1 - m] * env[lo + 1 + m : hi + 1]
-            gram = q[m] + self.h * np.concatenate(([0.0], np.cumsum(seg)))
-            factor = 1.0 if m == 0 else 2.0
-            total += factor * float(np.sum(ws[: span - m] * ws[m:] * gram**n))
-        return total
+        for i in range(span):
+            if i:
+                row = row[:-1]
+                row += (self.h * env[lo + i]) * env[lo + i : hi + 1]
+            p = row**n
+            total += ws[i] * (2.0 * np.dot(ws[i:], p) - ws[i] * p[0])
+        return float(total)
 
     def increment_norm(self, x, s):
         """||A_{x+s} - A_x|| via the stationary Gram."""

@@ -9,12 +9,13 @@ the filter convolution degenerates to a cumulative sum for compact filters.
 Each convolution is read only on a window of its outputs: the u-cells in
 [0, T] for the envelope convolution at beta1 = 0 (the compact filter's sum
 reads no other), every u-cell for it otherwise, and the grid times for the
-filter convolution.  Both are sectioned convolutions over that window
+filter convolution.  Both are overlap-save convolutions over that window
 (``_windowed`` in the FFT layer of ``kernels``, which also serves the Gram
 sums), against block spectra the discretization builds once
-(``KernelDiscretization.path_windows``): the cells left of the window are cut
-into blocks of its width, each transformed at about twice the width, so a
-path never transforms at the full grid length unless it reads the whole grid.
+(``KernelDiscretization.path_windows``): the cells up to the window's end are
+cut into blocks about four windows wide, each transformed with one window
+more, about 1.25 transform points per cell, so a path never transforms at
+the full grid length unless it reads the whole grid.
 At order 1 the Hermite transform is the identity, so for a non-compact filter
 the two convolutions fold into one against the envelope-filter response
 ``KernelDiscretization.filter_response``.  The t-independent (-u)_+ half of a
@@ -59,9 +60,9 @@ def sample_path_values(kd, xi):
     envelope, filt = kd.path_windows
     b = xi  # at order 1 with beta1 != 0 the envelope is folded into the filter response
     if envelope is not None:  # |phi_u|^n He_n(<phi_u, xi>/|phi_u|) on the u-cells of the window
-        first, width, _ = envelope
-        norms = np.sqrt(kd.envelope_norm_sq[first : first + width])
-        b = norms**kd.spec.order * hermite_he(kd.spec.order, math.sqrt(kd.h) * _windowed(xi, *envelope) / norms)
+        first, width, spectra, norms = envelope
+        z = math.sqrt(kd.h) * _windowed(xi, first, width, spectra)
+        b = norms**kd.spec.order * hermite_he(kd.spec.order, z / norms)
     if filt is None:  # beta1 = 0
         csum = np.concatenate(([0.0], np.cumsum(b)))
         return kd.scale * kd.h * csum[offsets]

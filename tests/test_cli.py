@@ -824,14 +824,16 @@ def test_malformed_run_json_exits_2(tmp_path, capsys, content):
         ("simulate", {**_TINY_FBM, "paths": 2.0}),
         ("simulate", {**_TINY_FBM, "grid": {"steps": 32.0, "left_units": 2}}),
         ("fuzz", {"equivalence_instances": 1.0}),
+        ("fuzz", {"seed": 2**64}),
+        ("fuzz", {"seed": -1}),
         ("verify", {**_VERIFY_BASE, "kernel": {"type": "fbm", "alpha": 0.75, "horizon": 5e-324}}),
         ("verify", {**_VERIFY_BASE, "coupling_levels": [2, 10]}),
         ("report", {"simulate": _TINY_FBM, "besov": {"smoothness": 0.5, "orlicz_beta": 1e-300}}),
         ("report", {"simulate": _TINY_FBM, "moment_growth": {"alpha": 1e3, "exponents": [1.0]}}),
         ("report", {"simulate": _TINY_FBM, "modulus": {"alpha": 1e3, "log_exponent": 1.0}}),
     ],
-    ids=["paths-float", "steps-float", "instances-float", "horizon-underflows", "coupling-sub-step", "orlicz-flat",
-         "moment-alpha-underflows", "modulus-alpha-underflows"],
+    ids=["paths-float", "steps-float", "instances-float", "fuzz-seed-2^64", "fuzz-seed-negative", "horizon-underflows",
+         "coupling-sub-step", "orlicz-flat", "moment-alpha-underflows", "modulus-alpha-underflows"],
 )
 def test_degenerate_numbers_exit_2(tmp_path, capsys, command, cfg):
     path = write_config(tmp_path, "cfg.json", cfg)

@@ -245,12 +245,13 @@ def reference_exact_norm_sq(kd, w):
     [
         (HermiteKernelSpec.hermite(2, 0.7), 2**10, 30, (1.0, 0.5)),
         (HermiteKernelSpec.hermite(3, 0.7), 2**8, 20, (1.0, 0.5)),
+        (HermiteKernelSpec.hermite(4, 0.7), 2**8, 20, (1.0, 0.5)),
         (HermiteKernelSpec(order=2, beta1=-0.1, beta2=0.8), 64, 20, (1.0, 0.5)),
         (HermiteKernelSpec(order=3, beta1=0.1, beta2=0.8), 64, 20, (1.0, 0.5)),
         (HermiteKernelSpec.fbm(0.75), 2**10, 30, (1.0, 0.5)),  # order 1, trimmed weights
         (HermiteKernelSpec.fbm(0.3), 2**10, 30, (1.0, 0.5)),  # order 1, weights from cell 0
     ],
-    ids=["rosenblatt", "hermite3", "custom2-neg-beta1", "custom3-pos-beta1", "fbm-compact", "fbm-noncompact"],
+    ids=["rosenblatt", "hermite3", "hermite4", "custom2-neg-beta1", "custom3-pos-beta1", "fbm-compact", "fbm-noncompact"],
 )
 def test_exact_norm_matches_suffix_sum_reference(spec, steps, left_units, times):
     kd = KernelDiscretization(spec, GridSpec.build(spec, steps=steps, left_units=left_units))
@@ -574,16 +575,27 @@ def test_windowed_matches_np_convolve(chunk_points, monkeypatch):
         (40, 8, 30, 100),  # x ends before it
         (64, 8, 100, 20),  # g shorter than first + width
         (64, 16, 100, 5),  # g shorter than width
-        (1000, 1, 1001, 1001),  # width 1: 1001 blocks
+        (1000, 1, 1001, 1001),  # width 1: 251 blocks of 4 cells
+        (200, 8, 300, 300),  # blocks of 33 cells, the leftmost partial
+        (231, 8, 300, 300),  # a whole number of blocks
+        (500, 9, 400, 700),  # x ends before the window, several blocks
+        (300, 8, 250, 40),  # x cannot reach the window: exactly 0
+        (900, 20, 1000, 150),  # g reaches back into the leftmost block only in part
     ]
     cases += [tuple(int(v) for v in rng.integers((0, 1, 1, 1), (300, 60, 400, 400))) for _ in range(200)]
+    # first >= 4 width: blocks several windows wide
+    cases += [tuple(int(v) for v in rng.integers((200, 1, 1, 1), (2000, 50, 2500, 2500))) for _ in range(100)]
     for first, width, nx, ng in cases:
         x, g = rng.standard_normal(nx), rng.standard_normal(ng)
         full = np.concatenate((np.convolve(x, g), np.zeros(first + width)))
         ref = full[first : first + width]
-        out = _windowed(x, first, width, _window_spectra(g, first, width))
+        spectra = _window_spectra(g, first, width)
+        out = _windowed(x, first, width, spectra)
         assert out.shape == (width,)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref), initial=0.0), (first, width, nx, ng)
+        n, _, hats = spectra
+        if first >= 4 * width:  # about 1.25 transform points per cell, not 2
+            assert hats.shape[0] * n <= 1.5 * (first + width) + n, (first, width, nx, ng)
     # reversed views, as norm_sq passes env[lo::-1]
     x = rng.standard_normal(50)[::-1]
     out = _windowed(x[30::-1], 30, 12, _window_spectra(x, 30, 12))

@@ -171,8 +171,9 @@ def test_worker_count_defaults_to_one(monkeypatch):
 
 def test_workers_take_the_callers_discretization(monkeypatch):
     # The caller finishes the discretization before the pool: the scale, the
-    # folded response and every window a path reads.  Forked workers inherit
-    # these patches, so a build in a worker raises there and fails the call.
+    # folded response and every window a path reads, with the envelope
+    # window's norms.  Forked workers inherit these patches, so a build in a
+    # worker raises there and fails the call.
     caller = os.getpid()
 
     def caller_only(build):
@@ -184,11 +185,12 @@ def test_workers_take_the_callers_discretization(monkeypatch):
     def no_discretization(*args, **kwargs):
         raise AssertionError("a discretization was built")
 
-    response = functools.cached_property(caller_only(KernelDiscretization.filter_response.func))
-    response.__set_name__(KernelDiscretization, "filter_response")
+    for name in ("filter_response", "envelope_norm_sq"):  # the envelope window's norms read the latter
+        prop = functools.cached_property(caller_only(getattr(KernelDiscretization, name).func))
+        prop.__set_name__(KernelDiscretization, name)
+        monkeypatch.setattr(KernelDiscretization, name, prop)
     monkeypatch.setattr("chaoslab.kernels._window_spectra", caller_only(kernels._window_spectra))
     monkeypatch.setattr(KernelDiscretization, "norm_sq", caller_only(KernelDiscretization.norm_sq))
-    monkeypatch.setattr(KernelDiscretization, "filter_response", response)
     monkeypatch.setattr("chaoslab.simulate.KernelDiscretization", no_discretization)
     for spec in LAYOUTS.values():
         grid = GridSpec.build(spec, steps=32, left_units=4)

@@ -10,9 +10,13 @@ end-to-end metric the file holds both sides' medians and quartiles, the pairs
 the change won (ties count for neither side), the seeds and every run's value.
 A metric is ``unresolved`` when the parent's quartile spread, q3 - q1, is wider
 than the metric's BENCHMARK.json bound times the parent's median: its runs
-spread too widely to tell a change of that size.  A workload already in
-``--out`` is replaced, and the replaced entry, with its own earlier runs, moves
-under the new entry's ``earlier_runs``, so every run made is kept.
+spread too widely to tell a change of that size.  Each side's ``correct`` lists
+what every run reported.  A run that exits nonzero stops the pairs: its side,
+seed and exit code go under ``failed_run``, the runs made so far are written
+(summaries over every run, wins over the whole pairs) and the tool exits 1.
+A workload already in ``--out`` is replaced, and the replaced entry, with its
+own earlier runs, moves under the new entry's ``earlier_runs``, so every run
+made is kept.
 """
 
 from __future__ import annotations
@@ -27,10 +31,14 @@ from pathlib import Path
 
 
 def run(tree, workload, seed, seconds):
+    """(exit code, the run's result line, or None if it failed)."""
     cmd = [sys.executable, "chaosbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds)]
-    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if done.returncode != 0:
+        print(done.stderr, file=sys.stderr)
+        return done.returncode, None
+    return 0, json.loads(done.stdout.strip().splitlines()[-1])
 
 
 def summary(values):
@@ -52,13 +60,23 @@ def main(argv=None):
     seconds = bench["run_seconds"]
     seeds = [args.first_seed + i for i in range(args.pairs)]
     runs = {"parent": [], "change": []}
+    failed_run = None
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run(getattr(args, side), args.workload, seed, seconds))
-            print(f"pair {i} seed {seed} {side}: {runs[side][-1]['metrics']}", file=sys.stderr)
+            code, result = run(getattr(args, side), args.workload, seed, seconds)
+            if result is None:
+                failed_run = {"side": side, "seed": seed, "exit_code": code}
+                print(f"pair {i} seed {seed} {side}: exit {code}", file=sys.stderr)
+                break
+            runs[side].append(result)
+            print(f"pair {i} seed {seed} {side}: {result['metrics']}", file=sys.stderr)
+        if failed_run is not None:
+            break
     metrics = {}
     for name, spec in metric_specs.items():
+        if not (runs["parent"] and runs["change"]):  # a side failed its first run
+            break
         sides = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
         sign = 1.0 if spec["better"] == "higher" else -1.0
         wins = sum(sign * (c - p) > 0 for p, c in zip(sides["parent"], sides["change"]))
@@ -66,21 +84,26 @@ def main(argv=None):
         metrics[name] = {"unit": runs["parent"][0]["metrics"][name]["unit"], "better": spec["better"],
                          "parent": parent, "change": summary(sides["change"]), "change_wins": wins,
                          "unresolved": parent["q3"] - parent["q1"] > spec["bound"] * abs(parent["median"])}
-    entry = {"pairs": args.pairs, "seeds": seeds, "seconds": seconds,
+    pairs = min(len(runs["parent"]), len(runs["change"]))
+    entry = {"pairs": pairs, "seeds": seeds[: max(len(r) for r in runs.values())], "seconds": seconds,
+             "correct": {side: [r["correct"] for r in runs[side]] for side in runs},
              "failed": {side: sum(r["failed"] for r in runs[side]) for side in runs},
              "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in runs},
              "metrics": metrics}
+    if failed_run is not None:
+        entry["failed_run"] = failed_run
     out = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
     earlier = out["workloads"].get(args.workload)
     if earlier is not None:
         entry["earlier_runs"] = earlier.pop("earlier_runs", []) + [earlier]
     out["workloads"][args.workload] = entry
     text = json.dumps(out, indent=1)
-    # one line per list of numbers
-    text = re.sub(r"\[\s+([-0-9.e+,\s]+?)\s+\]",
+    # one line per list of numbers or booleans
+    text = re.sub(r"\[\s+([-0-9.a-z+,\s]+?)\s+\]",
                   lambda m: "[" + ", ".join(x.strip() for x in m.group(1).split(",")) + "]", text)
     args.out.write_text(text + "\n")
+    return 1 if failed_run is not None else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
