@@ -211,12 +211,14 @@ class ConfigError(Exception):
     pass
 
 
-# JSON Schema counts 2.0 as an integer; counts, steps and seeds must be ints
+# JSON Schema counts 2.0 as an integer, and json.load, --set and --tolerance take NaN
+# and the infinities: counts, steps and seeds must be ints, and every number finite
 _STRICT_INTEGERS = jsonschema.validators.extend(
     jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)
-    ),
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many({
+        "integer": lambda _, x: isinstance(x, int) and not isinstance(x, bool),
+        "number": lambda checker, x: checker.is_type(x, "integer") or isinstance(x, float) and math.isfinite(x),
+    }),
 )
 
 # built once: jsonschema.validate would check the schema itself on every call

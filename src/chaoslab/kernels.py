@@ -10,16 +10,15 @@ rank-one-sum tensor family: fixed per-cell envelope vectors with
 time-dependent filter weights.
 
 Everything downstream (condition checks, coupling functionals, simulation)
-works off three reductions: grid autocorrelation of the envelope (Gram of the
-envelope vectors), filter weight vectors per time, and windowed Gram algebra
-for partial contractions.
+works off the Gaussian field of the envelope vectors (``EnvelopeField``: its
+draws, its Grams and the windows they read) and filter weight vectors per time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -30,6 +29,7 @@ __all__ = [
     "HermiteKernelSpec",
     "GridSpec",
     "KernelDiscretization",
+    "EnvelopeField",
     "fractional_filter",
     "filter_cell_integrals",
     "envelope_cell_averages",
@@ -307,6 +307,66 @@ class GridSpec:
 # -- discretization ------------------------------------------------------------
 
 
+class EnvelopeField:
+    """The Gaussian field z_u = <phi_u, xi>, phi_u = sqrt(h) env[u - i] on the
+    cells i <= u, of one grid: its norms ||phi_u||, its Grams and its windows.
+
+    Paths and exact norms read the field on a window of u-cells: the sampler
+    on the u-cells in [0, T] at beta1 = 0, which the compact filter's
+    cumulative sum reads (as does the exact scale at t = T), and on every
+    u-cell otherwise (as does the exact scale at T <= 1), except at order 1,
+    where ``KernelDiscretization.filter_response`` folds the envelope in.  A
+    window holds the overlap-save spectra of xi (*) env there
+    (``_window_spectra``) and the norms.  Only the last window built is kept:
+    the scale and the sampler share it, and a sweep of supports holds one.
+    """
+
+    def __init__(self, beta2, h, cells):
+        self.h = h
+        self.cells = cells
+        self.envelope = envelope_cell_averages(beta2, h, cells)
+        self._window = (None, None)
+
+    @cached_property
+    def autocorr(self):
+        """Stationary Gram: entry m is h * sum_j env[j] env[j+m]."""
+        return self.h * fftconvolve(self.envelope, self.envelope[::-1])[self.cells - 1 :]
+
+    def window(self, first, width):
+        """(first, width, spectra, ||phi_u||) for the u-cells first .. first + width - 1,
+        where ||phi_u||^2 = h * sum_{m<=u} env[m]^2."""
+        if self._window[:2] != (first, width):
+            norms = np.sqrt(self.h * np.cumsum(self.envelope[: first + width] ** 2)[first:])
+            self._window = (first, width, _window_spectra(self.envelope, first, width), norms)
+        return self._window
+
+    def draw(self, xi, window):
+        """(z_u, ||phi_u||) on the u-cells of ``window``."""
+        first, width, spectra, norms = window
+        return math.sqrt(self.h) * _windowed(xi, first, width, spectra), norms
+
+    def gram_rows(self, lo, hi):
+        """Rows gram(u, u + m) = <phi_u, phi_{u+m}>, m = 0 .. hi - u, for u = lo .. hi.
+
+        Row lo is Q_m = h * sum_{k <= lo} env[k] env[k + m], output lo + m of
+        env[lo::-1] (*) env, the window (lo, hi - lo + 1); row u + 1 is row u
+        without its last lag plus h env[u + 1] env[u + 1 + m], added in place,
+        so each row yielded is overwritten by the next.
+        """
+        first, width, spectra, _ = self.window(lo, hi - lo + 1)
+        row = self.h * _windowed(self.envelope[lo::-1], first, width, spectra)
+        for u in range(lo, hi + 1):
+            if u > lo:
+                row = row[:-1]
+                row += (self.h * self.envelope[u]) * self.envelope[u : hi + 1]
+            yield row
+
+    def rows(self):
+        """The vectors phi_u as the rows of a dense R, so z = R xi (small grids)."""
+        u = np.arange(self.cells)
+        return math.sqrt(self.h) * np.tril(self.envelope[np.abs(u[:, None] - u)])
+
+
 class KernelDiscretization:
     """Shared envelope vectors plus per-time filter weights on one grid.
 
@@ -322,17 +382,12 @@ class KernelDiscretization:
         self.cells = grid.cells
         self.left_cells = self.cells - self.time_cells
         self.per_step = self.time_cells // grid.steps
-        self.envelope = envelope_cell_averages(spec.beta2, self.h, self.cells)
+        self.field = EnvelopeField(spec.beta2, self.h, self.cells)
 
     @cached_property
     def edges(self):
         """The cell edges, -left + h k for k = 0..cells (read by the weights)."""
         return -self.grid.left + self.h * np.arange(self.cells + 1)
-
-    @cached_property
-    def envelope_norm_sq(self):
-        """||phi_u||^2 = h * sum_{m<=u} envelope[m]^2 per u-cell."""
-        return self.h * np.cumsum(self.envelope**2)
 
     # weights -----------------------------------------------------------------
 
@@ -344,9 +399,8 @@ class KernelDiscretization:
         At order 1 with beta1 != 0 and t a cell edge t = k h (every T <= 1),
         X_t = sum_i xi_i (F[lam + k - i] - F[lam - i]) / beta1 for the
         folded response F = ``filter_response`` and lam = left_cells, with
-        F[r] = 0 for r < 0; the variance is then an O(cells) sum over F,
-        which the sampler's filter window is built from.  Every other kernel and
-        horizon takes the exact norm (``norm_sq``).
+        F[r] = 0 for r < 0; the variance is then an O(cells) sum over F.
+        Every other kernel and horizon takes the exact norm (``norm_sq``).
         """
         if self.spec.scale is not None:
             return float(self.spec.scale)
@@ -387,13 +441,6 @@ class KernelDiscretization:
             raise ValueError(f"invalid increment window x = {x}, s = {s}")
         return self.scale * (self._raw_weights(x + s) - self._raw_weights(x))
 
-    # Gram reductions ----------------------------------------------------------
-
-    @cached_property
-    def autocorr(self):
-        """Stationary envelope Gram: entry m is h * sum_j env[j] env[j+m]."""
-        return self.h * fftconvolve(self.envelope, self.envelope[::-1])[self.cells - 1 :]
-
     # path-sampling windows -------------------------------------------------------
 
     @cached_property
@@ -404,39 +451,27 @@ class KernelDiscretization:
         ((rh)^g - ((r-1)h)^g) / g with g = beta1 + 1, for r = 0..cells.
         Convolved with a cell vector, output left_cells + k is the vector's
         integral against (t - u)_+^beta1 at t = k h, and output left_cells
-        the t-independent (-u)_+^beta1 half.  At order 1 the Hermite
-        transform is the identity, so the envelope convolution (times
-        sqrt(h)) is folded in and the vector is the cell Gaussians; the
-        scale reads this folded response too.
+        the t-independent (-u)_+^beta1 half.  At order 1 the envelope
+        (times sqrt(h)) is folded in: the sampler convolves this folded
+        response with the cell Gaussians, and the scale reads it.
         """
         g = self.spec.beta1 + 1.0
         filt = np.diff((np.arange(self.cells + 1) * self.h) ** g / g, prepend=0.0)
         if self.spec.order == 1:
-            filt = math.sqrt(self.h) * fftconvolve(self.envelope, filt)[: self.cells + 1]
+            filt = math.sqrt(self.h) * fftconvolve(self.field.envelope, filt)[: self.cells + 1]
         return filt
 
     @cached_property
     def path_windows(self):
-        """(envelope, filter): the windows a path reads of its two
-        convolutions, each (first, width, spectra) for ``_windowed``, or None
-        where it makes none; the envelope window also carries the norms
-        ||phi_u|| of its u-cells, which the Hermite transform reads.  At
-        beta1 = 0: the envelope convolution on the u-cells in [0, T], which
-        the compact filter's cumulative sum reads (as does the exact scale at
-        t = T), and no filter convolution.  Otherwise: the envelope
-        convolution on every cell (one block), none at order 1 where
-        ``filter_response`` folds it in, and the filter convolution with
-        ``filter_response`` at outputs left_cells + k, k = 0..time_cells."""
-        def window(g, first, width):
-            return first, width, _window_spectra(g, first, width)
-
-        def envelope_window(first, width):
-            return window(self.envelope, first, width) + (np.sqrt(self.envelope_norm_sq[first : first + width]),)
-
+        """(envelope, filter): the field window a path reads (``EnvelopeField``),
+        or None at order 1 with beta1 != 0, and its filter convolution with
+        ``filter_response`` at outputs left_cells + k, k = 0..time_cells, as a
+        function of the cell vector, or None at beta1 = 0."""
         if self.spec.beta1 == 0.0:
-            return envelope_window(self.left_cells, self.time_cells), None
-        return (None if self.spec.order == 1 else envelope_window(0, self.cells),
-                window(self.filter_response, self.left_cells, self.time_cells + 1))
+            return self.field.window(self.left_cells, self.time_cells), None
+        filt = dict(first=self.left_cells, width=self.time_cells + 1)
+        return (None if self.spec.order == 1 else self.field.window(0, self.cells),
+                partial(_windowed, **filt, spectra=_window_spectra(self.filter_response, **filt)))
 
     def pair_inner(self, wa, wb):
         """<A, B> for two weight vectors, via the stationary Gram."""
@@ -449,25 +484,17 @@ class KernelDiscretization:
         b = wb[sb[0] : sb[-1] + 1]
         cross = fftconvolve(a, b[::-1])
         offsets = sa[0] - sb[0] + np.arange(-(b.size - 1), a.size)
-        return float(np.sum(cross * self.autocorr[np.abs(offsets)] ** n))
+        return float(np.sum(cross * self.field.autocorr[np.abs(offsets)] ** n))
 
     def norm_sq(self, w, exact=False):
         """||A||^2 for a weight vector.
 
         The stationary Gram ignores that cells near the left edge see a
         shorter envelope; ``exact=True`` sums the exact Gram over the weight
-        support [lo, hi] instead, with FFTs only as long as that support
-        needs.  At order 1 the norm is h * sum_i profile_i^2, profile_i =
-        sum_u w_u env[u - i], one convolution of the support with
-        env[:hi + 1].  At order n >= 2 the exact Gram
-        gram(u, u + m) = h * sum_{k <= u} env[k] env[k + m] is summed by
-        rows, which needs a compact support: row lo is Q_m, the sum over
-        k <= lo, and row u + 1 is row u without its last lag plus
-        h env[u + 1] env[u + 1 + m], so row u holds lags 0 .. hi - u and
-        adds w_u (2 sum_m w_{u+m} gram^n - w_u gram(u, u)^n) to the norm.
-        Q_m is output lo + m of env[lo::-1] (*) env, the window (lo, span)
-        of ``_windowed``; at beta1 = 0 and t = T that is the envelope window
-        of ``path_windows``.
+        support [lo, hi] instead.  At order 1 that is h * sum_i profile_i^2,
+        profile_i = sum_u w_u env[u - i], one convolution of the support with
+        env[:hi + 1]; at order n >= 2 it is the sum over u of w_u (2 sum_m
+        w_{u+m} gram^n - w_u gram(u, u)^n) over ``EnvelopeField.gram_rows``.
         """
         if not exact:
             return self.pair_inner(w, w)
@@ -477,24 +504,14 @@ class KernelDiscretization:
         lo, hi = support[0], support[-1]
         span = hi - lo + 1
         ws = w[lo : hi + 1]
-        env = self.envelope
         if self.spec.order == 1:
-            profile = fftconvolve(ws, env[hi::-1])[span - 1 :]
+            profile = fftconvolve(ws, self.field.envelope[hi::-1])[span - 1 :]
             return float(self.h * np.sum(profile**2))
         if span > EXACT_SPAN_CAP:
             raise ValueError(f"exact norm: support span {span} exceeds the cap of {EXACT_SPAN_CAP} cells")
-        n = self.spec.order
-        if self.spec.beta1 == 0.0 and (lo, span) == (self.left_cells, self.time_cells):
-            window = self.path_windows[0][:3]
-        else:
-            window = (lo, span, _window_spectra(env, lo, span))
-        row = self.h * _windowed(env[lo::-1], *window)  # gram(u, u + m), m = 0 .. hi - u, from u = lo on
         total = 0.0
-        for i in range(span):
-            if i:
-                row = row[:-1]
-                row += (self.h * env[lo + i]) * env[lo + i : hi + 1]
-            p = row**n
+        for i, row in enumerate(self.field.gram_rows(lo, hi)):
+            p = row**self.spec.order
             total += ws[i] * (2.0 * np.dot(ws[i:], p) - ws[i] * p[0])
         return float(total)
 
@@ -528,9 +545,9 @@ class KernelDiscretization:
                 f"(windows {ia.size} x {ib.size} exceed cap {CONTRACTION_WINDOW_CAP}); "
                 f"only available for beta1 = 0 kernels at this resolution"
             )
-        gram_ab = self.autocorr[np.abs(ia[:, None] - ib[None, :])]
-        gram_aa = self.autocorr[np.abs(ia[:, None] - ia[None, :])]
-        gram_bb = self.autocorr[np.abs(ib[:, None] - ib[None, :])]
+        gram_ab = self.field.autocorr[np.abs(ia[:, None] - ib[None, :])]
+        gram_aa = self.field.autocorr[np.abs(ia[:, None] - ia[None, :])]
+        gram_bb = self.field.autocorr[np.abs(ib[:, None] - ib[None, :])]
         cross = wa[ia][:, None] * gram_ab**j * wb[ib][None, :]
         mixed = gram_aa ** (n - j) @ cross @ gram_bb ** (n - j)
         return float(np.sum(cross * mixed))
@@ -542,17 +559,10 @@ class KernelDiscretization:
         n = self.spec.order
         if self.cells**n > MAX_DENSE_ENTRIES:
             raise ValueError(f"dense tensor would have {self.cells**n} entries (cap {MAX_DENSE_ENTRIES})")
-        operands = [w] + [self.rank_one_vectors()] * n
+        operands = [w] + [self.field.rows()] * n
         letters = "ijklmn"[:n]
         spec_str = "u," + ",".join("u" + c for c in letters) + "->" + letters
         return SymTensor(np.einsum(spec_str, *operands, optimize=True), dim=self.cells)
-
-    def rank_one_vectors(self):
-        """Envelope vectors as rows (small grids; feeds the Wick fast path)."""
-        shift = np.zeros((self.cells, self.cells))
-        for u in range(self.cells):
-            shift[u, : u + 1] = self.envelope[u::-1]
-        return shift * math.sqrt(self.h)
 
     def refined(self):
         """Same spec and domain, twice as many cells (same scale resolution

@@ -2,25 +2,14 @@
 
 A path is the order-n integral of the kernel family evaluated along the time
 grid for one draw of the cell Gaussians.  The rank-one structure reduces each
-path to one envelope convolution (all inner products at once), a Hermite
-transform per u-cell, and one filter convolution (all time points at once);
-the filter convolution degenerates to a cumulative sum for compact filters.
-
-Each convolution is read only on a window of its outputs: the u-cells in
-[0, T] for the envelope convolution at beta1 = 0 (the compact filter's sum
-reads no other), every u-cell for it otherwise, and the grid times for the
-filter convolution.  Both are overlap-save convolutions over that window
-(``_windowed`` in the FFT layer of ``kernels``, which also serves the Gram
-sums), against block spectra the discretization builds once
-(``KernelDiscretization.path_windows``): the cells up to the window's end are
-cut into blocks about four windows wide, each transformed with one window
-more, about 1.25 transform points per cell, so a path never transforms at
-the full grid length unless it reads the whole grid.
-At order 1 the Hermite transform is the identity, so for a non-compact filter
-the two convolutions fold into one against the envelope-filter response
-``KernelDiscretization.filter_response``.  The t-independent (-u)_+ half of a
-non-compact filter is the t = 0 output of the same convolution, so every path
-starts at exactly 0.
+path to the Gaussian field z_u = <phi_u, xi> on the u-cells that the filter
+reads (one windowed envelope convolution; ``kernels.EnvelopeField`` gives the
+layout), a Hermite transform per u-cell, and one windowed filter convolution
+read at the grid times, a cumulative sum for compact filters.  At order 1 the
+Hermite transform is the identity, so for a non-compact filter the two
+convolutions fold into one against ``KernelDiscretization.filter_response``.
+The t-independent (-u)_+ half of a non-compact filter is the t = 0 output of
+the same convolution, so every path starts at exactly 0.
 
 Every call samples in ``min(workers, count)`` worker processes.  The caller
 finishes the discretization first, its scale and every window a path reads,
@@ -33,13 +22,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from .chaos import _philox_key, hermite_he, philox_stream
-from .kernels import KernelDiscretization, _windowed
+from .kernels import KernelDiscretization
 from .kernels import fftconvolve  # noqa: F401  (chaosbench/bench_trace.py hooks this name)
 from .regularity import PathSample
 
@@ -60,8 +48,7 @@ def sample_path_values(kd, xi):
     envelope, filt = kd.path_windows
     b = xi  # at order 1 with beta1 != 0 the envelope is folded into the filter response
     if envelope is not None:  # |phi_u|^n He_n(<phi_u, xi>/|phi_u|) on the u-cells of the window
-        first, width, spectra, norms = envelope
-        z = math.sqrt(kd.h) * _windowed(xi, first, width, spectra)
+        z, norms = kd.field.draw(xi, envelope)
         b = norms**kd.spec.order * hermite_he(kd.spec.order, z / norms)
     if filt is None:  # beta1 = 0
         csum = np.concatenate(([0.0], np.cumsum(b)))
@@ -69,7 +56,7 @@ def sample_path_values(kd, xi):
     # output 0 of the window is the t-independent (-u)_+ half of the filter;
     # subtracted as values[0] - values, so that t = 0 gives +0.0 (not -0.0)
     # for beta1 < 0
-    values = _windowed(b, *filt)[offsets]
+    values = filt(b)[offsets]
     return (kd.scale / -kd.spec.beta1) * (values[0] - values)
 
 

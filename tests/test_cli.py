@@ -182,8 +182,8 @@ def test_report_with_inline_simulation_and_tolerance(tmp_path):
 def test_simulate_computes_scale_once(tmp_path, monkeypatch):
     # simulate builds the exact norm, the folded response and the window
     # spectra once each, in this process: a worker (forked, so patched too)
-    # that builds one fails.  The custom kernel's exact norm builds its own
-    # Q_m correlation window besides the path's envelope and filter windows.
+    # that builds one fails.  The custom kernel's exact norm reads the path's
+    # envelope window, so it builds two windows: that one and the filter's.
     caller = os.getpid()
     builds = collections.Counter()
 
@@ -202,7 +202,7 @@ def test_simulate_computes_scale_once(tmp_path, monkeypatch):
     kernels = {"rosenblatt": ({"type": "hermite", "order": 2, "alpha": 0.7}, dict(norm=1, windows=1)),
                "fbm": ({"type": "fbm", "alpha": 0.3}, dict(response=1, windows=1)),
                "custom": ({"type": "custom", "order": 2, "beta1": -0.2, "beta2": 0.8},
-                          dict(norm=1, response=1, windows=3))}
+                          dict(norm=1, response=1, windows=2))}
     grid = {"steps": 128, "left_units": 10}
     scales = {}
     for name, (kernel, expected) in kernels.items():
@@ -838,6 +838,32 @@ def test_malformed_run_json_exits_2(tmp_path, capsys, content):
 def test_degenerate_numbers_exit_2(tmp_path, capsys, command, cfg):
     path = write_config(tmp_path, "cfg.json", cfg)
     _assert_clean_exit_2([command, "--config", path, "--out-dir", str(tmp_path / "o")], capsys)
+
+
+_NAN_TENSORS = [{"order": 1, "dim": 2, "entries": [math.nan, 1.0]}, {"order": 1, "dim": 2, "entries": [1.0, 0.0]}]
+
+
+@pytest.mark.parametrize(
+    "command, cfg, flags",
+    [
+        ("expand", {"fixture": "first-order-product"}, ["--tolerance", "nan"]),
+        ("expand", {"fixture": "first-order-product"}, ["--set", "tolerance=Infinity"]),
+        ("expand", {"tensors": "tensors.json"}, []),
+        ("fuzz", {"equivalence_instances": 1, "inequality_instances": 1, "tolerance": math.nan}, []),
+        ("report", {"simulate": _TINY_FBM, "slope": {"p": 2, "levels": [1, 2], "expected_alpha": 0.75,
+                                                     "tolerance": math.nan}}, []),
+    ],
+    ids=["tolerance-flag-nan", "set-tolerance-infinity", "tensor-entry-nan", "fuzz-tolerance-nan",
+         "report-tolerance-nan"],
+)
+def test_non_finite_numbers_exit_2(tmp_path, capsys, command, cfg, flags):
+    # json.load, --set and --tolerance all take NaN and the infinities; a NaN
+    # tolerance fails every comparison and an infinite one passes every gap
+    write_config(tmp_path, "tensors.json", _NAN_TENSORS)
+    if "tensors" in cfg:
+        cfg = {"tensors": str(tmp_path / cfg["tensors"])}
+    path = write_config(tmp_path, "cfg.json", cfg)
+    _assert_clean_exit_2([command, "--config", path, "--out-dir", str(tmp_path / "o"), *flags], capsys)
 
 
 @pytest.mark.parametrize("steps, levels", [(64, [1, 2, 3, 4, 5, 6]), (2, [1]), (128, list(range(1, 8)))])

@@ -103,7 +103,7 @@ def test_grid_autocorr_matches_envelope_correlation():
         corr = beta_fn(b2 / 2, 1.0 - b2) * w ** (b2 - 1.0)
         domain = (kd.cells - m) * kd.h
         tail = domain ** (b2 - 1.0) / (1.0 - b2)
-        assert kd.autocorr[m] == pytest.approx(corr - tail, rel=0.02)
+        assert kd.field.autocorr[m] == pytest.approx(corr - tail, rel=0.02)
 
 
 # -- spec objects ----------------------------------------------------------------
@@ -219,7 +219,7 @@ def reference_exact_norm_sq(kd, w):
     convolution (order 1); slow, kept as the reference of ``norm_sq``."""
     support = np.flatnonzero(np.abs(w) > 0)
     lo, hi = support[0], support[-1]
-    env = kd.envelope
+    env = kd.field.envelope
     if kd.spec.order == 1:
         profile = fftconvolve(w, env[::-1])[kd.cells - 1 :]
         return float(kd.h * np.sum(profile**2))
@@ -235,7 +235,7 @@ def reference_exact_norm_sq(kd, w):
             tail = suffix[np.minimum(u - lo, seg.size)]
         else:
             tail = 0.0
-        gram = kd.autocorr[m] - kd.h * tail
+        gram = kd.field.autocorr[m] - kd.h * tail
         total += (1.0 if m == 0 else 2.0) * float(np.sum(ww * gram**kd.spec.order))
     return total
 

@@ -35,7 +35,7 @@ def test_simulation_matches_dense_wick_eval(spec):
     rng = np.random.default_rng(5)
     xi = rng.standard_normal(kd.cells)
     values = sample_path_values(kd, xi)
-    vectors = kd.rank_one_vectors()
+    vectors = kd.field.rows()
     for step_index in (0, 3, grid.steps):
         t = step_index * spec.horizon / grid.steps
         w = kd.weights(t)
@@ -50,8 +50,8 @@ def direct_path(kd, xi):
     """Path values from linear convolutions (``np.convolve``), so that nothing
     can wrap around."""
     n = kd.spec.order
-    z = math.sqrt(kd.h) * np.convolve(xi, kd.envelope)[: kd.cells]
-    norms = np.sqrt(kd.envelope_norm_sq)
+    z = math.sqrt(kd.h) * np.convolve(xi, kd.field.envelope)[: kd.cells]
+    norms = np.sqrt(kd.h * np.cumsum(kd.field.envelope**2))
     b = norms**n * chaos.hermite_he(n, z / norms)
     beta1 = kd.spec.beta1
     if beta1 == 0.0:
@@ -98,12 +98,29 @@ def test_short_transforms_do_not_alias(spec, steps, per_step):
         assert np.max(np.abs(values - reference)) <= 1e-12 * np.max(np.abs(reference)), left_units
 
 
-# the three kernel layouts: which windows a path reads (see path_windows)
+# the three kernel layouts: which windows a path reads (see EnvelopeField)
 LAYOUTS = {
     "beta1-zero": HermiteKernelSpec.hermite(2, 0.7),
     "beta1-negative": HermiteKernelSpec.fbm(0.3),
     "order2-beta1-negative": HermiteKernelSpec(order=2, beta1=-0.2, beta2=0.8),
 }
+
+
+@pytest.mark.parametrize("spec", LAYOUTS.values(), ids=LAYOUTS)
+def test_gram_rows_are_rows_of_the_dense_gram(spec):
+    # row u of gram_rows(lo, hi) is (R R^T)[u, u:hi + 1], R the dense field rows
+    kd = KernelDiscretization(spec, GridSpec.build(spec, steps=32, left_units=6))
+    gram = kd.field.rows() @ kd.field.rows().T
+    c = kd.cells
+    supports = [(0, c - 1), (kd.left_cells, c - 1), (c // 3, 2 * c // 3), (c // 2, c // 2)]
+    envelope = kd.path_windows[0]
+    assert envelope is None or (envelope[0], envelope[0] + envelope[1] - 1) in supports
+    for lo, hi in supports:
+        rows = [row.copy() for row in kd.field.gram_rows(lo, hi)]  # each row is overwritten by the next
+        assert len(rows) == hi - lo + 1
+        for u, row in zip(range(lo, hi + 1), rows):
+            ref = gram[u, u : hi + 1]
+            assert np.max(np.abs(row - ref)) <= 1e-12 * np.max(np.abs(ref)), (lo, hi, u)
 
 
 @pytest.mark.parametrize("spec", LAYOUTS.values(), ids=LAYOUTS)
@@ -171,9 +188,9 @@ def test_worker_count_defaults_to_one(monkeypatch):
 
 def test_workers_take_the_callers_discretization(monkeypatch):
     # The caller finishes the discretization before the pool: the scale, the
-    # folded response and every window a path reads, with the envelope
-    # window's norms.  Forked workers inherit these patches, so a build in a
-    # worker raises there and fails the call.
+    # folded response and every window a path reads (a field window builds
+    # its norms with its spectra).  Forked workers inherit these patches, so
+    # a build in a worker raises there and fails the call.
     caller = os.getpid()
 
     def caller_only(build):
@@ -185,10 +202,9 @@ def test_workers_take_the_callers_discretization(monkeypatch):
     def no_discretization(*args, **kwargs):
         raise AssertionError("a discretization was built")
 
-    for name in ("filter_response", "envelope_norm_sq"):  # the envelope window's norms read the latter
-        prop = functools.cached_property(caller_only(getattr(KernelDiscretization, name).func))
-        prop.__set_name__(KernelDiscretization, name)
-        monkeypatch.setattr(KernelDiscretization, name, prop)
+    prop = functools.cached_property(caller_only(KernelDiscretization.filter_response.func))
+    prop.__set_name__(KernelDiscretization, "filter_response")
+    monkeypatch.setattr(KernelDiscretization, "filter_response", prop)
     monkeypatch.setattr("chaoslab.kernels._window_spectra", caller_only(kernels._window_spectra))
     monkeypatch.setattr(KernelDiscretization, "norm_sq", caller_only(KernelDiscretization.norm_sq))
     monkeypatch.setattr("chaoslab.simulate.KernelDiscretization", no_discretization)

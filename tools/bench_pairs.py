@@ -16,7 +16,9 @@ seed and exit code go under ``failed_run``, the runs made so far are written
 (summaries over every run, wins over the whole pairs) and the tool exits 1.
 A workload already in ``--out`` is replaced, and the replaced entry, with its
 own earlier runs, moves under the new entry's ``earlier_runs``, so every run
-made is kept.
+made is kept.  Each side's ``tree`` records its ``git rev-parse HEAD`` (null if
+the tree is not the top of a git checkout) and ``src_lines``, the total of
+``wc -l src/chaoslab/*.py``, so that size is tracked alongside speed.
 """
 
 from __future__ import annotations
@@ -39,6 +41,15 @@ def run(tree, workload, seed, seconds):
         print(done.stderr, file=sys.stderr)
         return done.returncode, None
     return 0, json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def tree_facts(tree):
+    """{"head": the tree's commit or None, "src_lines": total of wc -l src/chaoslab/*.py}."""
+    done = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"], cwd=tree, capture_output=True, text=True)
+    top, _, head = done.stdout.strip().partition("\n")
+    own = done.returncode == 0 and Path(top).resolve() == Path(tree).resolve()
+    lines = sum(p.read_bytes().count(b"\n") for p in Path(tree).glob("src/chaoslab/*.py"))
+    return {"head": head if own else None, "src_lines": lines}
 
 
 def summary(values):
@@ -86,6 +97,7 @@ def main(argv=None):
                          "unresolved": parent["q3"] - parent["q1"] > spec["bound"] * abs(parent["median"])}
     pairs = min(len(runs["parent"]), len(runs["change"]))
     entry = {"pairs": pairs, "seeds": seeds[: max(len(r) for r in runs.values())], "seconds": seconds,
+             "tree": {side: tree_facts(getattr(args, side)) for side in runs},
              "correct": {side: [r["correct"] for r in runs[side]] for side in runs},
              "failed": {side: sum(r["failed"] for r in runs[side]) for side in runs},
              "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in runs},
