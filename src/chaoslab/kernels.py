@@ -9,9 +9,12 @@ singular factors integrated analytically over cells.  The result is a
 rank-one-sum tensor family: fixed per-cell envelope vectors with
 time-dependent filter weights.
 
-Everything downstream (condition checks, coupling functionals, simulation)
-works off the Gaussian field of the envelope vectors (``EnvelopeField``: its
-draws, its Grams and the windows they read) and filter weight vectors per time.
+Everything downstream (condition checks, coupling functionals, simulation at
+order >= 2) works off the Gaussian field of the envelope vectors
+(``EnvelopeField``: its draws, its Grams and the windows they read) and filter
+weight vectors per time.  At order 1 the continuum kernel's process is
+fractional Brownian motion whatever beta1 and beta2 are, and the sampler draws
+it exactly on the time steps (``CirculantField`` over ``fgn_autocorr``).
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ __all__ = [
     "GridSpec",
     "KernelDiscretization",
     "EnvelopeField",
+    "CirculantField",
+    "fgn_autocorr",
     "fractional_filter",
     "filter_cell_integrals",
     "envelope_cell_averages",
@@ -57,7 +62,7 @@ LOWER_STABILITY_TOL = 0.25  # and change less than this (relative) between its l
 QUAD_CORE_CELLS = 256  # filter quadrature: linear cells on [-2s, s]
 QUAD_TAIL_CELLS = 128  # log-spaced cells left of -2s
 QUAD_TAIL_FACTOR = 1e4  # the tail reaches QUAD_TAIL_FACTOR^(1/(1 - beta1)) * s
-EDGE_TOL = 1e-14  # t is the cell edge k h when |k h - t| <= EDGE_TOL * t
+FGN_SERIES_TERMS = 40  # binomial-series terms of the fGn autocorrelation at lags >= 2
 GRID_CELL_BUDGET = 4_000_000  # most cells GridSpec.build puts on a grid
 WINDOW_CHUNK_POINTS = 1 << 18  # transform points per chunk of blocks in a windowed convolution
 
@@ -196,6 +201,32 @@ def envelope_cell_averages(beta2, spacing, count):
     return (hi**a - lo**a) / (a * spacing)
 
 
+def fgn_autocorr(alpha, lags):
+    """rho(m) = (|m + 1|^(2 alpha) - 2 |m|^(2 alpha) + |m - 1|^(2 alpha)) / 2 at
+    the integer ``lags`` m: the autocorrelation of unit fractional Gaussian noise.
+
+    The second difference cancels all but about m^(2 alpha - 2) of m^(2 alpha)
+    (2e-4 relative lost at m = 10^6), so it is never formed: rho(1) is
+    2^(2 alpha - 1) - 1 by expm1, and for |m| >= 2 rho(m) is the binomial
+    series |m|^(2 alpha) sum_{k >= 1} C(2 alpha, 2k) m^(-2k), whose terms share
+    one sign and shrink by at least 4 per term, summed to FGN_SERIES_TERMS terms.
+    """
+    a = 2.0 * alpha
+    coef = []  # C(a, 2k), k = 1 .. FGN_SERIES_TERMS
+    c = 1.0
+    for j in range(1, 2 * FGN_SERIES_TERMS + 1):
+        c *= (a - j + 1) / j
+        if j % 2 == 0:
+            coef.append(c)
+    m = np.abs(np.asarray(lags, dtype=float))
+    far = np.maximum(m, 2.0)
+    y = far**-2.0
+    series = np.zeros_like(y)
+    for c in reversed(coef):  # Horner in m^-2
+        series = (series + c) * y
+    return np.select([m == 0, m == 1], [1.0, math.expm1((a - 1.0) * math.log(2.0))], far**a * series)
+
+
 # -- spec objects --------------------------------------------------------------
 
 
@@ -311,11 +342,10 @@ class EnvelopeField:
     """The Gaussian field z_u = <phi_u, xi>, phi_u = sqrt(h) env[u - i] on the
     cells i <= u, of one grid: its norms ||phi_u||, its Grams and its windows.
 
-    Paths and exact norms read the field on a window of u-cells: the sampler
-    on the u-cells in [0, T] at beta1 = 0, which the compact filter's
-    cumulative sum reads (as does the exact scale at t = T), and on every
-    u-cell otherwise (as does the exact scale at T <= 1), except at order 1,
-    where ``KernelDiscretization.filter_response`` folds the envelope in.  A
+    Paths at order >= 2 and exact norms read the field on a window of
+    u-cells: the sampler on the u-cells in [0, T] at beta1 = 0, which the
+    compact filter's cumulative sum reads (as does the exact scale at t = T),
+    and on every u-cell otherwise (as does the exact scale at T <= 1).  A
     window holds the overlap-save spectra of xi (*) env there
     (``_window_spectra``) and the norms.  Only the last window built is kept:
     the scale and the sampler share it, and a sweep of supports holds one.
@@ -367,6 +397,38 @@ class EnvelopeField:
         return math.sqrt(self.h) * np.tril(self.envelope[np.abs(u[:, None] - u)])
 
 
+class CirculantField:
+    """A stationary Gaussian sequence Y_0 .. Y_{N-1} with autocorrelation
+    r = (r_0 .. r_N), drawn exactly by circulant embedding (Davies & Harte,
+    Biometrika 74, 1987; Dietrich & Newsam, SIAM J. Sci. Comput. 18, 1997).
+
+    The circulant of first row [r_0 .. r_N, r_{N-1} .. r_1], of size M = 2N,
+    has the eigenvalues lam = rfft of that row.  For xi of M standard
+    normals, Y = irfft(sqrt(lam) rfft(xi))[:N] has covariance Toeplitz(r_0 ..
+    r_{N-1}).  A negative eigenvalue means r has no such embedding: it raises,
+    and no eigenvalue is ever clipped.
+    """
+
+    def __init__(self, r):
+        r = np.asarray(r, dtype=float)
+        self.size = r.size - 1
+        self.normals = 2 * self.size  # Gaussians a draw reads
+        lam = rfft(np.concatenate((r, r[-2:0:-1]))).real
+        if lam.min() < 0.0:
+            raise ValueError(f"circulant embedding is not positive semidefinite: eigenvalue {lam.min():.3g}")
+        self.root = np.sqrt(lam)
+
+    def draw(self, xi):
+        """Y for ``normals`` standard normals xi."""
+        return irfft(self.root * rfft(xi), self.normals)[: self.size]
+
+    def rows(self):
+        """The dense R, N x M, with Y = R xi (small grids)."""
+        kernel = irfft(self.root, self.normals)
+        lag = np.arange(self.size)[:, None] - np.arange(self.normals)
+        return kernel[lag % self.normals]
+
+
 class KernelDiscretization:
     """Shared envelope vectors plus per-time filter weights on one grid.
 
@@ -382,7 +444,11 @@ class KernelDiscretization:
         self.cells = grid.cells
         self.left_cells = self.cells - self.time_cells
         self.per_step = self.time_cells // grid.steps
-        self.field = EnvelopeField(spec.beta2, self.h, self.cells)
+
+    @cached_property
+    def field(self):
+        """The envelope vectors' Gaussian field (``EnvelopeField``)."""
+        return EnvelopeField(self.spec.beta2, self.h, self.cells)
 
     @cached_property
     def edges(self):
@@ -396,32 +462,21 @@ class KernelDiscretization:
         """1 / sqrt(n! ||A_t||^2) at t = min(1, T): unit process variance
         there, unless the spec fixes the scale.
 
-        At order 1 with beta1 != 0 and t a cell edge t = k h (every T <= 1),
-        X_t = sum_i xi_i (F[lam + k - i] - F[lam - i]) / beta1 for the
-        folded response F = ``filter_response`` and lam = left_cells, with
-        F[r] = 0 for r < 0; the variance is then an O(cells) sum over F.
-        Every other kernel and horizon takes the exact norm (``norm_sq``).
+        At order 1 ||A_t||^2 is ``continuum_norm_sq``, the variance of the
+        exact fBm that the sampler draws; at order >= 2 it is the exact grid
+        norm (``norm_sq``).
         """
         if self.spec.scale is not None:
             return float(self.spec.scale)
         t_ref = min(1.0, self.spec.horizon)
-        k = round(t_ref / self.h)
-        beta1 = self.spec.beta1
-        if self.spec.order == 1 and beta1 != 0.0 and abs(k * self.h - t_ref) <= EDGE_TOL * t_ref:
-            lam = self.left_cells
-            response = self.filter_response
-            # F[lam + k - i] for i < cells: the reversed slice stops at F[0],
-            # so the terms with lam + k - i < 0 (T > 1) are left out, not wrapped
-            diff = response[lam + k :: -1][: self.cells].copy()
-            diff[: lam + 1] -= response[lam::-1]
-            var = float(diff @ diff) / beta1**2
-        else:
-            try:
-                var = math.factorial(self.spec.order) * self.norm_sq(self._raw_weights(t_ref), exact=True)
-            except ValueError as exc:  # past the span cap: name the ways past it
-                raise ValueError(
-                    f"{exc}; use a smaller grid.left_units, or give kernel.scale to skip the norm"
-                ) from None
+        if self.spec.order == 1:
+            return 1.0 / math.sqrt(continuum_norm_sq(self.spec, t_ref))
+        try:
+            var = math.factorial(self.spec.order) * self.norm_sq(self._raw_weights(t_ref), exact=True)
+        except ValueError as exc:  # past the span cap: name the ways past it
+            raise ValueError(
+                f"{exc}; use a smaller grid.left_units, or give kernel.scale to skip the norm"
+            ) from None
         if var <= 0:
             raise ValueError("cannot normalize a degenerate kernel")
         return 1.0 / math.sqrt(var)
@@ -443,6 +498,17 @@ class KernelDiscretization:
 
     # path-sampling windows -------------------------------------------------------
 
+    @property
+    def path_normals(self):
+        """The Gaussians a path draws: 2 steps at order 1 (``circulant``),
+        one per cell at order >= 2 (``path_windows``)."""
+        return 2 * self.grid.steps if self.spec.order == 1 else self.cells
+
+    @cached_property
+    def circulant(self):
+        """The order-1 sampler: unit fGn on the time steps (``CirculantField``)."""
+        return CirculantField(fgn_autocorr(self.spec.alpha, np.arange(self.grid.steps + 1)))
+
     @cached_property
     def filter_response(self):
         """The cell vector of the sampler's filter convolution (beta1 != 0).
@@ -451,26 +517,21 @@ class KernelDiscretization:
         ((rh)^g - ((r-1)h)^g) / g with g = beta1 + 1, for r = 0..cells.
         Convolved with a cell vector, output left_cells + k is the vector's
         integral against (t - u)_+^beta1 at t = k h, and output left_cells
-        the t-independent (-u)_+^beta1 half.  At order 1 the envelope
-        (times sqrt(h)) is folded in: the sampler convolves this folded
-        response with the cell Gaussians, and the scale reads it.
+        the t-independent (-u)_+^beta1 half.
         """
         g = self.spec.beta1 + 1.0
-        filt = np.diff((np.arange(self.cells + 1) * self.h) ** g / g, prepend=0.0)
-        if self.spec.order == 1:
-            filt = math.sqrt(self.h) * fftconvolve(self.field.envelope, filt)[: self.cells + 1]
-        return filt
+        return np.diff((np.arange(self.cells + 1) * self.h) ** g / g, prepend=0.0)
 
     @cached_property
     def path_windows(self):
-        """(envelope, filter): the field window a path reads (``EnvelopeField``),
-        or None at order 1 with beta1 != 0, and its filter convolution with
+        """(envelope, filter) at order >= 2: the field window a path reads
+        (``EnvelopeField``), and its filter convolution with
         ``filter_response`` at outputs left_cells + k, k = 0..time_cells, as a
         function of the cell vector, or None at beta1 = 0."""
         if self.spec.beta1 == 0.0:
             return self.field.window(self.left_cells, self.time_cells), None
         filt = dict(first=self.left_cells, width=self.time_cells + 1)
-        return (None if self.spec.order == 1 else self.field.window(0, self.cells),
+        return (self.field.window(0, self.cells),
                 partial(_windowed, **filt, spectra=_window_spectra(self.filter_response, **filt)))
 
     def pair_inner(self, wa, wb):
@@ -840,7 +901,9 @@ def truncation_report(kd):
     normalizes.  It mixes the mass the left truncation loses with the
     discretization error, so it can be slightly negative.  ``self_similarity``
     maps j = 0..min(8, log2 steps) to r(t_ref 2^-j) / r(t_ref), which is
-    Var X_t / t^(2 alpha) of the normalized process: 1 if it is self-similar.
+    Var X_t / t^(2 alpha) of the normalized grid process: 1 if it is
+    self-similar.  The sampler draws the grid process at order >= 2 only; at
+    order 1 it draws exact fBm, whose ratio is 1 at every grid time.
     """
     spec = kd.spec
     exact = spec.beta1 == 0.0 or spec.order == 1

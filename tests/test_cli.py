@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import chaoslab
 from chaoslab import cli
 from chaoslab.cli import _load_paths, main, make_grid, make_spec, write_csv, write_json
-from chaoslab.kernels import KernelDiscretization, _window_spectra
+from chaoslab.kernels import CirculantField, KernelDiscretization, _window_spectra
 from chaoslab.regularity import BesovLevel, BesovSeminormReport, PathSample
 from chaoslab.tensors import SymTensor
 
@@ -180,10 +180,12 @@ def test_report_with_inline_simulation_and_tolerance(tmp_path):
 
 
 def test_simulate_computes_scale_once(tmp_path, monkeypatch):
-    # simulate builds the exact norm, the folded response and the window
-    # spectra once each, in this process: a worker (forked, so patched too)
-    # that builds one fails.  The custom kernel's exact norm reads the path's
-    # envelope window, so it builds two windows: that one and the filter's.
+    # simulate builds the exact norm, the filter response, the window spectra
+    # and the circulant root once each, in this process: a worker (forked, so
+    # patched too) that builds one fails.  The custom kernel's exact norm
+    # reads the path's envelope window, so it builds two windows: that one and
+    # the filter's.  The fbm kernel's scale is closed form, and its paths read
+    # the root alone.
     caller = os.getpid()
     builds = collections.Counter()
 
@@ -199,8 +201,9 @@ def test_simulate_computes_scale_once(tmp_path, monkeypatch):
     monkeypatch.setattr(KernelDiscretization, "norm_sq", counted("norm", KernelDiscretization.norm_sq))
     monkeypatch.setattr(KernelDiscretization, "filter_response", response)
     monkeypatch.setattr("chaoslab.kernels._window_spectra", counted("windows", _window_spectra))
+    monkeypatch.setattr("chaoslab.kernels.CirculantField", counted("root", CirculantField))
     kernels = {"rosenblatt": ({"type": "hermite", "order": 2, "alpha": 0.7}, dict(norm=1, windows=1)),
-               "fbm": ({"type": "fbm", "alpha": 0.3}, dict(response=1, windows=1)),
+               "fbm": ({"type": "fbm", "alpha": 0.3}, dict(root=1)),
                "custom": ({"type": "custom", "order": 2, "beta1": -0.2, "beta2": 0.8},
                           dict(norm=1, response=1, windows=2))}
     grid = {"steps": 128, "left_units": 10}

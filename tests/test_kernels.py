@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.special import beta as beta_fn
 
 from chaoslab.kernels import (
     GRID_CELL_BUDGET,
+    CirculantField,
     GridSpec,
     HermiteKernelSpec,
     KernelDiscretization,
@@ -20,6 +22,7 @@ from chaoslab.kernels import (
     coupling_scaling_report,
     envelope_cell_averages,
     fftconvolve,
+    fgn_autocorr,
     filter_cell_integrals,
     filter_overlap_integral,
     fractional_filter,
@@ -29,6 +32,7 @@ from chaoslab.kernels import (
     truncation_report,
     upper_scaling_report,
 )
+from chaoslab.simulate import sample_paths
 from chaoslab.tensors import contract, inner, norm
 
 
@@ -271,25 +275,76 @@ def test_exact_norm_matches_suffix_sum_reference(spec, steps, left_units, times)
         (HermiteKernelSpec(order=1, beta1=0.1, beta2=0.5), 2**10),
         (HermiteKernelSpec.fbm(0.3, horizon=0.5), 2**10),
         (HermiteKernelSpec.fbm(0.3, horizon=1.3), 13 * 2**6),  # t = 1 is cell 640
+        (HermiteKernelSpec.fbm(0.3, horizon=1.3), 2**10),  # t = 1 falls inside a cell
         (HermiteKernelSpec.fbm(0.3, horizon=1.5), 3 * 2**9),  # t = 1 is cell 1024
     ],
-    ids=["fbm-0.3", "fbm-0.5", "custom1-pos-beta1", "T0.5", "T1.3", "T1.5"],
+    ids=["fbm-0.3", "fbm-0.5", "custom1-pos-beta1", "T0.5", "T1.3", "T1.3-off-edge", "T1.5"],
 )
-def test_order_one_response_scale_matches_exact_norm(spec, steps):
-    kd = KernelDiscretization(spec, GridSpec.build(spec, steps=steps, left_units=30))
-    var = kd.scale**-2
-    assert "filter_response" in vars(kd)  # the scale took the response route
-    exact = kd.norm_sq(kd._raw_weights(min(1.0, spec.horizon)), exact=True)
-    assert var == pytest.approx(exact, rel=1e-13)
+def test_order_one_scale_is_the_closed_form(spec, steps):
+    # the sampler draws exact fBm, whose variance at t = min(1, T) is the
+    # continuum norm: an order-1 simulate builds no envelope field, filter
+    # response or cell edges
+    grid = GridSpec.build(spec, steps=steps, left_units=30)
+    kd = KernelDiscretization(spec, grid)
+    paths = sample_paths(spec, grid, 2, seed=3, kd=kd)
+    assert kd.scale == 1.0 / math.sqrt(continuum_norm_sq(spec, min(1.0, spec.horizon)))
+    assert not {"field", "filter_response", "edges"} & set(vars(kd))
+    assert all(p.values[0] == 0.0 for p in paths)
 
 
-def test_off_edge_scale_takes_the_exact_norm():
-    # T = 1.3 on 1024 steps: t = 1 falls inside a cell
-    spec = HermiteKernelSpec.fbm(0.3, horizon=1.3)
-    kd = KernelDiscretization(spec, GridSpec.build(spec, steps=2**10, left_units=30))
-    scale = kd.scale
-    assert "filter_response" not in vars(kd)
-    assert scale == 1.0 / math.sqrt(kd.norm_sq(kd._raw_weights(1.0), exact=True))
+def naive_fgn_autocorr(alpha, m):
+    return 0.5 * (abs(m + 1) ** (2 * alpha) - 2 * abs(m) ** (2 * alpha) + abs(m - 1) ** (2 * alpha))
+
+
+def test_fgn_autocorr_is_free_of_cancellation():
+    # against the second difference at 60 digits, to 1e-13 relative; the
+    # naive second difference in doubles misses the same bound
+    lags = [0, 1, 2, 3, 5, 10, 100, 10**3, 10**4, 10**5, 10**6]
+    naive_worst = 0.0
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for alpha in np.arange(1, 20) * 0.05:
+            a2 = 2 * Decimal(float(alpha))
+            got = fgn_autocorr(alpha, lags)
+            for m, value in zip(lags, got):
+                ref = ((m + 1) ** a2 - 2 * Decimal(m) ** a2 + abs(m - 1) ** a2) / 2 if m else Decimal(1)
+                assert abs(Decimal(float(value)) - ref) <= Decimal("1e-13") * abs(ref), (alpha, m)
+                if ref:
+                    naive = Decimal(float(naive_fgn_autocorr(alpha, m)))
+                    naive_worst = max(naive_worst, float(abs(naive - ref) / abs(ref)))
+    assert naive_worst > 1e-13
+    assert np.array_equal(fgn_autocorr(0.3, [-7, 7]), fgn_autocorr(0.3, [7, 7]))
+
+
+@pytest.mark.parametrize("steps", [8, 13, 32])
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.75, 0.95])
+def test_circulant_embeds_fgn_and_fbm_variance_exactly(alpha, steps):
+    # the embedding's first row is rho_alpha, and Var X_t / (scale^2
+    # continuum_norm_sq(t)) = 1 at every grid time, computed from r alone
+    spec = HermiteKernelSpec.fbm(alpha, horizon=1.3)
+    kd = KernelDiscretization(spec, GridSpec.build(spec, steps=steps, left_units=2))
+    r = fgn_autocorr(alpha, np.arange(steps + 1))
+    root = kd.circulant.root
+    assert np.max(np.abs(np.fft.irfft(root**2, 2 * steps)[: steps + 1] - r)) <= 1e-12
+    rows = kd.circulant.rows()  # Y = R xi, with Cov Y = Toeplitz(r_0 .. r_{steps-1})
+    lag = np.abs(np.arange(steps)[:, None] - np.arange(steps))
+    assert np.max(np.abs(rows @ rows.T - r[lag])) <= 1e-12
+    xi = np.random.default_rng(steps).standard_normal(kd.path_normals)
+    assert np.max(np.abs(rows @ xi - kd.circulant.draw(xi))) <= 1e-12 * np.max(np.abs(rows @ xi))
+    dt = spec.horizon / steps
+    for k in range(1, steps + 1):
+        lag = np.arange(1 - k, k)
+        var = kd.scale**2 * continuum_norm_sq(spec, dt) * np.sum((k - np.abs(lag)) * r[np.abs(lag)])
+        assert var / (kd.scale**2 * continuum_norm_sq(spec, k * dt)) == pytest.approx(1.0, rel=1e-12, abs=0)
+
+
+def test_circulant_eigenvalue_guard():
+    # the row [1, 0.9, -0.9, 0.9] has the eigenvalue 1 - 2.7 < 0: refused, not clipped
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        CirculantField([1.0, 0.9, -0.9])
+    for alpha in (0.05, 0.3, 0.5, 0.75, 0.95):
+        field = CirculantField(fgn_autocorr(alpha, np.arange(2**12 + 1)))
+        assert field.root.min() > 0.0
 
 
 def test_dense_vs_gram_contractions_two_path():

@@ -9,7 +9,7 @@ import pytest
 
 from chaoslab import chaos, kernels
 from chaoslab.chaos import philox_stream
-from chaoslab.kernels import GridSpec, HermiteKernelSpec, KernelDiscretization
+from chaoslab.kernels import GridSpec, HermiteKernelSpec, KernelDiscretization, continuum_norm_sq
 from chaoslab.simulate import provenance_tag, sample_path_values, sample_paths
 
 
@@ -24,13 +24,12 @@ def tiny_family(spec, cells_per_unit=16, left=3.0):
     [
         HermiteKernelSpec.hermite(2, 0.7),
         HermiteKernelSpec.hermite(3, 0.8),
-        HermiteKernelSpec.fbm(0.75),
-        HermiteKernelSpec.fbm(0.3),
     ],
-    ids=["rosenblatt", "hermite3", "fbm75", "fbm30"],
+    ids=["rosenblatt", "hermite3"],
 )
 def test_simulation_matches_dense_wick_eval(spec):
-    # the three evaluation routes agree: path engine, dense tensor, rank-one sum
+    # the three evaluation routes agree at order >= 2: path engine, dense
+    # tensor, rank-one sum (order 1 draws exact fBm: see the covariance gate)
     grid, kd = tiny_family(spec)
     rng = np.random.default_rng(5)
     xi = rng.standard_normal(kd.cells)
@@ -46,10 +45,46 @@ def test_simulation_matches_dense_wick_eval(spec):
         assert by_rank_one == pytest.approx(by_dense, rel=1e-9, abs=1e-12)
 
 
+@pytest.mark.parametrize("steps", [8, 13, 32])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        HermiteKernelSpec.fbm(0.3),
+        HermiteKernelSpec.fbm(0.75),
+        HermiteKernelSpec(order=1, beta1=0.2, beta2=0.5, horizon=1.3, scale=0.7),
+    ],
+    ids=["fbm30", "fbm75", "custom1"],
+)
+def test_order_one_paths_have_the_exact_fbm_covariance(spec, steps):
+    # X is linear in xi, so its matrix is X of the unit vectors, and
+    # Cov(X_t, X_s) = M M^T must be scale^2 c (t^2a + s^2a - |t - s|^2a) / 2,
+    # c = continuum_norm_sq at t = 1, with no Monte Carlo; the scale is the
+    # given one, or else gives unit variance at t = min(1, T)
+    kd = KernelDiscretization(spec, GridSpec.build(spec, steps=steps, left_units=2))
+    m = np.array([sample_path_values(kd, e) for e in np.eye(kd.path_normals)]).T
+    t = np.arange(steps + 1) * (spec.horizon / steps)
+    a2 = 2.0 * spec.alpha
+    scale_sq = spec.scale**2 if spec.scale is not None else 1.0 / continuum_norm_sq(spec, min(1.0, spec.horizon))
+    ref = scale_sq * continuum_norm_sq(spec, 1.0) * 0.5 * (
+        t[:, None] ** a2 + t[None, :] ** a2 - np.abs(t[:, None] - t[None, :]) ** a2)
+    assert np.all(np.abs(m @ m.T - ref) <= 1e-12 * np.abs(ref))
+
+
 def direct_path(kd, xi):
     """Path values from linear convolutions (``np.convolve``), so that nothing
-    can wrap around."""
+    can wrap around; at order 1, from the symmetric square root of the
+    circulant embedding by ``eigh``, with no transform at all."""
     n = kd.spec.order
+    if n == 1:
+        steps, a2 = kd.grid.steps, 2.0 * kd.spec.alpha
+        m = np.arange(steps + 1.0)
+        rho = 0.5 * ((m + 1) ** a2 - 2 * m**a2 + np.abs(m - 1) ** a2)
+        row = np.concatenate((rho, rho[-2:0:-1]))
+        lag = np.arange(2 * steps)
+        lam, vec = np.linalg.eigh(row[(lag[:, None] - lag) % row.size])
+        y = ((vec * np.sqrt(lam)) @ vec.T @ xi)[:steps]
+        dt = kd.spec.horizon / steps
+        return kd.scale * math.sqrt(continuum_norm_sq(kd.spec, dt)) * np.concatenate(([0.0], np.cumsum(y)))
     z = math.sqrt(kd.h) * np.convolve(xi, kd.field.envelope)[: kd.cells]
     norms = np.sqrt(kd.h * np.cumsum(kd.field.envelope**2))
     b = norms**n * chaos.hermite_he(n, z / norms)
@@ -83,7 +118,8 @@ def direct_path(kd, xi):
 )
 def test_short_transforms_do_not_alias(spec, steps, per_step):
     # cells >> time_cells: the short transforms are far shorter than 2 cells.
-    # At 60.5 horizons the leftmost block of either window is partial.
+    # At 60.5 horizons the leftmost block of either window is partial.  At
+    # order 1 the one transform is 2 steps long, and the cells do not enter.
     for left_units in (60, 60.5):
         kd = KernelDiscretization(spec, GridSpec.build(spec, steps=steps, left_units=left_units))
         if per_step == 2:  # two u-cells per time step, as in verify's refinement
@@ -92,13 +128,15 @@ def test_short_transforms_do_not_alias(spec, steps, per_step):
         assert kd.cells > 50 * kd.time_cells
         partial = kd.left_cells % kd.time_cells != 0 and kd.left_cells % (kd.time_cells + 1) != 0
         assert partial == (left_units == 60.5)
-        xi = np.random.default_rng(steps + per_step).standard_normal(kd.cells)
+        xi = np.random.default_rng(steps + per_step).standard_normal(kd.path_normals)
         values = sample_path_values(kd, xi)
         reference = direct_path(kd, xi)
         assert np.max(np.abs(values - reference)) <= 1e-12 * np.max(np.abs(reference)), left_units
 
 
-# the three kernel layouts: which windows a path reads (see EnvelopeField)
+# the three sampler layouts: the field window on [0, T] (beta1 = 0), the field
+# on every cell and the filter window (order >= 2, beta1 != 0), and the
+# circulant on the time steps (order 1)
 LAYOUTS = {
     "beta1-zero": HermiteKernelSpec.hermite(2, 0.7),
     "beta1-negative": HermiteKernelSpec.fbm(0.3),
@@ -113,8 +151,9 @@ def test_gram_rows_are_rows_of_the_dense_gram(spec):
     gram = kd.field.rows() @ kd.field.rows().T
     c = kd.cells
     supports = [(0, c - 1), (kd.left_cells, c - 1), (c // 3, 2 * c // 3), (c // 2, c // 2)]
-    envelope = kd.path_windows[0]
-    assert envelope is None or (envelope[0], envelope[0] + envelope[1] - 1) in supports
+    if spec.order > 1:
+        envelope = kd.path_windows[0]
+        assert (envelope[0], envelope[0] + envelope[1] - 1) in supports
     for lo, hi in supports:
         rows = [row.copy() for row in kd.field.gram_rows(lo, hi)]  # each row is overwritten by the next
         assert len(rows) == hi - lo + 1
@@ -133,14 +172,14 @@ def test_pooled_paths_equal_serial_redraws(spec):
     kd = KernelDiscretization(spec, grid)
     for chunk in (pooled[w::workers] for w in range(workers)):
         for path in (chunk[0], chunk[-1]):
-            xi = philox_stream(seed, path.stream).standard_normal(kd.cells)
+            xi = philox_stream(seed, path.stream).standard_normal(kd.path_normals)
             assert sample_path_values(kd, xi).tobytes() == path.values.tobytes()
     assert all(p.values[0] == 0.0 for p in pooled)
 
 
 def test_paths_start_at_zero():
     grid, kd = tiny_family(HermiteKernelSpec.fbm(0.5))
-    xi = np.random.default_rng(0).standard_normal(kd.cells)
+    xi = np.random.default_rng(0).standard_normal(kd.path_normals)
     assert sample_path_values(kd, xi)[0] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -187,10 +226,11 @@ def test_worker_count_defaults_to_one(monkeypatch):
 
 
 def test_workers_take_the_callers_discretization(monkeypatch):
-    # The caller finishes the discretization before the pool: the scale, the
-    # folded response and every window a path reads (a field window builds
-    # its norms with its spectra).  Forked workers inherit these patches, so
-    # a build in a worker raises there and fails the call.
+    # The caller finishes the discretization before the pool: the scale, and
+    # the circulant root (order 1) or the filter response and every window a
+    # path reads (a field window builds its norms with its spectra).  Forked
+    # workers inherit these patches, so a build in a worker raises there and
+    # fails the call.
     caller = os.getpid()
 
     def caller_only(build):
@@ -206,6 +246,7 @@ def test_workers_take_the_callers_discretization(monkeypatch):
     prop.__set_name__(KernelDiscretization, "filter_response")
     monkeypatch.setattr(KernelDiscretization, "filter_response", prop)
     monkeypatch.setattr("chaoslab.kernels._window_spectra", caller_only(kernels._window_spectra))
+    monkeypatch.setattr("chaoslab.kernels.CirculantField", caller_only(kernels.CirculantField))
     monkeypatch.setattr(KernelDiscretization, "norm_sq", caller_only(KernelDiscretization.norm_sq))
     monkeypatch.setattr("chaoslab.simulate.KernelDiscretization", no_discretization)
     for spec in LAYOUTS.values():
@@ -214,9 +255,9 @@ def test_workers_take_the_callers_discretization(monkeypatch):
         for workers in (1, 2):
             kd = KernelDiscretization(spec, grid)
             paths = sample_paths(spec, grid, 4, seed=9, workers=workers, kd=kd)
-            assert {"scale", "path_windows"} <= set(vars(kd))
+            assert {"scale", "circulant" if spec.order == 1 else "path_windows"} <= set(vars(kd))
             for path in paths:
-                xi = philox_stream(9, path.stream).standard_normal(fresh.cells)
+                xi = philox_stream(9, path.stream).standard_normal(fresh.path_normals)
                 assert sample_path_values(fresh, xi).tobytes() == path.values.tobytes()
 
 
@@ -295,4 +336,4 @@ def test_seed_dimension_validation():
     spec = HermiteKernelSpec.fbm(0.5)
     _, kd = tiny_family(spec)
     with pytest.raises(ValueError):
-        sample_path_values(kd, np.zeros(kd.cells - 1))
+        sample_path_values(kd, np.zeros(kd.path_normals - 1))
