@@ -212,12 +212,8 @@ def fgn_autocorr(alpha, lags):
     one sign and shrink by at least 4 per term, summed to FGN_SERIES_TERMS terms.
     """
     a = 2.0 * alpha
-    coef = []  # C(a, 2k), k = 1 .. FGN_SERIES_TERMS
-    c = 1.0
-    for j in range(1, 2 * FGN_SERIES_TERMS + 1):
-        c *= (a - j + 1) / j
-        if j % 2 == 0:
-            coef.append(c)
+    j = np.arange(1.0, 2 * FGN_SERIES_TERMS + 1)
+    coef = np.cumprod((a - j + 1) / j)[1::2]  # C(a, 2k), k = 1 .. FGN_SERIES_TERMS
     m = np.abs(np.asarray(lags, dtype=float))
     far = np.maximum(m, 2.0)
     y = far**-2.0

@@ -19,9 +19,9 @@ exactly 0.
 
 Every call samples in ``min(workers, count)`` worker processes.  The caller
 finishes the discretization first, its scale and the circulant root or every
-window a path reads, and the workers inherit it and only draw and transform.  Each path owns
-stream ``(seed, stream_index)`` of a counter-based generator, so a path is
-bitwise the same for any worker count.
+window a path reads, and the workers inherit it and only draw and transform.
+Each path owns stream ``(seed, stream_index)`` of a counter-based generator,
+so a path is bitwise the same for any worker count.
 """
 
 from __future__ import annotations
