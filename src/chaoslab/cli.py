@@ -438,9 +438,10 @@ def _write_paths(out_dir, paths):
     # indices padded to one width, 4 digits at least, so that the sorted
     # names are in index order
     width = max(4, len(str(len(paths) - 1)))
+    # sample_paths gives every path one t array: it is formatted once, as _fmt text
+    t_text = list(map(_fmt, paths[0].times.tolist()))
     for i, path in enumerate(paths):
-        rows = zip(path.times.tolist(), path.values.tolist())
-        write_csv(out_dir / f"path-{i:0{width}d}.csv", ["t", "value"], rows)
+        write_csv(out_dir / f"path-{i:0{width}d}.csv", ["t", "value"], zip(t_text, path.values.tolist()))
 
 
 def _simulate(cfg, workers):

@@ -6,6 +6,7 @@ pure functions; multi-path statistics reduce associatively over paths.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -25,12 +26,16 @@ __all__ = [
 
 LUXEMBURG_REL_TOL = 1e-12  # luxemburg_norm bisection: relative bracket width
 LUXEMBURG_MAX_ITER = 200  # and step limit
+LUXEMBURG_NEWTON_TOL = 1e-10  # _luxemburg_root: last Newton step in log(1/lambda)
+LUXEMBURG_NEWTON_MAX_ITER = 100  # and step limit
+LUXEMBURG_NEWTON_WINDOW = 1e-9  # luxemburg_norm computes the excess this close (relative) to the root
 PSUP_RATIO = 1.25  # ratio of consecutive exponents p in psup_norm's grid
 MOMENT_QUANTILE = 0.99  # pooled quantile of moment_growth_report (q99 in moment_quantiles.csv)
 BOOTSTRAP_SEED = 0  # moment_growth_report: seed of the path resampling
 BOOTSTRAP_BLOCK_ENTRIES = 1 << 22  # and resampled ratios held at once
 MODULUS_MAX_GAP = 0.5  # modulus_holder_statistic: pairs 0 < |s - t| < this (< 1: positive log weight)
-MODULUS_BLOCK_DIVISOR = 16  # and lags [a, a + a // this] share one bound
+MODULUS_LEAF_LAGS = 8  # and the search scans lag intervals this short one lag at a time
+MODULUS_DENOM_SLACK = 1e-9  # and lowers its vectorized denominators by this, relative
 
 
 @dataclass(frozen=True)
@@ -110,16 +115,62 @@ def increment_lp_norm(path, lag, p):
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
+    return _lp_norm(_increment_sizes(path, lag), path.step, p)
+
+
+def _increment_sizes(path, lag):
+    """|G(t + lag) - G(t)| at the left endpoints of ``increment_lp_norm``."""
     r = _lag_steps(path, lag)
-    diffs = path.values[r:-1] - path.values[: -r - 1]
-    return float((np.sum(np.abs(diffs) ** p) * path.step) ** (1.0 / p))
+    return np.abs(path.values[r:-1] - path.values[: -r - 1])
+
+
+def _lp_norm(sizes, step, p):
+    return float((np.sum(sizes**p) * step) ** (1.0 / p))
+
+
+def _luxemburg_root(f, cell_measure, beta):
+    """The lambda where sum Phi(f/lambda) * cell = 1, by Newton's method, or
+    None if it does not converge.
+
+    Newton runs on L(t) = log(sum expm1((f e^t)^beta) * cell) in t =
+    log(1/lambda).  L is convex and increasing (a log-sum-exp of convex
+    functions of t), so from its start, where the largest term alone
+    reaches 1, the iterates fall monotonically onto the root.
+    """
+    top = float(f.max())
+    if not (math.isfinite(top) and math.isfinite(cell_measure)):
+        return None
+    t = math.log(math.log1p(1.0 / cell_measure)) / beta - math.log(top) + LUXEMBURG_NEWTON_TOL
+    with np.errstate(all="ignore"):
+        for _ in range(LUXEMBURG_NEWTON_MAX_ITER):
+            y = (f * np.exp(t)) ** beta
+            grow = np.expm1(y)
+            total = float(np.sum(grow))
+            slope = beta * float(np.dot(y, grow) + np.sum(y))  # dL/dt times total
+            if not (0.0 < total < math.inf and 0.0 < slope < math.inf):
+                return None
+            step = math.log(total * cell_measure) * total / slope
+            t -= step
+            if abs(step) <= LUXEMBURG_NEWTON_TOL:
+                root = float(np.exp(-t))
+                return root if 0.0 < root < math.inf else None
+    return None
 
 
 def luxemburg_norm(values, cell_measure, orlicz):
     """inf{lambda : sum Phi(|f|/lambda) * cell <= 1} by bisection.
 
-    Zero input gives 0; the norm is absolutely homogeneous to bisection
-    accuracy.
+    The bisection defines the value: lambda doubles from max|f| until the
+    excess sum Phi(|f|/lambda) * cell - 1 is at most 0, halves until it is
+    not negative, then the bracket is halved to a relative width of
+    LUXEMBURG_REL_TOL and its top returned.  The excess falls as lambda
+    grows, so once Newton's method (``_luxemburg_root``) has found where it
+    crosses 0, its sign at a lambda more than LUXEMBURG_NEWTON_WINDOW
+    (relative) from that root is known, and it is computed only at the
+    lambdas within the window.  Every step, and so the result, is the same
+    float as with the excess computed at every lambda; without a Newton
+    root it is.  Zero input gives 0; the norm is absolutely homogeneous to
+    bisection accuracy.
     """
     f = np.abs(np.asarray(values, dtype=float))
     if cell_measure <= 0:
@@ -127,8 +178,11 @@ def luxemburg_norm(values, cell_measure, orlicz):
     top = float(f.max(initial=0.0))
     if top == 0.0:
         return 0.0
+    root = _luxemburg_root(f, cell_measure, orlicz.beta)
 
     def excess(lam):
+        if root is not None and abs(lam - root) > LUXEMBURG_NEWTON_WINDOW * root:
+            return 1.0 if lam < root else -1.0
         return float(np.sum(orlicz(f / lam)) * cell_measure) - 1.0
 
     hi = top
@@ -280,13 +334,20 @@ def _kendall(xs, ys):
     """Kendall's tau-b by ``scipy.stats.kendalltau``'s arithmetic on direct pair
     counts, (concordant - discordant) / sqrt(x-untied pairs) / sqrt(y-untied
     pairs) clipped to [-1, 1]; 0.0 when either side is constant or has a nan."""
-    x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    return float(_kendall_rows(xs, [ys])[0])
+
+
+def _kendall_rows(xs, rows):
+    """``_kendall(xs, row)`` for every row of a 2-d array, in one array pass."""
+    x, y = np.asarray(xs, dtype=float), np.asarray(rows, dtype=float)
     i, j = np.triu_indices(x.size, 1)
-    sx, sy = ((v[j] > v[i]).astype(np.int64) - (v[j] < v[i]) for v in (x, y))
-    untied_x, untied_y = np.count_nonzero(sx), np.count_nonzero(sy)
-    if not untied_x or not untied_y or np.isnan(x).any() or np.isnan(y).any():
-        return 0.0
-    return min(1.0, max(-1.0, int(sx @ sy) / math.sqrt(untied_x) / math.sqrt(untied_y)))
+    sx = (x[j] > x[i]).astype(np.int64) - (x[j] < x[i])
+    sy = (y[:, j] > y[:, i]).astype(np.int64) - (y[:, j] < y[:, i])
+    untied_x, untied_y = np.count_nonzero(sx), np.count_nonzero(sy, axis=1)
+    valid = (untied_x > 0) & (untied_y > 0) & ~np.isnan(x).any() & ~np.isnan(y).any(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = (sy @ sx) / np.sqrt(untied_x) / np.sqrt(untied_y)
+    return np.where(valid, np.clip(tau, -1.0, 1.0), 0.0)
 
 
 @dataclass
@@ -311,7 +372,11 @@ def moment_growth_report(
     For each moment-scaling exponent e, reports the per-l pooled quantile,
     its Kendall trend over l, and a bootstrap (over paths) standard error of
     the trend.  The chaos-order exponent should show no upward trend; an
-    undersized exponent should.
+    undersized exponent should.  Each lag's |increments| are computed once
+    and shared by every l, and the bootstrap takes the Kendall tau of a
+    block of resamples in one array pass (``_kendall_rows``, ``_kendall``'s
+    integer arithmetic); both give the same floats as ``increment_lp_norm``
+    per (l, lag) and ``_kendall`` per resample.
     """
     paths = list(paths)
     if not paths:
@@ -320,11 +385,15 @@ def moment_growth_report(
     ells = [float(l) for l in ells]
     T = paths[0].horizon
     lags = [T * 2.0**-j for j in levels]
+    for ell in ells:
+        if ell < 1:
+            raise ValueError(f"p must be >= 1, got {ell}")
     raw = np.empty((len(paths), len(ells), len(lags)))
     for i, path in enumerate(paths):
-        for a, ell in enumerate(ells):
-            for b, lag in enumerate(lags):
-                raw[i, a, b] = increment_lp_norm(path, lag, ell) / lag**alpha
+        for b, lag in enumerate(lags):
+            sizes = _increment_sizes(path, lag)  # shared by every l
+            for a, ell in enumerate(ells):
+                raw[i, a, b] = _lp_norm(sizes, path.step, ell) / lag**alpha
     rng = np.random.default_rng(BOOTSTRAP_SEED)
     block = max(1, BOOTSTRAP_BLOCK_ENTRIES // max(raw.size, 1))  # resamples per quantile call
     by_exponent = {}
@@ -338,7 +407,7 @@ def moment_growth_report(
         for first in range(0, bootstrap, block):
             pooled = ratios[picks[first : first + block]].transpose(0, 2, 1, 3)
             qbs = np.quantile(pooled.reshape(pooled.shape[0], len(ells), -1), MOMENT_QUANTILE, axis=-1)
-            taus.extend(_kendall(ells, qb) for qb in qbs)
+            taus.extend(_kendall_rows(ells, qbs).tolist())
         by_exponent[float(e)] = {
             "quantiles": q,
             "kendall_tau": tau,
@@ -352,15 +421,19 @@ def moment_growth_report(
 def modulus_holder_statistic(path, alpha, log_exponent):
     """sup over grid pairs of |G(s) - G(t)| / (|s-t|^alpha |log|s-t||^e).
 
-    Pairs are restricted to 0 < |s - t| < MODULUS_MAX_GAP.  The lags r are
-    cut into blocks [a, a + a // MODULUS_BLOCK_DIVISOR].  spread(b), the
-    largest max - min over b + 1 consecutive values (from sparse tables of
-    running maxima and minima), bounds every |v[i + r] - v[i]| with r <= b,
-    also as computed floats, since rounding is monotone; so does
-    spread(b) / (least denominator in the block) bound the block's ratios.
-    Blocks are visited by decreasing bound, and a block is scanned only
-    while its bound exceeds the best ratio so far.  The result is bitwise
-    the maximum over every lag's ratio.
+    Pairs are restricted to 0 < |s - t| < MODULUS_MAX_GAP.  The search is
+    best-first branch and bound over intervals of lags r.  An interval's
+    bound is its largest increment |v[i + r] - v[i]| over its least
+    denominator; the largest increment is exact, from sparse tables of
+    running maxima and minima over each start's window of partners (suffix
+    maxima and minima where the path ends inside the window).  The least
+    denominators come from numpy's power and log, lowered by
+    MODULUS_DENOM_SLACK, which covers their few-ulp difference from the
+    scalar math of the ratios; rounding is monotone, so the bound dominates
+    every computed ratio in the interval.  The interval of highest bound is
+    split in two until at most MODULUS_LEAF_LAGS lags remain, which are
+    scanned one by one, and the search stops once no bound exceeds the best
+    ratio found.  The result is bitwise the maximum over every lag's ratio.
     """
     step = path.step
     r_max = int(math.ceil(MODULUS_MAX_GAP / step)) - 1
@@ -368,28 +441,41 @@ def modulus_holder_statistic(path, alpha, log_exponent):
         raise ValueError("grid too coarse for the gap window")
     v = path.values
     lags = min(r_max, v.size - 1)
-    denoms = [0.0] + [(r * step) ** alpha * abs(math.log(r * step)) ** log_exponent for r in range(1, lags + 1)]
+    gaps = np.arange(lags + 1) * step
+    with np.errstate(divide="ignore", invalid="ignore"):  # gap 0 is never read
+        lower = gaps**alpha * np.abs(np.log(gaps)) ** log_exponent * (1.0 - MODULUS_DENOM_SLACK)
     highs, lows = [v], [v]  # level k: max / min of v[i : i + 2^k]
-    while 2 ** len(highs) <= lags + 1:
+    while 2 ** len(highs) <= lags:
         k = 2 ** (len(highs) - 1)
         highs.append(np.maximum(highs[-1][:-k], highs[-1][k:]))
         lows.append(np.minimum(lows[-1][:-k], lows[-1][k:]))
-    blocks = []
-    a = 1
-    while a <= lags:
-        b = min(a + a // MODULUS_BLOCK_DIVISOR, lags)
-        k = (b + 1).bit_length() - 1  # windows v[i : i + b + 1] as two overlapping 2^k windows
-        starts = v.size - b
-        shift = b + 1 - 2**k
-        top = np.maximum(highs[k][:starts], highs[k][shift : shift + starts])
-        bottom = np.minimum(lows[k][:starts], lows[k][shift : shift + starts])
-        blocks.append((float(np.max(top - bottom)) / min(denoms[a : b + 1]), a, b))
-        a = b + 1
+    suffix_high = np.maximum.accumulate(v[::-1])[::-1]  # max / min of v[i:]
+    suffix_low = np.minimum.accumulate(v[::-1])[::-1]
+
+    def bound(a, b):
+        """(largest increment over lags a..b) / (least denominator), with the interval."""
+        width = b - a + 1
+        k = width.bit_length() - 1  # window v[i + a : i + b + 1] as two overlapping 2^k windows
+        full = v.size - b  # starts i whose window ends inside the path
+        shift = a + width - 2**k
+        top = np.maximum(highs[k][a : a + full], highs[k][shift : shift + full])
+        bottom = np.minimum(lows[k][a : a + full], lows[k][shift : shift + full])
+        head, tail = v[:full], v[full : v.size - a]  # the tail's windows run past the end
+        peak = max(np.max(top - head), np.max(head - bottom))
+        if tail.size:
+            peak = max(peak, np.max(suffix_high[full + a :] - tail), np.max(tail - suffix_low[full + a :]))
+        return (-float(peak) / float(np.min(lower[a : b + 1])), a, b)
+
     best = 0.0
-    for bound, a, b in sorted(blocks, reverse=True):
-        if bound <= best:
-            break
-        for r in range(a, b + 1):
-            peak = float(np.max(np.abs(v[r:] - v[:-r])))
-            best = max(best, peak / denoms[r])
+    heap = [bound(1, lags)]
+    while heap and -heap[0][0] > best:
+        _, a, b = heapq.heappop(heap)
+        if b - a < MODULUS_LEAF_LAGS:
+            for r in range(a, b + 1):
+                peak = float(np.max(np.abs(v[r:] - v[:-r])))
+                best = max(best, peak / ((r * step) ** alpha * abs(math.log(r * step)) ** log_exponent))
+        else:
+            mid = (a + b) // 2
+            heapq.heappush(heap, bound(a, mid))
+            heapq.heappush(heap, bound(mid + 1, b))
     return best

@@ -52,6 +52,8 @@ def sample_path_values(kd, xi):
     xi = np.asarray(xi, dtype=float)
     if xi.size != kd.path_normals:
         raise ValueError(f"need {kd.path_normals} Gaussians per path, got {xi.size}")
+    if kd.scale == 0.0:  # +0.0 throughout, where 0.0 times a negative sum would give -0.0
+        return np.zeros(kd.grid.steps + 1)
     n = kd.spec.order
     if n == 1:  # exact fBm: partial sums of unit fGn, times the sd of one step
         step_sd = kd.scale * math.sqrt(continuum_norm_sq(kd.spec, kd.spec.horizon / kd.grid.steps))

@@ -469,6 +469,18 @@ def test_readme_kernel_blocks_run(tmp_path, kernel):
     assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 0
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_zero_kernel_paths_are_positive_zero(tmp_path, order):
+    # scale 0 times a negative sum of the draws would be -0.0, written "-0"
+    cfg = write_config(tmp_path, "cfg.json",
+                       {"kernel": {"type": "zero", "order": order}, "grid": {"steps": 64}, "paths": 2, "seed": 5})
+    assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 0
+    files = sorted((tmp_path / "o").glob("path-*.csv"))
+    assert len(files) == 2
+    for f in files:
+        assert [row.split(",")[1] for row in f.read_text().splitlines()[1:]] == ["0"] * 65, f.name
+
+
 @pytest.mark.parametrize(
     "kernel, key",
     [

@@ -7,8 +7,11 @@ from scipy.stats import kendalltau
 from hypothesis import strategies as st
 
 from chaoslab.regularity import (
+    LUXEMBURG_MAX_ITER,
+    LUXEMBURG_REL_TOL,
     OrliczFunction,
     _kendall,
+    _kendall_rows,
     PathSample,
     dyadic_besov_seminorm,
     increment_lp_norm,
@@ -140,6 +143,72 @@ def test_luxemburg_monotone_in_absolute_value():
     f = rng.standard_normal(100)
     g = f * rng.uniform(1.0, 2.0, 100)
     assert luxemburg_norm(np.abs(g), 0.01, phi) >= luxemburg_norm(np.abs(f), 0.01, phi)
+
+
+def luxemburg_by_bisection(values, cell_measure, orlicz):
+    """The norm with the excess computed at every step: the reference the
+    Newton-guided search must equal bitwise."""
+    f = np.abs(np.asarray(values, dtype=float))
+    if cell_measure <= 0:
+        raise ValueError("cell measure must be positive")
+    top = float(f.max(initial=0.0))
+    if top == 0.0:
+        return 0.0
+
+    def excess(lam):
+        return float(np.sum(orlicz(f / lam)) * cell_measure) - 1.0
+
+    hi = top
+    while excess(hi) > 0:
+        hi *= 2.0
+    if hi == math.inf:
+        raise ValueError("Luxemburg norm is not finite: the Young function is too flat near 0")
+    lo = hi / 2.0
+    while excess(lo) < 0:
+        lo /= 2.0
+        if lo < 1e-300:
+            return 0.0
+    for _ in range(LUXEMBURG_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        if excess(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= LUXEMBURG_REL_TOL * hi:
+            break
+    return hi
+
+
+def test_luxemburg_search_is_bitwise_bisection():
+    rng = np.random.default_rng(2025)
+    kinds = {
+        "normal": lambda k: rng.standard_normal(k),
+        "heavy tail": lambda k: rng.standard_t(2, k),
+        "random walk": lambda k: np.cumsum(rng.standard_normal(k)),
+        "constant": lambda k: np.full(k, rng.uniform(-2.0, 2.0)),
+        "single spike": lambda k: np.where(np.arange(k) == rng.integers(k), rng.standard_normal(), 0.0),
+    }
+    for i in range(400):
+        beta = (2.0, 1.0, 2 / 3, 0.5)[i % 4]  # Phi_{2/n} for n = 1..4
+        kind = list(kinds)[i % len(kinds)]
+        length = int(np.exp(rng.uniform(0.0, math.log(20_000))))
+        values = kinds[kind](length) * 10 ** rng.uniform(-3.0, 3.0)
+        # the cell of a unit horizon, or any cell from 1e-5 to 10
+        cell = 1.0 / length if i % 3 == 0 else 10 ** rng.uniform(-5.0, 1.0)
+        phi = OrliczFunction(beta)
+        assert luxemburg_norm(values, cell, phi) == luxemburg_by_bisection(values, cell, phi), (i, kind)
+    for length in (1, 20_000):
+        for beta in (2.0, 0.5):
+            values = rng.standard_normal(length)
+            phi = OrliczFunction(beta)
+            assert luxemburg_norm(values, 1.0 / length, phi) == luxemburg_by_bisection(values, 1.0 / length, phi)
+    # too flat near 0: the excess stays positive at every finite lambda
+    for norm in (luxemburg_norm, luxemburg_by_bisection):
+        with pytest.raises(ValueError, match="too flat"):
+            norm(np.ones(10), 1.0, OrliczFunction(0.001))
+    assert luxemburg_norm(np.ones(10), 1.0, OrliczFunction(0.01)) == luxemburg_by_bisection(
+        np.ones(10), 1.0, OrliczFunction(0.01)
+    )
 
 
 def test_psup_zero_and_constant():
@@ -398,6 +467,25 @@ def test_modulus_pruned_scan_is_bitwise_every_lag():
     assert modulus_holder_statistic(walk, 0.5, 1.0) == modulus_by_every_lag(walk, 0.5, 1.0)
 
 
+def test_modulus_best_ratio_at_the_largest_lags_is_bitwise_every_lag():
+    # an fBm walk at alpha 0.3 on 2^14 steps, statistic at alpha 0.3 and log
+    # exponent 1: the falling |log| puts the best ratio among the largest of
+    # the 8,191 lags, which a pruned scan reaches last
+    rng = np.random.default_rng(31)
+    steps, hurst = 1 << 14, 0.3
+    k = np.arange(steps + 1.0)
+    r = 0.5 * ((k + 1) ** (2 * hurst) - 2 * k ** (2 * hurst) + np.abs(k - 1) ** (2 * hurst))
+    root = np.sqrt(np.fft.rfft(np.concatenate((r, r[-2:0:-1]))).real)
+    noise = np.fft.irfft(root * np.fft.rfft(rng.standard_normal(2 * steps)), 2 * steps)[:steps]
+    walk = make_path(np.concatenate(([0.0], np.cumsum(noise))) * steps**-hurst)
+    best = modulus_by_every_lag(walk, hurst, 1.0)
+    assert modulus_holder_statistic(walk, hurst, 1.0) == best
+    v, step = walk.values, walk.step
+    ratios = [float(np.max(np.abs(v[r:] - v[:-r]))) / ((r * step) ** hurst * abs(math.log(r * step)))
+              for r in range(1, 8192)]
+    assert ratios.index(best) + 1 > 6000
+
+
 # -- PathSample ---------------------------------------------------------------------------
 
 
@@ -423,3 +511,31 @@ def test_kendall_is_scipy_tau_b():
         assert _kendall(xs, ys) == kendalltau(xs, ys).statistic, (xs, ys)
     assert _kendall([2.0, 4.0, 6.0, 8.0], [1.0, 1.0, 1.0, 1.0]) == 0.0
     assert _kendall([3.0, 3.0, 3.0], [1.0, 2.0, 0.5]) == 0.0
+
+
+def kendall_by_pairs(xs, ys):
+    """Kendall's tau-b one pair of vectors at a time: the reference the
+    batched ``_kendall_rows`` must equal bitwise."""
+    x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    i, j = np.triu_indices(x.size, 1)
+    sx, sy = ((v[j] > v[i]).astype(np.int64) - (v[j] < v[i]) for v in (x, y))
+    untied_x, untied_y = np.count_nonzero(sx), np.count_nonzero(sy)
+    if not untied_x or not untied_y or np.isnan(x).any() or np.isnan(y).any():
+        return 0.0
+    return min(1.0, max(-1.0, int(sx @ sy) / math.sqrt(untied_x) / math.sqrt(untied_y)))
+
+
+def test_kendall_rows_are_kendall_row_by_row():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        n, m = int(rng.integers(1, 9)), int(rng.integers(1, 12))
+        # few distinct values, so that both sides tie often; some rows constant or nan
+        xs = rng.integers(0, 4, n) * 0.5
+        rows = rng.integers(0, 4, (m, n)) * rng.standard_normal()
+        rows[rng.random(m) < 0.2] = 1.5
+        rows[rng.random((m, n)) < 0.05] = np.nan
+        batched = _kendall_rows(xs, rows)
+        assert [float(t) for t in batched] == [_kendall(xs, row) for row in rows], (xs, rows)
+        assert [float(t) for t in batched] == [kendall_by_pairs(xs, row) for row in rows], (xs, rows)
+    assert _kendall_rows([1.0, np.nan, 2.0], [[1.0, 2.0, 3.0]]).tolist() == [0.0]
+    assert _kendall_rows([1.0, 2.0, 3.0], np.array([[3.0, 2.0, 1.0], [1.0, 2.0, 3.0]])).tolist() == [-1.0, 1.0]

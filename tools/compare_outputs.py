@@ -1,0 +1,148 @@
+"""Run a fixed list of chaoslab CLI configs in two source trees and list the
+output files that differ.
+
+    python3 tools/compare_outputs.py --parent ../parent --change . [--work DIR]
+
+Each tree is a source checkout with ``src/chaoslab``.  The configs are
+README's ``expand``, ``verify``, ``simulate``, ``report`` and ``fuzz``
+examples, a small ``simulate`` of each README kernel block, the zero kernel
+at orders 1 and 2, and the two ``paths-fine`` configs of ``chaosbench`` (seed
+1).  Both trees run every config with the same relative paths, under
+``<work>/parent`` and ``<work>/change``: the config as ``<name>.json``, the
+outputs in ``out/<name>/`` and the exit code, stdout and stderr in
+``logs/<name>.txt``.  The tool prints each file that differs or exists on
+one side only, with its first differing line, and exits 1 if there is one,
+else 0.  Without ``--work`` the runs go to a temporary directory that is
+removed afterwards.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+TENSORS = [  # the factors of README's tensor-file expand example
+    {"order": 2, "dim": 2, "entries": [1.0, 0.5, 0.5, -1.0], "symmetric": True},
+    {"order": 1, "dim": 2, "entries": [0.3, 0.7], "symmetric": True},
+    {"order": 1, "dim": 2, "entries": [-0.4, 0.2], "symmetric": True},
+]
+
+_SMALL_GRID = {"steps": 256, "left_units": 2}
+
+
+def _bench(label, kernel, alpha, tolerance, steps):
+    """The simulate and report configs of one paths-fine case (chaosbench, size full)."""
+    top = min(10, steps.bit_length() - 1 - 3)
+    simulate = {"kernel": kernel, "grid": {"steps": steps}, "paths": 2, "seed": 1}
+    report = {
+        "paths_dir": f"out/bench-{label}-simulate",
+        "slope": {"p": 2, "levels": list(range(3, top + 1)), "expected_alpha": alpha, "tolerance": tolerance},
+        "besov": {"smoothness": alpha, "orlicz_beta": 1.0},
+        "moment_growth": {"alpha": alpha, "exponents": [1.0, 0.5], "levels": list(range(top - 5, top + 1))},
+        "modulus": {"alpha": alpha, "log_exponent": 1.0, "subsample_factors": [1, 2, 4]},
+    }
+    return [(f"bench-{label}-simulate", "simulate", simulate), (f"bench-{label}-report", "report", report)]
+
+
+# (name, command, config), run in this order: a report's paths_dir is an earlier run's out dir
+CONFIGS = [
+    ("expand-tensors", "expand", {"tensors": "tensors.json", "seed": 0, "pointwise_seeds": 100, "tolerance": 1e-9}),
+    ("expand-counterexample", "expand", {"fixture": "counterexample"}),
+    ("verify-rosenblatt", "verify", {"kernel": {"type": "hermite", "order": 2, "alpha": 0.7},
+                                     "grid": {"steps": 256, "left_units": 30},
+                                     "upper_levels": [1, 2, 3, 4, 5, 6], "coupling_levels": [2, 3, 4, 5, 6]}),
+    ("simulate-rosenblatt", "simulate", {"kernel": {"type": "hermite", "order": 2, "alpha": 0.7},
+                                         "grid": {"steps": 8192, "left_units": 30}, "paths": 50, "seed": 31415}),
+    ("report-paths", "report", {"paths_dir": "out/simulate-rosenblatt",
+                                "slope": {"p": 2, "levels": [3, 4, 5, 6, 7, 8, 9, 10],
+                                          "expected_alpha": 0.7, "tolerance": 0.1},
+                                "besov": {"smoothness": 0.7, "orlicz_beta": 1.0},
+                                "moment_growth": {"alpha": 0.7, "exponents": [1.0, 0.5],
+                                                  "levels": [5, 6, 7, 8, 9, 10]},
+                                "modulus": {"alpha": 0.7, "log_exponent": 1.0, "subsample_factors": [1, 2, 4]}}),
+    ("report-inline", "report", {"simulate": {"kernel": {"type": "fbm", "alpha": 0.75},
+                                              "grid": {"steps": 1024, "left_units": 30}, "paths": 8, "seed": 21},
+                                 "slope": {"p": 2, "levels": [3, 4, 5, 6, 7],
+                                           "expected_alpha": 0.75, "tolerance": 0.08}}),
+    ("fuzz", "fuzz", {"seed": 1, "equivalence_instances": 200, "inequality_instances": 200,
+                      "max_blocks": 4, "max_order": 3, "max_dim": 3, "max_total": 10}),
+    ("simulate-fbm", "simulate", {"kernel": {"type": "fbm", "alpha": 0.75}, "grid": _SMALL_GRID, "paths": 2}),
+    ("simulate-hermite", "simulate", {"kernel": {"type": "hermite", "order": 2, "alpha": 0.7},
+                                      "grid": _SMALL_GRID, "paths": 2}),
+    ("simulate-custom", "simulate", {"kernel": {"type": "custom", "order": 2, "beta1": 0.0, "beta2": 0.7},
+                                     "grid": _SMALL_GRID, "paths": 2}),
+    ("simulate-zero-1", "simulate", {"kernel": {"type": "zero", "order": 1}, "grid": {"steps": 64},
+                                     "paths": 2, "seed": 5}),
+    ("simulate-zero-2", "simulate", {"kernel": {"type": "zero", "order": 2}, "grid": {"steps": 64},
+                                     "paths": 2, "seed": 5}),
+    *_bench("rosenblatt", {"type": "hermite", "order": 2, "alpha": 0.7}, 0.7, 0.25, 2**13),
+    *_bench("fbm", {"type": "fbm", "alpha": 0.3}, 0.3, 0.1, 2**14),
+]
+
+
+def run_tree(tree, work):
+    """Run every config with ``tree``'s chaoslab, with ``work`` as the working directory."""
+    work.mkdir(parents=True)
+    (work / "tensors.json").write_text(json.dumps(TENSORS))
+    (work / "logs").mkdir()
+    env = {**os.environ, "PYTHONPATH": str(Path(tree).resolve() / "src")}
+    for name, command, cfg in CONFIGS:
+        (work / f"{name}.json").write_text(json.dumps(cfg))
+        done = subprocess.run(
+            [sys.executable, "-m", "chaoslab.cli", command, "--config", f"{name}.json", "--out-dir", f"out/{name}"],
+            cwd=work, env=env, capture_output=True, text=True,
+        )
+        log = f"exit {done.returncode}\n-- stdout\n{done.stdout}-- stderr\n{done.stderr}"
+        (work / "logs" / f"{name}.txt").write_text(log)
+        print(f"{work.name}: {name}: exit {done.returncode}", file=sys.stderr)
+
+
+def first_difference(a, b):
+    """The first line that differs between two files' bytes, as 'line n: a | b'."""
+    left, right = a.read_bytes().split(b"\n"), b.read_bytes().split(b"\n")
+    for n, (x, y) in enumerate(zip(left, right), 1):
+        if x != y:
+            return f"line {n}: {x[:60].decode(errors='replace')} | {y[:60].decode(errors='replace')}"
+    return f"{len(left)} vs {len(right)} lines"
+
+
+def compare(parent, change):
+    """Lines naming each file under ``out/`` or ``logs/`` that is not the same bytes on both sides."""
+    def files(root):
+        return {p.relative_to(root) for d in ("out", "logs") for p in (root / d).rglob("*") if p.is_file()}
+
+    left, right = files(parent), files(change)
+    lines = [f"only in parent: {p}" for p in sorted(left - right)]
+    lines += [f"only in change: {p}" for p in sorted(right - left)]
+    for p in sorted(left & right):
+        if (parent / p).read_bytes() != (change / p).read_bytes():
+            lines.append(f"differs: {p} ({first_difference(parent / p, change / p)})")
+    return lines, len(left | right)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--work", type=Path, help="keep the runs here (must not exist yet)")
+    args = parser.parse_args(argv)
+    work = args.work if args.work is not None else Path(tempfile.mkdtemp(prefix="compare-outputs-")) / "runs"
+    try:
+        run_tree(args.parent, work / "parent")
+        run_tree(args.change, work / "change")
+        lines, total = compare(work / "parent", work / "change")
+    finally:
+        if args.work is None:
+            shutil.rmtree(work.parent, ignore_errors=True)
+    print("\n".join(lines + [f"{len(lines)} of {total} files differ"]))
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
