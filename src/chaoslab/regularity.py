@@ -168,9 +168,9 @@ def luxemburg_norm(values, cell_measure, orlicz):
     crosses 0, its sign at a lambda more than LUXEMBURG_NEWTON_WINDOW
     (relative) from that root is known, and it is computed only at the
     lambdas within the window.  Every step, and so the result, is the same
-    float as with the excess computed at every lambda; without a Newton
-    root it is.  Zero input gives 0; the norm is absolutely homogeneous to
-    bisection accuracy.
+    float as with the excess computed at every lambda, which is what
+    happens where Newton does not converge.  Zero input gives 0; the norm is
+    absolutely homogeneous to bisection accuracy.
     """
     f = np.abs(np.asarray(values, dtype=float))
     if cell_measure <= 0:

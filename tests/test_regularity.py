@@ -470,7 +470,7 @@ def test_modulus_pruned_scan_is_bitwise_every_lag():
 def test_modulus_best_ratio_at_the_largest_lags_is_bitwise_every_lag():
     # an fBm walk at alpha 0.3 on 2^14 steps, statistic at alpha 0.3 and log
     # exponent 1: the falling |log| puts the best ratio among the largest of
-    # the 8,191 lags, which a pruned scan reaches last
+    # the 8,191 lags, where bounds over wide blocks of lags prune little
     rng = np.random.default_rng(31)
     steps, hurst = 1 << 14, 0.3
     k = np.arange(steps + 1.0)
