@@ -12,14 +12,14 @@ time-dependent filter weights.
 Everything downstream (condition checks, coupling functionals, simulation at
 order >= 2) works off the Gaussian field of the envelope vectors
 (``EnvelopeField``: its draws, its Grams and the windows they read) and filter
-weight vectors per time.  At order 1 the continuum kernel's process is
-fractional Brownian motion whatever beta1 and beta2 are, and the sampler draws
-it exactly on the time steps (``CirculantField`` over ``fgn_autocorr``).
+weight vectors per time; ``KernelDiscretization.path_model`` says how the
+sampler draws each order (exact fBm at order 1, by ``CirculantField``).
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -415,14 +415,28 @@ class CirculantField:
         self.root = np.sqrt(lam)
 
     def draw(self, xi):
-        """Y for ``normals`` standard normals xi."""
-        return irfft(self.root * rfft(xi), self.normals)[: self.size]
+        """(Y, unit norms) for ``normals`` standard normals xi, as ``EnvelopeField.draw``."""
+        return irfft(self.root * rfft(xi), self.normals)[: self.size], 1.0
 
     def rows(self):
         """The dense R, N x M, with Y = R xi (small grids)."""
         kernel = irfft(self.root, self.normals)
         lag = np.arange(self.size)[:, None] - np.arange(self.normals)
         return kernel[lag % self.normals]
+
+
+PathModel = namedtuple("PathModel", "normals draw filter weight times reads")
+
+
+def _partial_sums(b):
+    """[0, cumsum(b)]: a compact filter's outputs at the time cells."""
+    return np.concatenate(([0.0], np.cumsum(b)))
+
+
+def _from_start(b, first, width, spectra):
+    """values[0] - values of b's windowed filter convolution: +0.0 (not -0.0) at 0 for beta1 < 0."""
+    values = _windowed(b, first, width, spectra)
+    return values[0] - values
 
 
 class KernelDiscretization:
@@ -469,10 +483,9 @@ class KernelDiscretization:
             return 1.0 / math.sqrt(continuum_norm_sq(self.spec, t_ref))
         try:
             var = math.factorial(self.spec.order) * self.norm_sq(self._raw_weights(t_ref), exact=True)
-        except ValueError as exc:  # past the span cap: name the ways past it
-            raise ValueError(
-                f"{exc}; use a smaller grid.left_units, or give kernel.scale to skip the norm"
-            ) from None
+        except ValueError as exc:  # past the span cap; at beta1 = 0 it spans time cells, and no depth helps
+            fewer = "fewer grid.steps" if self.spec.beta1 == 0.0 else "a smaller grid.left_units"
+            raise ValueError(f"{exc}; use {fewer}, or give kernel.scale to skip the norm") from None
         if var <= 0:
             raise ValueError("cannot normalize a degenerate kernel")
         return 1.0 / math.sqrt(var)
@@ -492,18 +505,12 @@ class KernelDiscretization:
             raise ValueError(f"invalid increment window x = {x}, s = {s}")
         return self.scale * (self._raw_weights(x + s) - self._raw_weights(x))
 
-    # path-sampling windows -------------------------------------------------------
+    # path sampling ----------------------------------------------------------------
 
     @property
     def path_normals(self):
-        """The Gaussians a path draws: 2 steps at order 1 (``circulant``),
-        one per cell at order >= 2 (``path_windows``)."""
-        return 2 * self.grid.steps if self.spec.order == 1 else self.cells
-
-    @cached_property
-    def circulant(self):
-        """The order-1 sampler: unit fGn on the time steps (``CirculantField``)."""
-        return CirculantField(fgn_autocorr(self.spec.alpha, np.arange(self.grid.steps + 1)))
+        """The Gaussians a path draws (``path_model``)."""
+        return self.path_model.normals
 
     @cached_property
     def filter_response(self):
@@ -519,16 +526,43 @@ class KernelDiscretization:
         return np.diff((np.arange(self.cells + 1) * self.h) ** g / g, prepend=0.0)
 
     @cached_property
-    def path_windows(self):
-        """(envelope, filter) at order >= 2: the field window a path reads
-        (``EnvelopeField``), and its filter convolution with
-        ``filter_response`` at outputs left_cells + k, k = 0..time_cells, as a
-        function of the cell vector, or None at beta1 = 0."""
-        if self.spec.beta1 == 0.0:
-            return self.field.window(self.left_cells, self.time_cells), None
-        filt = dict(first=self.left_cells, width=self.time_cells + 1)
-        return (self.field.window(0, self.cells),
-                partial(_windowed, **filt, spectra=_window_spectra(self.filter_response, **filt)))
+    def path_model(self):
+        """How a path is drawn (``PathModel``); the one place that picks it.
+
+        A path is weight * filter(|phi|^n He_n(z / |phi|))[times], (z, |phi|)
+        = draw(xi) for ``normals`` standard normals xi; filter output k is the
+        path at time cell k, +0.0 at k = 0.  ``reads`` is what the paths
+        depend on besides xi (``simulate.provenance_tag`` hashes it).
+
+        Order 1 is fractional Brownian motion whatever beta1 and beta2 are,
+        drawn exactly on the time steps: unit fGn z (``CirculantField``, 2
+        steps normals, unit norms), its partial sums, and the weight scale
+        sqrt(continuum_norm_sq(T / steps)), so Var X_t = scale^2 ||A_t||^2 of
+        the continuum kernel at every grid time.  It reads spec and steps.
+
+        Order n >= 2 is the order-n integral of the kernel family along the
+        time grid for one Gaussian per cell.  By the rank-one structure it is
+        the field z_u = <phi_u, xi> on the u-cells the filter reads (an
+        ``EnvelopeField`` window), a Hermite transform per u-cell, then the
+        partial sums (beta1 = 0; weight scale h) or the windowed convolution
+        with ``filter_response`` less its t-independent (-u)_+ half, output
+        left_cells (weight scale / -beta1).  It reads spec and grid.
+        """
+        spec, grid, scale = self.spec, self.grid, self.scale
+        if spec.order == 1:
+            fgn = CirculantField(fgn_autocorr(spec.alpha, np.arange(grid.steps + 1)))
+            step_sd = scale * math.sqrt(continuum_norm_sq(spec, spec.horizon / grid.steps))
+            return PathModel(fgn.normals, fgn.draw, _partial_sums, step_sd, slice(None),
+                             {"spec": spec.to_dict(), "steps": grid.steps})
+        if spec.beta1 == 0.0:
+            window, response = self.field.window(self.left_cells, self.time_cells), _partial_sums
+            weight = scale * self.h
+        else:
+            filt = dict(first=self.left_cells, width=self.time_cells + 1)
+            window, weight = self.field.window(0, self.cells), scale / -spec.beta1
+            response = partial(_from_start, **filt, spectra=_window_spectra(self.filter_response, **filt))
+        return PathModel(self.cells, partial(self.field.draw, window=window), response, weight,
+                         slice(None, None, self.per_step), {"spec": spec.to_dict(), "grid": vars(grid)})
 
     def pair_inner(self, wa, wb):
         """<A, B> for two weight vectors, via the stationary Gram."""

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -185,9 +186,9 @@ def luxemburg_norm(values, cell_measure, orlicz):
             return 1.0 if lam < root else -1.0
         return float(np.sum(orlicz(f / lam)) * cell_measure) - 1.0
 
-    hi = top
-    while excess(hi) > 0:
-        hi *= 2.0
+    hi, big = top, sys.float_info.max
+    while excess(hi) > 0:  # doubling stops at the largest float, then one step to inf
+        hi = min(2.0 * hi, big) if hi < big else math.inf
     if hi == math.inf:
         raise ValueError("Luxemburg norm is not finite: the Young function is too flat near 0")
     lo = hi / 2.0
@@ -196,7 +197,7 @@ def luxemburg_norm(values, cell_measure, orlicz):
         if lo < 1e-300:
             return 0.0
     for _ in range(LUXEMBURG_MAX_ITER):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # 0.5 (lo + hi) without its overflow: lo >= 1e-300
         if excess(mid) > 0:
             lo = mid
         else:
@@ -221,11 +222,7 @@ def psup_norm(values, beta, cell_measure):
         grid.append(grid[-1] * PSUP_RATIO)
     if grid[-1] < p_max:
         grid.append(p_max)
-    best = 0.0
-    for p in grid:
-        lp = float((np.sum(f**p) * cell_measure) ** (1.0 / p))
-        best = max(best, p ** (-1.0 / beta) * lp)
-    return best
+    return max(p ** (-1.0 / beta) * _lp_norm(f, cell_measure, p) for p in grid)
 
 
 @dataclass
@@ -272,9 +269,7 @@ def dyadic_besov_seminorm(path, smoothness, p=None, orlicz_beta=None):
         if p is not None:
             level_norm = increment_lp_norm(path, lag, p)
         else:
-            r = int(round(cells))
-            diffs = path.values[r:-1] - path.values[: -r - 1]
-            level_norm = luxemburg_norm(diffs, path.step, orlicz)
+            level_norm = luxemburg_norm(_increment_sizes(path, lag), path.step, orlicz)
         weighted = 2.0 ** (j * smoothness) * level_norm
         report.levels.append(BesovLevel(j, lag, level_norm, weighted))
         j += 1

@@ -557,6 +557,16 @@ def test_exact_norm_span_cap_names_the_ways_past_it(tmp_path, capsys):
     assert "grid.left_units" in err and "kernel.scale" in err
 
 
+def test_exact_norm_span_cap_at_beta1_zero_names_the_steps(tmp_path, capsys):
+    # at beta1 = 0 the norm's support is the time cells, whatever the depth
+    kernel = {"type": "hermite", "order": 2, "alpha": 0.7}
+    grid = {"steps": 131072, "left_units": 1}
+    cfg = write_config(tmp_path, "cfg.json", {"kernel": kernel, "grid": grid, "paths": 1})
+    err = _assert_clean_exit_2(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "o")], capsys)
+    assert "support span 131072 exceeds the cap of 65536 cells" in err
+    assert "grid.steps" in err and "kernel.scale" in err and "left_units" not in err
+
+
 def test_verify_reports_the_tail_of_a_custom_kernel_past_the_span_cap(tmp_path):
     # 77,056 cells, past the exact norm's span cap; the given scale skips the
     # norm, and the tail against the closed form needs none of the cap

@@ -324,13 +324,15 @@ def test_circulant_embeds_fgn_and_fbm_variance_exactly(alpha, steps):
     spec = HermiteKernelSpec.fbm(alpha, horizon=1.3)
     kd = KernelDiscretization(spec, GridSpec.build(spec, steps=steps, left_units=2))
     r = fgn_autocorr(alpha, np.arange(steps + 1))
-    root = kd.circulant.root
-    assert np.max(np.abs(np.fft.irfft(root**2, 2 * steps)[: steps + 1] - r)) <= 1e-12
-    rows = kd.circulant.rows()  # Y = R xi, with Cov Y = Toeplitz(r_0 .. r_{steps-1})
+    field = CirculantField(fgn_autocorr(spec.alpha, np.arange(steps + 1)))  # spec.alpha may differ by an ulp
+    assert np.max(np.abs(np.fft.irfft(field.root**2, 2 * steps)[: steps + 1] - r)) <= 1e-12
+    rows = field.rows()  # Y = R xi, with Cov Y = Toeplitz(r_0 .. r_{steps-1})
     lag = np.abs(np.arange(steps)[:, None] - np.arange(steps))
     assert np.max(np.abs(rows @ rows.T - r[lag])) <= 1e-12
     xi = np.random.default_rng(steps).standard_normal(kd.path_normals)
-    assert np.max(np.abs(rows @ xi - kd.circulant.draw(xi))) <= 1e-12 * np.max(np.abs(rows @ xi))
+    y, norms = kd.path_model.draw(xi)  # the paths draw this field, with unit norms
+    assert y.tobytes() == field.draw(xi)[0].tobytes() and norms == 1.0
+    assert np.max(np.abs(rows @ xi - y)) <= 1e-12 * np.max(np.abs(rows @ xi))
     dt = spec.horizon / steps
     for k in range(1, steps + 1):
         lag = np.arange(1 - k, k)

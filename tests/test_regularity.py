@@ -211,6 +211,19 @@ def test_luxemburg_search_is_bitwise_bisection():
     )
 
 
+def test_luxemburg_norm_near_the_float_limit():
+    # the doubling from max|f| = 1e308 would overflow, but the norm is
+    # 1e308 / ln 2, about 1.44e308: sum Phi(f/lambda) cell <= 1 there and > 1
+    # one bracket width below, and the search reaches it from its capped top
+    phi = OrliczFunction(1.0)
+    for f, cell in ((np.array([1e308, 1.0]), 1.0), (np.array([1.2e308, 3e307, -5e307]), 0.5)):
+        lam = luxemburg_norm(f, cell, phi)
+        assert math.isfinite(lam)
+        assert float(np.sum(phi(np.abs(f) / lam)) * cell) <= 1.0
+        assert float(np.sum(phi(np.abs(f) / (lam * (1.0 - LUXEMBURG_REL_TOL)))) * cell) > 1.0
+    assert luxemburg_norm(np.array([1e308, 1.0]), 1.0, phi) == pytest.approx(1e308 / math.log(2.0), rel=1e-11)
+
+
 def test_psup_zero_and_constant():
     assert psup_norm(np.zeros(50), 2.0, 1 / 50) == 0.0
     c = 2.9

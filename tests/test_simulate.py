@@ -152,8 +152,8 @@ def test_gram_rows_are_rows_of_the_dense_gram(spec):
     c = kd.cells
     supports = [(0, c - 1), (kd.left_cells, c - 1), (c // 3, 2 * c // 3), (c // 2, c // 2)]
     if spec.order > 1:
-        envelope = kd.path_windows[0]
-        assert (envelope[0], envelope[0] + envelope[1] - 1) in supports
+        first, width = kd.path_model.draw.keywords["window"][:2]
+        assert (first, first + width - 1) in supports
     for lo, hi in supports:
         rows = [row.copy() for row in kd.field.gram_rows(lo, hi)]  # each row is overwritten by the next
         assert len(rows) == hi - lo + 1
@@ -227,8 +227,9 @@ def test_worker_count_defaults_to_one(monkeypatch):
 
 def test_workers_take_the_callers_discretization(monkeypatch):
     # The caller finishes the discretization before the pool: the scale, and
-    # the circulant root (order 1) or the filter response and every window a
-    # path reads (a field window builds its norms with its spectra).  Forked
+    # the path model with the circulant root (order 1) or the filter response
+    # and every window a path reads (a field window builds its norms with its
+    # spectra).  Forked
     # workers inherit these patches, so a build in a worker raises there and
     # fails the call.
     caller = os.getpid()
@@ -255,7 +256,7 @@ def test_workers_take_the_callers_discretization(monkeypatch):
         for workers in (1, 2):
             kd = KernelDiscretization(spec, grid)
             paths = sample_paths(spec, grid, 4, seed=9, workers=workers, kd=kd)
-            assert {"scale", "circulant" if spec.order == 1 else "path_windows"} <= set(vars(kd))
+            assert {"scale", "path_model"} <= set(vars(kd))
             for path in paths:
                 xi = philox_stream(9, path.stream).standard_normal(fresh.path_normals)
                 assert sample_path_values(fresh, xi).tobytes() == path.values.tobytes()
@@ -325,11 +326,21 @@ def test_rosenblatt_skewness_positive_and_stable():
 def test_provenance_tag_changes_with_inputs():
     spec = HermiteKernelSpec.fbm(0.5)
     grid = GridSpec(left=4.0, cells=160, steps=32)
-    tag = provenance_tag(spec, grid)
+    tag = provenance_tag(KernelDiscretization(spec, grid))
     assert len(tag) == 16
-    assert tag != provenance_tag(HermiteKernelSpec.fbm(0.6), grid)
+    assert tag != provenance_tag(KernelDiscretization(HermiteKernelSpec.fbm(0.6), grid))
     paths = sample_paths(spec, grid, 1, seed=0)
     assert paths[0].provenance == tag
+
+
+@pytest.mark.parametrize("spec", LAYOUTS.values(), ids=LAYOUTS)
+def test_provenance_tag_hashes_what_the_paths_read(spec):
+    # order 1 reads the spec and the steps, so the depth changes neither the
+    # paths nor the tag; order >= 2 reads the whole grid, and the tag follows it
+    runs = [sample_paths(spec, GridSpec.build(spec, steps=64, left_units=u), 2, seed=1) for u in (2, 30)]
+    same = [a.values.tobytes() == b.values.tobytes() for a, b in zip(*runs)]
+    assert same == [spec.order == 1] * 2
+    assert (runs[0][0].provenance == runs[1][0].provenance) == (spec.order == 1)
 
 
 def test_seed_dimension_validation():

@@ -5,9 +5,11 @@ output files that differ.
 
 Each tree is a source checkout with ``src/chaoslab``.  The configs are
 README's ``expand``, ``verify``, ``simulate``, ``report`` and ``fuzz``
-examples, a small ``simulate`` of each README kernel block, the zero kernel
-at orders 1 and 2, and the two ``paths-fine`` configs of ``chaosbench`` (seed
-1).  Both trees run every config with the same relative paths, under
+examples, a small ``simulate`` of each README kernel block, of an order-2
+kernel with beta1 != 0 (the windowed filter), of an order-1 custom kernel at
+T = 1.3 and of an fBm twin that differs only in ``left_units`` (order-1
+paths do not read the depth), the zero kernel at orders 1 and 2, and the two
+``paths-fine`` configs of ``chaosbench`` (seed 1).  Both trees run every config with the same relative paths, under
 ``<work>/parent`` and ``<work>/change``: the config as ``<name>.json``, the
 outputs in ``out/<name>/`` and the exit code, stdout and stderr in
 ``logs/<name>.txt``.  The tool prints each file that differs or exists on
@@ -77,6 +79,12 @@ CONFIGS = [
                                       "grid": _SMALL_GRID, "paths": 2}),
     ("simulate-custom", "simulate", {"kernel": {"type": "custom", "order": 2, "beta1": 0.0, "beta2": 0.7},
                                      "grid": _SMALL_GRID, "paths": 2}),
+    ("simulate-custom-filter", "simulate", {"kernel": {"type": "custom", "order": 2, "beta1": -0.1, "beta2": 0.8},
+                                            "grid": _SMALL_GRID, "paths": 2}),
+    ("simulate-custom-1", "simulate", {"kernel": {"type": "custom", "order": 1, "beta1": 0.2, "beta2": 0.5,
+                                                  "horizon": 1.3}, "grid": _SMALL_GRID, "paths": 2}),
+    ("simulate-fbm-deep", "simulate", {"kernel": {"type": "fbm", "alpha": 0.75},
+                                       "grid": {**_SMALL_GRID, "left_units": 30}, "paths": 2}),
     ("simulate-zero-1", "simulate", {"kernel": {"type": "zero", "order": 1}, "grid": {"steps": 64},
                                      "paths": 2, "seed": 5}),
     ("simulate-zero-2", "simulate", {"kernel": {"type": "zero", "order": 2}, "grid": {"steps": 64},
