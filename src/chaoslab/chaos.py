@@ -154,12 +154,18 @@ def wick_eval_batch(a, xis):
     xis = np.asarray(xis, dtype=float)
     if xis.ndim == 1:
         xis = xis[None, :]
+    return _wick_eval_rows(a, xis, _hermite_table(a.order, xis))
+
+
+def _wick_eval_rows(a, xis, table):
+    """``wick_eval_batch`` of ``a`` at the rows of the 2-D ``xis``, reading
+    He_k from ``table``, their ``_hermite_table`` at any degree >= a.order:
+    rows 0..n of the recurrence are the same floats at every top degree."""
     if xis.shape[1] != a.dim:
         raise ValueError(f"seed dim {xis.shape[1]} != tensor dim {a.dim}")
     if a.order == 0:
         return np.full(xis.shape[0], a.item())
     sums, mult = _class_sums(a)
-    table = _hermite_table(a.order, xis)  # (order+1, num, dim)
     prods = np.ones((mult.shape[0], xis.shape[0]))
     for coord in range(a.dim):
         prods *= table[mult[:, coord], :, coord]
@@ -207,10 +213,15 @@ class ChaosExpansion:
         return 0.0 if term is None else term.item()
 
     def evaluate_batch(self, xis):
+        """Sum of the terms' ``wick_eval_batch``, in term order, from one
+        Hermite table at the top degree."""
         xis = np.asarray(xis, dtype=float)
         out = np.zeros(xis.shape[0] if xis.ndim == 2 else 1)
+        if xis.ndim == 1:
+            xis = xis[None, :]
+        table = _hermite_table(max((t.order for t in self.terms.values()), default=0), xis)
         for t in self.terms.values():
-            out = out + wick_eval_batch(t, xis)
+            out = out + _wick_eval_rows(t, xis, table)
         return out
 
     def to_dict(self):
@@ -267,7 +278,9 @@ def expand_product(tensors):
                 piece = weight * contract(a, b, r).entries
                 degree = p + q - 2 * r
                 acc[degree] = acc[degree] + piece if degree in acc else piece
-        terms = {m: symmetrize(SymTensor(e, dim=dim)) for m, e in acc.items()}
+        # the sums are fresh arrays (numpy scalars at degree 0) that nothing
+        # else holds, so they are wrapped without SymTensor's copy
+        terms = {m: symmetrize(SymTensor._wrap(np.asarray(e), dim, False)) for m, e in acc.items()}
     return ChaosExpansion(terms=terms, lengths=lengths)
 
 
@@ -277,6 +290,10 @@ def expand_product(tensors):
 # Gaussian coordinates via exact Hermite coefficients, multiply the
 # polynomials, and take expectations monomial-wise by recursive pairing.
 # No pair-set enumeration or tensor contraction is involved.
+#
+# A monomial is keyed by one integer: the exponent of coordinate c is digit c
+# in a base above the total order, so no digit carries and the key of a
+# product of monomials is the sum of their keys.
 
 
 @lru_cache(maxsize=None)
@@ -295,30 +312,41 @@ def _gaussian_monomial_expectation(powers):
     return 1.0
 
 
-def _wick_polynomial(a):
+@lru_cache(maxsize=None)
+def _monomial_key_expectation(key, base, dim):
+    """``_gaussian_monomial_expectation`` of the monomial with this key."""
+    return _gaussian_monomial_expectation(tuple(key // base**c % base for c in range(dim)))
+
+
+@lru_cache(maxsize=None)
+def _hermite_key_steps(m, place):
+    """(key step, coefficient) of the nonzero monomials of He_m in the
+    coordinate whose digit has value ``place``, low degree first."""
+    return tuple((power * place, hc) for power, hc in enumerate(hermite_he_coefficients(m)) if hc != 0)
+
+
+def _wick_polynomial(a, base):
     """Ordinary-monomial expansion of the integral of ``a``.
 
-    Returns a dict mapping coordinate-exponent tuples to coefficients.
+    Returns a dict mapping monomial keys in ``base`` to coefficients.
     """
     if a.order == 0:
-        return {(0,) * a.dim: a.item()}
+        return {0: a.item()}
     sums, mult = _class_sums(a)
+    places = [base**c for c in range(a.dim)]
     poly = {}
-    for coeff, counts in zip(sums, mult):
+    for coeff, counts in zip(sums.tolist(), mult.tolist()):
         if coeff == 0.0:
             continue
-        partial = {(0,) * a.dim: float(coeff)}
-        for coord in range(a.dim):
-            m = int(counts[coord])
+        partial = {0: coeff}
+        for place, m in zip(places, counts):
             if m == 0:
                 continue
-            hcoef = hermite_he_coefficients(m)
+            steps = _hermite_key_steps(m, place)
             nxt = {}
             for expo, c in partial.items():
-                for power, hc in enumerate(hcoef):
-                    if hc == 0:
-                        continue
-                    key = expo[:coord] + (expo[coord] + power,) + expo[coord + 1 :]
+                for step, hc in steps:
+                    key = expo + step
                     nxt[key] = nxt.get(key, 0.0) + c * hc
             partial = nxt
         for key, c in partial.items():
@@ -330,7 +358,7 @@ def _poly_product(p1, p2):
     out = {}
     for e1, c1 in p1.items():
         for e2, c2 in p2.items():
-            key = tuple(a + b for a, b in zip(e1, e2))
+            key = e1 + e2
             out[key] = out.get(key, 0.0) + c1 * c2
     return out
 
@@ -350,11 +378,12 @@ def moment_oracle(tensors, max_total_order=DEFAULT_ORACLE_CAP):
     n_total = sum(t.order for t in tensors)
     if n_total > max_total_order:
         raise ValueError(f"total order {n_total} exceeds oracle cap {max_total_order}")
-    poly = _wick_polynomial(tensors[0])
+    base, dim = n_total + 1, tensors[0].dim
+    poly = _wick_polynomial(tensors[0], base)
     for t in tensors[1:]:
-        poly = _poly_product(poly, _wick_polynomial(t))
+        poly = _poly_product(poly, _wick_polynomial(t, base))
     return float(
-        sum(c * _gaussian_monomial_expectation(expo) for expo, c in poly.items())
+        sum(c * _monomial_key_expectation(key, base, dim) for key, c in poly.items())
     )
 
 

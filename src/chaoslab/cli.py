@@ -441,7 +441,10 @@ def _write_paths(out_dir, paths):
     # sample_paths gives every path one t array: it is formatted once, as _fmt text
     t_text = list(map(_fmt, paths[0].times.tolist()))
     for i, path in enumerate(paths):
-        write_csv(out_dir / f"path-{i:0{width}d}.csv", ["t", "value"], zip(t_text, path.values.tolist()))
+        # write_csv's bytes for the rows zip(t_text, values), in one format pass
+        rows = "\n".join(map("{},{:.17g}".format, t_text, path.values.tolist()))
+        with open(out_dir / f"path-{i:0{width}d}.csv", "w", newline="\n") as fh:
+            fh.write(f"t,value\n{rows}\n")
 
 
 def _simulate(cfg, workers):

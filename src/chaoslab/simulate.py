@@ -80,6 +80,9 @@ def sample_paths(spec, grid, count, seed, workers=1, first_stream=0, kd=None):
     # The caller finishes kd; the workers inherit it, under fork without a
     # copy, under spawn or forkserver pickled once each with its path model.
     kd.scale, kd.path_model
+    # numpy loads numpy.random at the first draw; loaded here, forked workers
+    # inherit it instead of each loading it on its first philox_stream
+    import numpy.random  # noqa: F401
     values = [None] * count
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(kd,)) as pool:
         chunks = pool.map(_worker_chunk, [seed] * workers, [streams[w::workers] for w in range(workers)])

@@ -73,6 +73,20 @@ class SymTensor:
         self.dim = int(dim)
         self.symmetric = bool(symmetric)
 
+    @classmethod
+    def _wrap(cls, arr, dim, symmetric):
+        """Tensor around ``arr``, a C-ordered float ndarray that the algebra
+        built itself or that is already frozen: frozen in place, neither
+        copied nor re-checked.  Only the dense cap still applies."""
+        if arr.size > MAX_DENSE_ENTRIES:
+            raise ValueError(f"tensor with {arr.size} entries exceeds dense cap")
+        arr.setflags(write=False)
+        out = object.__new__(cls)
+        out.entries = arr
+        out.dim = dim
+        out.symmetric = symmetric
+        return out
+
     @property
     def order(self):
         return self.entries.ndim
@@ -143,8 +157,9 @@ def _check_same_dim(a, b):
 def tensor_product(a, b):
     """Outer product; order adds, output is not flagged symmetric."""
     _check_same_dim(a, b)
-    out = np.multiply.outer(a.entries, b.entries)
-    return SymTensor(out, dim=a.dim, symmetric=False)
+    # a numpy scalar when both factors have order 0
+    out = np.asarray(np.multiply.outer(a.entries, b.entries))
+    return SymTensor._wrap(out, a.dim, False)
 
 
 def contract(a, b, j):
@@ -159,9 +174,12 @@ def contract(a, b, j):
         raise ValueError(f"j={j} out of range for orders {a.order}, {b.order}")
     if j == 0:
         return tensor_product(a, b)
-    axes = (list(range(j)), list(range(j)))
-    out = np.tensordot(a.entries, b.entries, axes=axes)
-    return SymTensor(out, dim=a.dim, symmetric=False)
+    # the operands np.tensordot builds for these axes, hence its BLAS call and
+    # its bytes: a's leading j slots as a transposed view (a C-ordered copy
+    # takes another BLAS path) and b's reshape
+    rows = a.dim**j
+    out = np.dot(a.entries.reshape(rows, -1).T, b.entries.reshape(rows, -1))
+    return SymTensor._wrap(out.reshape(a.entries.shape[j:] + b.entries.shape[j:]), a.dim, False)
 
 
 @lru_cache(maxsize=256)
@@ -195,12 +213,12 @@ def symmetrize(a):
     O(d^n n log n) instead of O(n! d^n).
     """
     if a.order <= 1 or a.symmetric:
-        return SymTensor(a.entries, dim=a.dim, symmetric=True)
+        return SymTensor._wrap(a.entries, a.dim, True)
     class_id, counts = _sorted_index_classes(a.order, a.dim)
     flat = a.entries.ravel(order="C")
     sums = np.bincount(class_id, weights=flat)
     out = (sums / counts)[class_id].reshape(a.entries.shape)
-    return SymTensor(out, dim=a.dim, symmetric=True)
+    return SymTensor._wrap(out, a.dim, True)
 
 
 def symmetrize_by_permutation_sum(a):

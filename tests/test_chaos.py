@@ -7,6 +7,8 @@ import pytest
 
 from chaoslab.chaos import (
     ChaosExpansion,
+    _class_sums,
+    _gaussian_monomial_expectation,
     _multiplicity_classes,
     covariance_identity_residual,
     expand_product,
@@ -247,6 +249,125 @@ def test_oracle_monte_carlo_consistency():
     samples = wick_eval_batch(tensors[0], xis) * wick_eval_batch(tensors[1], xis)
     se = samples.std(ddof=1) / math.sqrt(samples.size)
     assert abs(samples.mean() - want) < 4 * se
+
+
+def _wick_polynomial_by_tuple_keys(a):
+    if a.order == 0:
+        return {(0,) * a.dim: a.item()}
+    sums, mult = _class_sums(a)
+    poly = {}
+    for coeff, counts in zip(sums, mult):
+        if coeff == 0.0:
+            continue
+        partial = {(0,) * a.dim: float(coeff)}
+        for coord in range(a.dim):
+            m = int(counts[coord])
+            if m == 0:
+                continue
+            hcoef = hermite_he_coefficients(m)
+            nxt = {}
+            for expo, c in partial.items():
+                for power, hc in enumerate(hcoef):
+                    if hc == 0:
+                        continue
+                    key = expo[:coord] + (expo[coord] + power,) + expo[coord + 1 :]
+                    nxt[key] = nxt.get(key, 0.0) + c * hc
+            partial = nxt
+        for key, c in partial.items():
+            poly[key] = poly.get(key, 0.0) + c
+    return poly
+
+
+def _poly_product_by_tuple_keys(p1, p2):
+    out = {}
+    for e1, c1 in p1.items():
+        for e2, c2 in p2.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            out[key] = out.get(key, 0.0) + c1 * c2
+    return out
+
+
+def moment_oracle_by_tuple_keys(tensors):
+    """The oracle with coordinate-exponent tuples as monomial keys: the
+    reference the integer-keyed oracle must equal bitwise (caps left out)."""
+    tensors = list(tensors)
+    poly = _wick_polynomial_by_tuple_keys(tensors[0])
+    for t in tensors[1:]:
+        poly = _poly_product_by_tuple_keys(poly, _wick_polynomial_by_tuple_keys(t))
+    return float(
+        sum(c * _gaussian_monomial_expectation(expo) for expo, c in poly.items())
+    )
+
+
+def _oracle_reference_cases():
+    rng = np.random.default_rng(2026)
+    cases = []
+    for i in range(60):
+        dim = 1 + i % 4
+        top = (20, 20, 14, 12)[dim - 1]
+        while True:
+            orders = rng.integers(0, 6, size=int(rng.integers(1, 6))).tolist()
+            if sum(orders) <= top:
+                break
+        factors = []
+        for n in orders:
+            if n == 0:
+                factors.append(SymTensor.scalar(rng.standard_normal(), dim))
+            elif i % 2:
+                factors.append(symmetrize(SymTensor(rng.standard_normal((dim,) * n))))
+            else:  # not symmetric, unnormalized
+                factors.append(SymTensor(rng.standard_normal((dim,) * n) * 10 ** rng.uniform(-3, 3)))
+        cases.append(factors)
+    # total 20, the oracle's default cap, at every dim
+    for dim, orders in ((1, [10, 10]), (2, [5] * 4), (3, [2] * 10), (3, [4] * 5), (4, [4, 4, 3, 3]), (4, [5] * 4)):
+        cases.append([symmetrize(SymTensor(rng.standard_normal((dim,) * n))) for n in orders])
+    # gebelein_bound_check's shapes: [h_xi] + [hh] * k and [hh] * k, under the cap of 64
+    for dim, k in ((3, 6), (2, 16), (1, 31)):
+        h_eta = _unit_h_eta(rng, dim)
+        hh = SymTensor(np.multiply.outer(h_eta, h_eta), dim=dim, symmetric=True)
+        a = symmetrize(SymTensor(rng.standard_normal((dim, dim))))
+        h_xi = SymTensor(a.entries / np.linalg.norm(a.entries) / math.sqrt(2.0), symmetric=True)
+        cases += [[hh] * k, [h_xi] + [hh] * k]
+    # _counterexample_report's tensors: classes whose sums are exactly 0
+    e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    h_xi = SymTensor(np.outer(e1, e1) / math.sqrt(2.0), symmetric=True)
+    h_eta = symmetrize(tensor_product(SymTensor(e1), SymTensor(e2)))
+    cases += [[h_xi, h_eta], [h_xi, h_xi], [h_eta, h_eta], [h_xi, h_xi, h_eta, h_eta]]
+    return cases
+
+
+def test_oracle_is_bitwise_the_tuple_key_oracle():
+    for i, tensors in enumerate(_oracle_reference_cases()):
+        got = moment_oracle(tensors, max_total_order=64)
+        assert got.hex() == moment_oracle_by_tuple_keys(tensors).hex(), (i, [t.order for t in tensors])
+
+
+def test_evaluate_batch_is_bitwise_the_term_sum():
+    rng = np.random.default_rng(21)
+    for i in range(40):
+        dim = 1 + i % 4
+        lengths = tuple(int(n) for n in rng.integers(1, 4, size=int(rng.integers(2, 4))))
+        tensors = [SymTensor(rng.standard_normal((dim,) * n)) for n in lengths]
+        exp = expand_product(tensors)
+        if i % 5 == 0:  # an order-0 term of its own, beside the degree-0 term if any
+            exp.terms[0] = SymTensor.scalar(rng.standard_normal(), dim)
+        xis = rng.standard_normal((int(rng.integers(1, 60)), dim))
+        for seeds in (xis, xis[0]):
+            want = np.zeros(seeds.shape[0] if seeds.ndim == 2 else 1)
+            for t in exp.terms.values():
+                want = want + wick_eval_batch(t, seeds)
+            got = exp.evaluate_batch(seeds)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), i
+    empty = ChaosExpansion.from_dict({"lengths": [], "terms": {}})
+    assert empty.evaluate_batch(np.ones((3, 2))).tobytes() == np.zeros(3).tobytes()
+    assert empty.evaluate_batch(np.ones(2)).tobytes() == np.zeros(1).tobytes()
+    exp = expand_product([SymTensor(np.ones(3)), SymTensor(np.ones(3))])
+    for seeds in (np.ones((4, 2)), np.ones(2)):
+        with pytest.raises(ValueError) as by_terms:
+            wick_eval_batch(next(iter(exp.terms.values())), seeds)
+        with pytest.raises(ValueError) as by_table:
+            exp.evaluate_batch(seeds)
+        assert str(by_table.value) == str(by_terms.value) == "seed dim 2 != tensor dim 3"
 
 
 def test_wick_mean_zero():

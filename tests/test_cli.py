@@ -793,8 +793,9 @@ def test_path_file_times_must_increase(tmp_path, capsys, times):
 
 
 def test_written_csv_files_are_csv_writer_bytes(tmp_path, monkeypatch):
-    # write_csv joins fields without quoting; every CSV that simulate, report
-    # and fuzz write is byte for byte what csv.writer writes
+    # write_csv joins fields without quoting, and _write_paths formats the
+    # path files in one pass; every CSV that simulate, report and fuzz write
+    # is byte for byte what csv.writer writes
     real, written = cli.write_csv, []
 
     def spy(path, header, rows):
@@ -802,7 +803,15 @@ def test_written_csv_files_are_csv_writer_bytes(tmp_path, monkeypatch):
         written.append((path, header, rows))
         real(path, header, rows)
 
+    real_paths = cli._write_paths
+
+    def paths_spy(out_dir, paths):
+        real_paths(out_dir, paths)
+        for path, sample in zip(sorted(Path(out_dir).glob("path-*.csv")), paths):
+            written.append((path, ["t", "value"], list(zip(sample.times.tolist(), sample.values.tolist()))))
+
     monkeypatch.setattr(cli, "write_csv", spy)
+    monkeypatch.setattr(cli, "_write_paths", paths_spy)
     sim = write_config(tmp_path, "sim.json", {**_TINY_FBM, "grid": {"steps": 256, "left_units": 2}})
     assert main(["simulate", "--config", sim, "--out-dir", str(tmp_path / "sim")]) == 0
     report = {"paths_dir": str(tmp_path / "sim"), "slope": {"p": 2, "levels": [2, 3, 4]},
@@ -825,7 +834,7 @@ def test_written_csv_files_are_csv_writer_bytes(tmp_path, monkeypatch):
 
 
 def test_simulated_time_column_loads_at_2_20_steps(tmp_path):
-    # the t column cmd_simulate writes: sample_paths' times, through write_csv
+    # the t column cmd_simulate writes: sample_paths' times, as write_csv formats them
     steps, horizon = 2**20, 0.3
     times = np.arange(steps + 1) * (horizon / steps)
     paths_dir = tmp_path / "paths"

@@ -1,7 +1,10 @@
 import functools
+import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -260,6 +263,42 @@ def test_workers_take_the_callers_discretization(monkeypatch):
             for path in paths:
                 xi = philox_stream(9, path.stream).standard_normal(fresh.path_normals)
                 assert sample_path_values(fresh, xi).tobytes() == path.values.tobytes()
+
+
+_RECORD_WORKER_IMPORTS = """
+import functools, json, multiprocessing, os, sys
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
+from chaoslab import simulate
+from chaoslab.kernels import GridSpec, HermiteKernelSpec
+
+record = Path(sys.argv[1])
+drawn = simulate._worker_chunk
+
+def recording_chunk(seed, streams):
+    before = set(sys.modules)
+    values = drawn(seed, streams)
+    (record / f"{os.getpid()}.json").write_text(json.dumps(sorted(set(sys.modules) - before)))
+    return values
+
+simulate._worker_chunk = recording_chunk
+simulate.ProcessPoolExecutor = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork"))
+loaded = "numpy.random" in sys.modules
+spec = HermiteKernelSpec.fbm(0.6)
+simulate.sample_paths(spec, GridSpec.build(spec, steps=32, left_units=4), 4, seed=3, workers=2)
+print(json.dumps({"loaded_before": loaded, "gained": [json.loads(f.read_text()) for f in record.iterdir()]}))
+"""
+
+
+def test_forked_workers_load_no_module_while_drawing(tmp_path):
+    # numpy loads numpy.random at the first draw; sample_paths loads it before
+    # the pool opens, so no worker pays for it.  A fresh interpreter, because
+    # this one has drawn already.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", _RECORD_WORKER_IMPORTS, str(tmp_path)],
+                          env=env, capture_output=True, text=True, check=True)
+    result = json.loads(done.stdout)
+    assert result == {"loaded_before": False, "gained": [[], []]}
 
 
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])

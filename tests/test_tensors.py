@@ -79,6 +79,21 @@ def test_contract_norm_bound_fuzz():
         assert norm(contract(a, b, j)) <= norm(a) * norm(b) * (1 + 1e-12)
 
 
+def test_contract_is_bitwise_tensordot():
+    # contract hands np.dot the operands np.tensordot builds; the bytes match
+    rng = np.random.default_rng(8)
+    for dim in (1, 2, 3, 4):
+        for p in range(5):
+            for q in range(5):
+                a = random_tensor(rng, p, dim) if p else SymTensor.scalar(rng.standard_normal(), dim)
+                b = random_tensor(rng, q, dim) if q else SymTensor.scalar(rng.standard_normal(), dim)
+                for j in range(min(p, q) + 1):
+                    want = np.asarray(np.tensordot(a.entries, b.entries, axes=(list(range(j)), list(range(j)))))
+                    got = contract(a, b, j)
+                    assert got.entries.shape == want.shape and got.entries.tobytes() == want.tobytes()
+                    assert not got.entries.flags.writeable and got.dim == dim and not got.symmetric
+
+
 def test_contract_validation():
     a = random_tensor(np.random.default_rng(0), 2, 2)
     b = random_tensor(np.random.default_rng(0), 2, 3)
@@ -197,9 +212,22 @@ def test_json_roundtrip_row_major():
 
 
 def test_entries_immutable():
+    # SymTensor(...) copies what a caller hands it; the arrays the algebra
+    # builds are frozen as built
     a = basis_vector(2, 1)
     with pytest.raises(ValueError):
         a.entries[0] = 5.0
+    raw = np.ones((2, 2))
+    t = SymTensor(raw)
+    raw[0, 0] = 5.0
+    assert t.entries[0, 0] == 1.0
+    scalar = SymTensor.scalar(2.0, 2)
+    assert tensor_product(scalar, scalar).item() == 4.0
+    for out in (tensor_product(t, t), tensor_product(scalar, scalar), contract(t, t, 2),
+                symmetrize(SymTensor(np.arange(4.0).reshape(2, 2)))):
+        assert out.entries.flags.c_contiguous and out.entries.dtype == np.float64
+        with pytest.raises(ValueError):
+            out.entries[...] = 0.0
 
 
 @given(

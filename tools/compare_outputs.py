@@ -5,11 +5,14 @@ output files that differ.
 
 Each tree is a source checkout with ``src/chaoslab``.  The configs are
 README's ``expand``, ``verify``, ``simulate``, ``report`` and ``fuzz``
-examples, a small ``simulate`` of each README kernel block, of an order-2
-kernel with beta1 != 0 (the windowed filter), of an order-1 custom kernel at
-T = 1.3 and of an fBm twin that differs only in ``left_units`` (order-1
-paths do not read the depth), the zero kernel at orders 1 and 2, and the two
-``paths-fine`` configs of ``chaosbench`` (seed 1).  Both trees run every config with the same relative paths, under
+examples, an ``expand`` of four order-3 factors at d = 3 and a ``fuzz`` at
+total order 12 (the expansion cap, where the oracle, contractions and
+symmetrizer work hardest), a small ``simulate`` of each README kernel block,
+of an order-2 kernel with beta1 != 0 (the windowed filter), of an order-1
+custom kernel at T = 1.3 and of an fBm twin that differs only in
+``left_units`` (order-1 paths do not read the depth), the zero kernel at
+orders 1 and 2, and the two ``paths-fine`` configs of ``chaosbench`` (seed
+1).  Both trees run every config with the same relative paths, under
 ``<work>/parent`` and ``<work>/change``: the config as ``<name>.json``, the
 outputs in ``out/<name>/`` and the exit code, stdout and stderr in
 ``logs/<name>.txt``.  The tool prints each file that differs or exists on
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -33,6 +37,14 @@ TENSORS = [  # the factors of README's tensor-file expand example
     {"order": 2, "dim": 2, "entries": [1.0, 0.5, 0.5, -1.0], "symmetric": True},
     {"order": 1, "dim": 2, "entries": [0.3, 0.7], "symmetric": True},
     {"order": 1, "dim": 2, "entries": [-0.4, 0.2], "symmetric": True},
+]
+
+# four order-3 factors at d = 3: total order 12, the expansion cap; the run
+# exits 1 in both trees, as the absolute 1e-9 pointwise check fails on
+# rounding alone (ROADMAP item 8)
+TENSORS_12 = [
+    {"order": 3, "dim": 3, "entries": [round(math.sin(1.0 + k + 27 * i), 6) for k in range(27)]}
+    for i in range(4)
 ]
 
 _SMALL_GRID = {"steps": 256, "left_units": 2}
@@ -56,6 +68,8 @@ def _bench(label, kernel, alpha, tolerance, steps):
 CONFIGS = [
     ("expand-tensors", "expand", {"tensors": "tensors.json", "seed": 0, "pointwise_seeds": 100, "tolerance": 1e-9}),
     ("expand-counterexample", "expand", {"fixture": "counterexample"}),
+    ("expand-total-12", "expand", {"tensors": "tensors-12.json", "seed": 0, "pointwise_seeds": 100,
+                                   "tolerance": 1e-9}),
     ("verify-rosenblatt", "verify", {"kernel": {"type": "hermite", "order": 2, "alpha": 0.7},
                                      "grid": {"steps": 256, "left_units": 30},
                                      "upper_levels": [1, 2, 3, 4, 5, 6], "coupling_levels": [2, 3, 4, 5, 6]}),
@@ -74,6 +88,8 @@ CONFIGS = [
                                            "expected_alpha": 0.75, "tolerance": 0.08}}),
     ("fuzz", "fuzz", {"seed": 1, "equivalence_instances": 200, "inequality_instances": 200,
                       "max_blocks": 4, "max_order": 3, "max_dim": 3, "max_total": 10}),
+    ("fuzz-12", "fuzz", {"seed": 2, "equivalence_instances": 40, "inequality_instances": 20,
+                         "max_blocks": 4, "max_order": 3, "max_dim": 3, "max_total": 12}),
     ("simulate-fbm", "simulate", {"kernel": {"type": "fbm", "alpha": 0.75}, "grid": _SMALL_GRID, "paths": 2}),
     ("simulate-hermite", "simulate", {"kernel": {"type": "hermite", "order": 2, "alpha": 0.7},
                                       "grid": _SMALL_GRID, "paths": 2}),
@@ -98,6 +114,7 @@ def run_tree(tree, work):
     """Run every config with ``tree``'s chaoslab, with ``work`` as the working directory."""
     work.mkdir(parents=True)
     (work / "tensors.json").write_text(json.dumps(TENSORS))
+    (work / "tensors-12.json").write_text(json.dumps(TENSORS_12))
     (work / "logs").mkdir()
     env = {**os.environ, "PYTHONPATH": str(Path(tree).resolve() / "src")}
     for name, command, cfg in CONFIGS:
