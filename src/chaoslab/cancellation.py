@@ -14,14 +14,7 @@ import math
 
 import numpy as np
 
-from .pairings import (
-    IntervalDecomposition,
-    PairSet,
-    compose_pairsets,
-    free_indices,
-    interval_traces,
-    permute_pairset,
-)
+from .pairings import compose_pairsets, free_indices, interval_traces, permute_pairset
 from .tensors import SymTensor, inner, norm, permute
 
 __all__ = [
@@ -63,21 +56,16 @@ def cancel(pairset, tensors):
         raise ValueError(
             f"contraction needs {n_symbols} index symbols; einsum allows at most {len(_LETTERS)}"
         )
-    symbol = {}
-    next_free = 0
+    # one symbol per pair, then one per survivor in increasing position
+    letters = iter(_LETTERS)
+    symbol = [""] * n_total
     for m, n in pairset.pairs:
-        symbol[m] = symbol[n] = _LETTERS[next_free]
-        next_free += 1
-    for i in range(1, n_total + 1):
-        if i not in symbol:
-            symbol[i] = _LETTERS[next_free]
-            next_free += 1
-    in_subs = []
-    for j, d in enumerate(decomp.lengths):
-        s = decomp.offsets[j]
-        in_subs.append("".join(symbol[s + x] for x in range(1, d + 1)))
-    out_sub = "".join(symbol[i] for i in free_indices(pairset))
-    spec = ",".join(in_subs) + "->" + out_sub
+        symbol[m - 1] = symbol[n - 1] = next(letters)
+    survivors = free_indices(pairset)
+    for i in survivors:
+        symbol[i - 1] = next(letters)
+    in_subs = ["".join(symbol[s : s + d]) for s, d in zip(decomp.offsets, decomp.lengths)]
+    spec = ",".join(in_subs) + "->" + "".join(symbol[i - 1] for i in survivors)
     entries = np.einsum(spec, *[t.entries for t in tensors], optimize=True)
     return SymTensor(entries, dim=tensors[0].dim)
 
@@ -96,13 +84,8 @@ def permutation_relation_residual(pairset, tensors, perms):
     base = cancel(pairset, permuted)
     survivors = free_indices(pairset)
     if survivors:
-        offsets = decomp.offsets
-
-        def image(i):
-            j = decomp.block_of(i)
-            return offsets[j] + perms[j][i - offsets[j] - 1]
-
-        mapped = [image(o) for o in survivors]
+        image = decomp.permutation_map(perms)
+        mapped = [image[o - 1] for o in survivors]
         # sigma makes (permuted position of survivor sigma[r]) increasing in r
         sigma = tuple(int(r) + 1 for r in np.argsort(mapped, kind="stable"))
         rhs = permute(base, sigma)

@@ -369,8 +369,12 @@ def cmd_expand(cfg, out_dir):
     else:
         raise ConfigError("expand needs 'tensors' or 'fixture'")
     seeds = cfg.get("pointwise_seeds", 100)
+    dim, n_total = tensors[0].dim, sum(t.order for t in tensors)
+    if n_total <= DEFAULT_EXPANSION_CAP:  # expand_product refuses a larger total before it builds a term
+        fuzzing.check_dense(dim, n_total, f"factors of total order {n_total} at dim {dim}")
+    fuzzing.check_pointwise_seeds(seeds, dim, min(n_total, DEFAULT_EXPANSION_CAP))
     rng_seed = cfg.get("seed", 0)
-    xis = philox_stream(rng_seed).standard_normal((seeds, tensors[0].dim))
+    xis = philox_stream(rng_seed).standard_normal((seeds, dim))
     expansion, report = fuzzing.compare_expansion(tensors, xis)
     report.update(
         degrees=sorted(expansion.terms),
@@ -611,6 +615,14 @@ def cmd_report(cfg, out_dir, workers=1):
 # -- fuzz -----------------------------------------------------------------------
 
 
+def _fuzz_cell(value):
+    """A fuzz row's value as its CSV field: lengths joined by 'x', an absent
+    composition residual empty."""
+    if value is None:
+        return ""
+    return "x".join(map(str, value)) if isinstance(value, list) else value
+
+
 def cmd_fuzz(cfg, out_dir):
     seed = cfg.get("seed", 0)
     tol = cfg.get("tolerance", 1e-9)
@@ -620,47 +632,22 @@ def cmd_fuzz(cfg, out_dir):
     rng = np.random.default_rng(seed)
     eq_rows = [fuzzing.equivalence_case(rng, **eq_kwargs) for _ in range(cfg.get("equivalence_instances", 100))]
     ineq_rows = [fuzzing.inequality_case(rng, **caps) for _ in range(cfg.get("inequality_instances", 100))]
-    if eq_rows:
-        write_csv(
-            out_dir / "fuzz_equivalence.csv",
-            ["lengths", "dim", "degree0", "oracle", "relative_gap", "pointwise_max_error"],
-            [
-                ("x".join(map(str, r["lengths"])), r["dim"], r["degree0"], r["oracle"],
-                 r["relative_gap"], r["pointwise_max_error"])
-                for r in eq_rows
-            ],
-        )
-    if ineq_rows:
-        write_csv(
-            out_dir / "fuzz_inequalities.csv",
-            ["lengths", "dim", "pairs", "norm_bound_slack", "inner_bound_slack",
-             "permutation_residual", "composition_residual"],
-            [
-                ("x".join(map(str, r["lengths"])), r["dim"], r["pairs"], r["norm_bound_slack"],
-                 r["inner_bound_slack"], r["permutation_residual"],
-                 "" if r["composition_residual"] is None else r["composition_residual"])
-                for r in ineq_rows
-            ],
-        )
-    worst = {
-        "relative_gap": max((r["relative_gap"] for r in eq_rows), default=0.0),
-        "pointwise_max_error": max((r["pointwise_max_error"] for r in eq_rows), default=0.0),
-        "min_norm_bound_slack": min((r["norm_bound_slack"] for r in ineq_rows), default=0.0),
-        "min_inner_bound_slack": min((r["inner_bound_slack"] for r in ineq_rows), default=0.0),
-        "max_permutation_residual": max((r["permutation_residual"] for r in ineq_rows), default=0.0),
-        "max_composition_residual": max(
-            (r["composition_residual"] for r in ineq_rows if r["composition_residual"] is not None),
-            default=0.0,
-        ),
-    }
-    passed = (
-        worst["relative_gap"] <= tol
-        and worst["pointwise_max_error"] <= tol
-        and worst["min_norm_bound_slack"] >= -FUZZ_SLACK_TOL
-        and worst["min_inner_bound_slack"] >= -FUZZ_SLACK_TOL
-        and worst["max_permutation_residual"] <= tol
-        and worst["max_composition_residual"] <= tol
-    )
+    for name, rows in (("fuzz_equivalence.csv", eq_rows), ("fuzz_inequalities.csv", ineq_rows)):
+        if rows:  # the columns are the keys of the case's rows
+            write_csv(out_dir / name, list(rows[0]), [[_fuzz_cell(v) for v in r.values()] for r in rows])
+    # (summary key, row column, reducer, bound): max columns pass at most their bound, min ones at least it
+    checks = [
+        ("relative_gap", "relative_gap", max, tol),
+        ("pointwise_max_error", "pointwise_max_error", max, tol),
+        ("min_norm_bound_slack", "norm_bound_slack", min, -FUZZ_SLACK_TOL),
+        ("min_inner_bound_slack", "inner_bound_slack", min, -FUZZ_SLACK_TOL),
+        ("max_permutation_residual", "permutation_residual", max, tol),
+        ("max_composition_residual", "composition_residual", max, tol),
+    ]
+    rows, worst, passed = eq_rows + ineq_rows, {}, True
+    for key, column, reduce, bound in checks:
+        worst[key] = reduce((r[column] for r in rows if r.get(column) is not None), default=0.0)
+        passed = passed and (worst[key] <= bound if reduce is max else worst[key] >= bound)
     write_json(
         out_dir / "fuzz_summary.json",
         {"seed": seed, "tolerance": tol, "slack_tolerance": FUZZ_SLACK_TOL, "worst": worst,

@@ -6,6 +6,8 @@ with unit norm so that all residual/slack contracts are scale-free.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .cancellation import (
@@ -14,9 +16,9 @@ from .cancellation import (
     norm_bound_slack,
     permutation_relation_residual,
 )
-from .chaos import expand_product, moment_oracle, wick_eval_batch
+from .chaos import DEFAULT_EXPANSION_CAP, expand_product, moment_oracle, wick_eval_batch
 from .pairings import IntervalDecomposition, PairSet, free_indices
-from .tensors import SymTensor, norm, symmetrize
+from .tensors import MAX_DENSE_ENTRIES, SymTensor, norm, symmetrize
 
 __all__ = [
     "random_decomposition",
@@ -24,6 +26,8 @@ __all__ = [
     "random_pairset",
     "random_block_permutations",
     "compare_expansion",
+    "check_dense",
+    "check_pointwise_seeds",
     "equivalence_case",
     "inequality_case",
 ]
@@ -34,8 +38,10 @@ INEQUALITY_MAX_BLOCKS = 3  # inequality_case draws at most this many blocks, wha
 
 
 def random_decomposition(rng, max_blocks=4, max_order=3, max_total=10):
+    # more blocks than max_total always overshoot it, so none are proposed
+    high = min(max_blocks, max_total)
     while True:
-        blocks = rng.integers(MIN_BLOCKS, max_blocks + 1)
+        blocks = rng.integers(MIN_BLOCKS, high + 1)
         lengths = tuple(int(rng.integers(1, max_order + 1)) for _ in range(blocks))
         if sum(lengths) <= max_total:
             return IntervalDecomposition(lengths)
@@ -58,9 +64,8 @@ def random_pairset(rng, decomp, size=None):
     When ``size`` is omitted a random size is targeted, backing off if the
     decomposition cannot host that many cross-block pairs.
     """
-    n_total = decomp.total
+    n_total, blocks = decomp.total, decomp.blocks
     target = int(rng.integers(0, n_total // 2 + 1)) if size is None else size
-    blocks = [decomp.block_of(i) for i in range(1, n_total + 1)]
 
     def attempt(k):
         free = list(range(1, n_total + 1))
@@ -95,6 +100,32 @@ def random_block_permutations(rng, decomp):
     return [tuple(int(v) + 1 for v in rng.permutation(d)) for d in decomp.lengths]
 
 
+def check_dense(dim, order, source):
+    """Raise ValueError if a tensor of dim^order entries would pass
+    MAX_DENSE_ENTRIES; ``source`` names the sizes that set dim and order.
+    The power is not formed: from order 24 on, any dim >= 2 passes the cap."""
+    if dim ** min(order, MAX_DENSE_ENTRIES.bit_length()) > MAX_DENSE_ENTRIES:
+        raise ValueError(f"{source} let a tensor reach {dim}^{order} entries, above the dense cap {MAX_DENSE_ENTRIES}")
+
+
+def check_pointwise_seeds(seeds, dim, total):
+    """Raise ValueError if ``compare_expansion`` of a product of this total
+    order, at ``seeds`` points of R^dim, would build an array past
+    MAX_DENSE_ENTRIES.  Its largest are the top degree's Hermite table,
+    (total + 1) x seeds x dim, and the top term's class-by-point products,
+    C(dim + total - 1, total) x seeds."""
+    entries = seeds * max((total + 1) * dim, math.comb(dim + total - 1, total))
+    if entries > MAX_DENSE_ENTRIES:
+        raise ValueError(
+            f"pointwise_seeds {seeds} at dim {dim} and total order {total} build an array of {entries} entries, "
+            f"above the dense cap {MAX_DENSE_ENTRIES}"
+        )
+
+
+def _check_caps(max_dim, max_order, max_total, order):
+    check_dense(max_dim, order, f"max_dim {max_dim}, max_order {max_order} and max_total {max_total}")
+
+
 def compare_expansion(tensors, xis):
     """Expansion of the product of ``tensors`` and a row comparing its degree-0
     term with the Isserlis oracle (relative to max(1, |oracle|)) and its value
@@ -114,7 +145,15 @@ def compare_expansion(tensors, xis):
 
 
 def equivalence_case(rng, max_blocks=4, max_order=3, max_dim=3, max_total=10, pointwise_seeds=20):
-    """One expansion-vs-oracle instance; returns the comparison row."""
+    """One expansion-vs-oracle instance; returns the comparison row.
+
+    Before it draws, it checks the largest arrays an instance can build: a
+    factor of order up to min(max_order, max_total - 1), and expansion terms
+    and pointwise arrays up to the top degree, which ``expand_product`` caps.
+    """
+    top = min(max_total, max_blocks * max_order, DEFAULT_EXPANSION_CAP)
+    _check_caps(max_dim, max_order, max_total, max(min(max_order, max_total - 1), top))
+    check_pointwise_seeds(pointwise_seeds, max_dim, top)
     decomp = random_decomposition(rng, max_blocks, max_order, max_total)
     dim = int(rng.integers(2, max_dim + 1))
     tensors = random_tensors(rng, decomp, dim)
@@ -123,8 +162,15 @@ def equivalence_case(rng, max_blocks=4, max_order=3, max_dim=3, max_total=10, po
 
 
 def inequality_case(rng, max_blocks=INEQUALITY_MAX_BLOCKS, max_order=3, max_dim=3, max_total=10):
-    """One instance of the four operator contracts; returns slacks/residuals."""
-    decomp = random_decomposition(rng, min(max_blocks, INEQUALITY_MAX_BLOCKS), max_order, max_total)
+    """One instance of the four operator contracts; returns slacks/residuals.
+
+    Before it draws, it checks the largest tensor an instance can build: the
+    composition's contraction of every block and one more, of order up to
+    max_order, along no pairs at worst.
+    """
+    max_blocks = min(max_blocks, INEQUALITY_MAX_BLOCKS)
+    _check_caps(max_dim, max_order, max_total, min(max_total, max_blocks * max_order) + max_order)
+    decomp = random_decomposition(rng, max_blocks, max_order, max_total)
     dim = int(rng.integers(2, max_dim + 1))
     tensors = random_tensors(rng, decomp, dim, symmetric=False)
     pairset = random_pairset(rng, decomp)

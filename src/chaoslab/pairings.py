@@ -9,8 +9,9 @@ index the slot contractions of the cancellation operator; everything here is
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 __all__ = [
@@ -27,45 +28,59 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IntervalDecomposition:
-    """Consecutive blocks of {1, ..., N} with lengths (d_1, ..., d_l)."""
+    """Consecutive blocks of {1, ..., N} with lengths (d_1, ..., d_l).
+
+    ``offsets`` holds the block offsets s_j, so block j is s_j + {1, ..., d_j},
+    and ``blocks`` the 0-based block of each index: index i lies in block
+    ``blocks[i - 1]``.
+    """
 
     lengths: tuple
+    offsets: tuple = field(init=False, repr=False, compare=False)
+    blocks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lengths = tuple(int(d) for d in self.lengths)
         if not lengths or any(d < 1 for d in lengths):
             raise ValueError(f"lengths must be positive integers, got {self.lengths}")
         object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "offsets", tuple(itertools.accumulate(lengths[:-1], initial=0)))
+        object.__setattr__(self, "blocks", tuple(j for j, d in enumerate(lengths) for _ in range(d)))
+
+    @classmethod
+    def coerce(cls, decomp):
+        """``decomp`` itself, or the decomposition whose lengths it lists."""
+        return decomp if isinstance(decomp, cls) else cls(tuple(decomp))
 
     @property
     def total(self):
-        return sum(self.lengths)
-
-    @property
-    def offsets(self):
-        """Block offsets s_j, so block j is s_j + {1, ..., d_j}."""
-        out, acc = [], 0
-        for d in self.lengths:
-            out.append(acc)
-            acc += d
-        return tuple(out)
+        return len(self.blocks)
 
     def block_of(self, index):
         """0-based block number containing the 1-based index."""
         if not 1 <= index <= self.total:
             raise ValueError(f"index {index} out of range 1..{self.total}")
-        acc = 0
-        for j, d in enumerate(self.lengths):
-            acc += d
-            if index <= acc:
-                return j
-        raise AssertionError
+        return self.blocks[index - 1]
 
     def interval(self, j):
         s = self.offsets[j]
         return tuple(range(s + 1, s + self.lengths[j] + 1))
 
+    def permutation_map(self, perms):
+        """Images of the indices 1..N under per-block permutations.
 
+        ``perms[j]`` is a 1-based permutation tuple of {1, ..., d_j}; index
+        i = s_j + x maps to entry i - 1 of the result, s_j + perms[j][x].
+        """
+        if len(perms) != len(self.lengths):
+            raise ValueError(f"need {len(self.lengths)} permutations, got {len(perms)}")
+        for perm, d in zip(perms, self.lengths):
+            if sorted(perm) != list(range(1, d + 1)):
+                raise ValueError(f"{perm} is not a permutation of 1..{d}")
+        return tuple(s + x for s, perm in zip(self.offsets, perms) for x in perm)
+
+
+@dataclass(frozen=True, slots=True)
 class PairSet:
     """Admissible set of index pairs; pairs stored canonically as (m, n), m < n.
 
@@ -73,39 +88,29 @@ class PairSet:
     distinct, and no pair inside one block.
     """
 
-    __slots__ = ("decomp", "pairs")
+    decomp: IntervalDecomposition
+    pairs: tuple
 
-    def __init__(self, decomp, pairs):
-        if not isinstance(decomp, IntervalDecomposition):
-            decomp = IntervalDecomposition(tuple(decomp))
+    def __post_init__(self):
+        decomp = IntervalDecomposition.coerce(self.decomp)
         canon = []
-        for p in pairs:
+        for p in self.pairs:
             m, n = sorted(int(x) for x in p)
             if m == n:
                 raise ValueError(f"pair {p} repeats an index")
             if not (1 <= m and n <= decomp.total):
                 raise ValueError(f"pair {p} out of range 1..{decomp.total}")
-            if decomp.block_of(m) == decomp.block_of(n):
+            if decomp.blocks[m - 1] == decomp.blocks[n - 1]:
                 raise ValueError(f"pair {p} lies inside one interval")
             canon.append((m, n))
         flat = [x for p in canon for x in p]
         if len(set(flat)) != len(flat):
             raise ValueError("pair endpoints are not all distinct")
-        self.decomp = decomp
-        self.pairs = tuple(sorted(canon))
+        object.__setattr__(self, "decomp", decomp)
+        object.__setattr__(self, "pairs", tuple(sorted(canon)))
 
     def __len__(self):
         return len(self.pairs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PairSet)
-            and self.decomp.lengths == other.decomp.lengths
-            and self.pairs == other.pairs
-        )
-
-    def __hash__(self):
-        return hash((self.decomp.lengths, self.pairs))
 
     def __repr__(self):
         return f"PairSet({self.decomp.lengths}, {list(self.pairs)})"
@@ -115,7 +120,7 @@ class PairSet:
 
     @classmethod
     def from_dict(cls, obj):
-        return cls(IntervalDecomposition(tuple(obj["lengths"])), obj["pairs"])
+        return cls(obj["lengths"], obj["pairs"])
 
 
 def enumerate_admissible(decomp, k):
@@ -125,14 +130,12 @@ def enumerate_admissible(decomp, k):
     chosen pairs increase along the recursion, so every set is produced
     exactly once and the output order is deterministic.
     """
-    if not isinstance(decomp, IntervalDecomposition):
-        decomp = IntervalDecomposition(tuple(decomp))
-    n_total = decomp.total
+    decomp = IntervalDecomposition.coerce(decomp)
+    n_total, blocks = decomp.total, decomp.blocks
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     if 2 * k > n_total:
         raise ValueError(f"2k = {2 * k} exceeds N = {n_total}")
-    blocks = [decomp.block_of(i) for i in range(1, n_total + 1)]
     used = [False] * (n_total + 1)
     out = []
     chosen = []
@@ -159,12 +162,8 @@ def enumerate_admissible(decomp, k):
 
 def all_admissible(decomp):
     """Every admissible pair set, all sizes, smallest k first."""
-    if not isinstance(decomp, IntervalDecomposition):
-        decomp = IntervalDecomposition(tuple(decomp))
-    out = []
-    for k in range(decomp.total // 2 + 1):
-        out.extend(enumerate_admissible(decomp, k))
-    return out
+    decomp = IntervalDecomposition.coerce(decomp)
+    return [ps for k in range(decomp.total // 2 + 1) for ps in enumerate_admissible(decomp, k)]
 
 
 @lru_cache(maxsize=None)
@@ -199,27 +198,18 @@ def count_admissible(decomp, k):
     cross-block pairings.  Always bounded by N! / (2^k k! (N-2k)!), with
     equality when every block has length 1.
     """
-    if not isinstance(decomp, IntervalDecomposition):
-        decomp = IntervalDecomposition(tuple(decomp))
+    decomp = IntervalDecomposition.coerce(decomp)
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     if 2 * k > decomp.total:
         raise ValueError(f"2k = {2 * k} exceeds N = {decomp.total}")
     lengths = decomp.lengths
-
-    total = 0
-
-    def rec(j, remaining, occupation, ways):
-        nonlocal total
-        if j == len(lengths):
-            if remaining == 0:
-                total += ways * _cross_block_matchings(tuple(sorted(occupation)))
-            return
-        for c in range(0, min(lengths[j], remaining) + 1):
-            rec(j + 1, remaining - c, occupation + [c], ways * math.comb(lengths[j], c))
-
-    rec(0, 2 * k, [], 1)
-    return total
+    occupations = itertools.product(*(range(min(d, 2 * k) + 1) for d in lengths))
+    return sum(
+        math.prod(map(math.comb, lengths, occupation)) * _cross_block_matchings(tuple(sorted(occupation)))
+        for occupation in occupations
+        if sum(occupation) == 2 * k
+    )
 
 
 def pairing_count_bound(n_total, k):
@@ -234,24 +224,10 @@ def free_indices(pairset):
 
 
 def permute_pairset(pairset, perms):
-    """Apply per-block permutations to every pair endpoint.
-
-    ``perms[j]`` is a 1-based permutation tuple of {1, ..., d_j}; index
-    i = s_j + x maps to s_j + perms[j][x].  Admissibility is preserved.
-    """
-    decomp = pairset.decomp
-    if len(perms) != len(decomp.lengths):
-        raise ValueError(f"need {len(decomp.lengths)} permutations, got {len(perms)}")
-    for perm, d in zip(perms, decomp.lengths):
-        if sorted(perm) != list(range(1, d + 1)):
-            raise ValueError(f"{perm} is not a permutation of 1..{d}")
-
-    def image(i):
-        j = decomp.block_of(i)
-        s = decomp.offsets[j]
-        return s + perms[j][i - s - 1]
-
-    return PairSet(decomp, [(image(m), image(n)) for m, n in pairset.pairs])
+    """Apply per-block permutations to every pair endpoint, through the
+    decomposition's ``permutation_map``.  Admissibility is preserved."""
+    image = pairset.decomp.permutation_map(perms)
+    return PairSet(pairset.decomp, [(image[m - 1], image[n - 1]) for m, n in pairset.pairs])
 
 
 def interval_traces(pairset):
@@ -263,12 +239,10 @@ def interval_traces(pairset):
     """
     decomp = pairset.decomp
     free = set(free_indices(pairset))
-    out = []
-    for j, d in enumerate(decomp.lengths):
-        s = decomp.offsets[j]
-        local = [i - s for i in range(s + 1, s + d + 1) if i in free]
-        out.append(PairSet(IntervalDecomposition((d, d)), [(i, d + i) for i in local]))
-    return out
+    return [
+        PairSet(IntervalDecomposition((d, d)), [(x, d + x) for x in range(1, d + 1) if s + x in free])
+        for s, d in zip(decomp.offsets, decomp.lengths)
+    ]
 
 
 def compose_pairsets(pairset, extra):

@@ -7,9 +7,11 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -1096,3 +1098,34 @@ def test_report_exit_contract_on_mutated_path_files(content):
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     assert not caught
+
+
+def _limit_address_space():
+    # in the child only: an allocation past 2 GiB fails there, as a MemoryError
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("expand", {"fixture": "first-order-product", "pointwise_seeds": 10**12}),
+        ("fuzz", {"pointwise_seeds": 10**12}),
+        ("fuzz", {"max_order": 30, "max_total": 40, "max_dim": 3, "seed": 0}),
+        ("fuzz", {"equivalence_instances": 0, "max_order": 30, "max_total": 40, "max_dim": 3, "seed": 0}),
+    ],
+    ids=["expand-pointwise-seeds", "fuzz-pointwise-seeds", "fuzz-max-order-30", "fuzz-inequalities-max-order-30"],
+)
+def test_sizes_are_checked_before_allocation(tmp_path, command, cfg):
+    # each array an instance can build is compared with the dense cap before
+    # the first draw: exit 2 naming the key, never a MemoryError traceback
+    env = {**os.environ, "PYTHONPATH": str(Path(chaoslab.__file__).resolve().parent.parent)}
+    argv = [sys.executable, "-m", "chaoslab.cli", command, "--config", write_config(tmp_path, "cfg.json", cfg),
+            "--out-dir", str(tmp_path / "out")]
+    start = time.monotonic()
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120,
+                          preexec_fn=_limit_address_space)
+    assert time.monotonic() - start < 60
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    key = "pointwise_seeds" if "pointwise_seeds" in cfg else "max_order"
+    assert key in done.stderr and "dense cap" in done.stderr

@@ -1,12 +1,13 @@
 import itertools
 import json
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaoslab.fuzzing import random_block_permutations, random_pairset
+from chaoslab.fuzzing import MIN_BLOCKS, random_block_permutations, random_decomposition, random_pairset
 from chaoslab.pairings import (
     IntervalDecomposition,
     PairSet,
@@ -49,6 +50,17 @@ def test_decomposition_blocks():
     assert dec.offsets == (0, 5, 10, 13, 14)
     assert dec.interval(2) == (11, 12, 13)
     assert dec.block_of(13) == 2 and dec.block_of(14) == 3
+    # index i lies in block blocks[i - 1], the j whose interval holds it
+    assert dec.blocks == tuple(j for i in range(1, 19) for j in range(5) if i in dec.interval(j))
+    assert all(dec.block_of(i) == dec.blocks[i - 1] for i in range(1, 19))
+    # the permutation map sends s_j + x to s_j + perms[j][x]
+    perms = [(2, 5, 1, 4, 3), (5, 4, 3, 2, 1), (3, 1, 2), (1,), (4, 3, 2, 1)]
+    image = dec.permutation_map(perms)
+    assert image == tuple(
+        dec.offsets[j] + perms[j][x - 1] for j in range(5) for x in range(1, dec.lengths[j] + 1)
+    )
+    assert sorted(image) == list(range(1, 19))
+    assert all(dec.blocks[image[i - 1] - 1] == dec.blocks[i - 1] for i in range(1, 19))
 
 
 def test_pairset_rejects_same_block():
@@ -258,3 +270,32 @@ def test_json_roundtrip():
     ps = PairSet(EXAMPLE, EXAMPLE_PAIRS)
     back = PairSet.from_dict(json.loads(json.dumps(ps.to_dict())))
     assert back == ps
+
+
+def random_decomposition_by_full_proposals(rng, max_blocks=4, max_order=3, max_total=10):
+    """``random_decomposition`` as it was when it proposed up to max_blocks
+    blocks, max_total or not: the reference where max_blocks <= max_total."""
+    while True:
+        blocks = rng.integers(MIN_BLOCKS, max_blocks + 1)
+        lengths = tuple(int(rng.integers(1, max_order + 1)) for _ in range(blocks))
+        if sum(lengths) <= max_total:
+            return IntervalDecomposition(lengths)
+
+
+@pytest.mark.parametrize("caps", [(2, 1, 2), (2, 3, 2), (3, 2, 7), (3, 3, 8), (3, 3, 9), (4, 3, 10), (4, 3, 12),
+                                  (5, 4, 5), (10, 1, 10), (6, 2, 40)])
+def test_random_decomposition_matches_full_proposals(caps):
+    # same draws, same decompositions, same generator state after
+    for seed in range(10):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(30):
+            assert random_decomposition(rng, *caps) == random_decomposition_by_full_proposals(ref, *caps)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_random_decomposition_proposes_at_most_max_total_blocks():
+    rng = np.random.default_rng(0)
+    start = time.monotonic()
+    lengths = [random_decomposition(rng, max_blocks=10**9, max_order=3, max_total=10).lengths for _ in range(100)]
+    assert time.monotonic() - start < 5.0
+    assert all(MIN_BLOCKS <= len(ls) <= 10 and sum(ls) <= 10 for ls in lengths)

@@ -5,9 +5,11 @@ output files that differ.
 
 Each tree is a source checkout with ``src/chaoslab``.  The configs are
 README's ``expand``, ``verify``, ``simulate``, ``report`` and ``fuzz``
-examples, an ``expand`` of four order-3 factors at d = 3 and a ``fuzz`` at
+examples, an ``expand`` of four order-3 factors at d = 3, a ``fuzz`` at
 total order 12 (the expansion cap, where the oracle, contractions and
-symmetrizer work hardest), a small ``simulate`` of each README kernel block,
+symmetrizer work hardest), a ``fuzz`` of inequality instances only, with
+blocks up to order 4 (traces, compositions and block permutations of
+order-4 blocks), a small ``simulate`` of each README kernel block,
 of an order-2 kernel with beta1 != 0 (the windowed filter), of an order-1
 custom kernel at T = 1.3 and of an fBm twin that differs only in
 ``left_units`` (order-1 paths do not read the depth), the zero kernel at
@@ -16,9 +18,10 @@ orders 1 and 2, and the two ``paths-fine`` configs of ``chaosbench`` (seed
 ``<work>/parent`` and ``<work>/change``: the config as ``<name>.json``, the
 outputs in ``out/<name>/`` and the exit code, stdout and stderr in
 ``logs/<name>.txt``.  The tool prints each file that differs or exists on
-one side only, with its first differing line, and exits 1 if there is one,
-else 0.  Without ``--work`` the runs go to a temporary directory that is
-removed afterwards.
+one side only, with its first differing line, then each tree's line count
+of ``src/chaoslab/*.py`` (the total of ``wc -l``), and exits 1 if a file
+differs, else 0.  Without ``--work`` the runs go to a temporary directory
+that is removed afterwards.
 """
 
 from __future__ import annotations
@@ -90,6 +93,8 @@ CONFIGS = [
                       "max_blocks": 4, "max_order": 3, "max_dim": 3, "max_total": 10}),
     ("fuzz-12", "fuzz", {"seed": 2, "equivalence_instances": 40, "inequality_instances": 20,
                          "max_blocks": 4, "max_order": 3, "max_dim": 3, "max_total": 12}),
+    ("fuzz-inequalities", "fuzz", {"seed": 3, "equivalence_instances": 0, "inequality_instances": 300,
+                                   "max_order": 4, "max_dim": 2, "max_total": 10}),
     ("simulate-fbm", "simulate", {"kernel": {"type": "fbm", "alpha": 0.75}, "grid": _SMALL_GRID, "paths": 2}),
     ("simulate-hermite", "simulate", {"kernel": {"type": "hermite", "order": 2, "alpha": 0.7},
                                       "grid": _SMALL_GRID, "paths": 2}),
@@ -151,6 +156,11 @@ def compare(parent, change):
     return lines, len(left | right)
 
 
+def source_lines(tree):
+    """Lines of ``src/chaoslab/*.py`` in ``tree``, the total ``wc -l`` prints."""
+    return sum(p.read_bytes().count(b"\n") for p in (Path(tree) / "src" / "chaoslab").glob("*.py"))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -166,6 +176,8 @@ def main(argv=None):
         if args.work is None:
             shutil.rmtree(work.parent, ignore_errors=True)
     print("\n".join(lines + [f"{len(lines)} of {total} files differ"]))
+    for side, tree in (("parent", args.parent), ("change", args.change)):
+        print(f"{side}: {source_lines(tree)} lines in src/chaoslab/*.py")
     return 1 if lines else 0
 
 
