@@ -372,6 +372,7 @@ def cmd_expand(cfg, out_dir):
     dim, n_total = tensors[0].dim, sum(t.order for t in tensors)
     if n_total <= DEFAULT_EXPANSION_CAP:  # expand_product refuses a larger total before it builds a term
         fuzzing.check_dense(dim, n_total, f"factors of total order {n_total} at dim {dim}")
+        fuzzing.check_oracle(dim, n_total, f"tensors of total order {n_total} at dim {dim}")
     fuzzing.check_pointwise_seeds(seeds, dim, min(n_total, DEFAULT_EXPANSION_CAP))
     rng_seed = cfg.get("seed", 0)
     xis = philox_stream(rng_seed).standard_normal((seeds, dim))

@@ -27,6 +27,7 @@ __all__ = [
     "random_block_permutations",
     "compare_expansion",
     "check_dense",
+    "check_oracle",
     "check_pointwise_seeds",
     "equivalence_case",
     "inequality_case",
@@ -35,6 +36,7 @@ __all__ = [
 MIN_BLOCKS = 2  # a product has at least two factors
 PAIRSET_ATTEMPTS = 50  # greedy pairings per size before random_pairset tries a smaller one
 INEQUALITY_MAX_BLOCKS = 3  # inequality_case draws at most this many blocks, whatever max_blocks
+ORACLE_ENTRY_BYTES = 300  # an oracle monomial's dict slots, float and cache entries, besides key and digits
 
 
 def random_decomposition(rng, max_blocks=4, max_order=3, max_total=10):
@@ -108,6 +110,25 @@ def check_dense(dim, order, source):
         raise ValueError(f"{source} let a tensor reach {dim}^{order} entries, above the dense cap {MAX_DENSE_ENTRIES}")
 
 
+def check_oracle(dim, total, source):
+    """Raise ValueError if ``moment_oracle`` of a product of this total order
+    at dim would hold more bytes than a dense tensor at the cap, 8
+    MAX_DENSE_ENTRIES; ``source`` names the sizes that set dim and total.
+
+    Its dicts hold at most the C(total + dim, dim) monomials of degree <=
+    total in dim coordinates.  Each costs its key, an integer of dim digits in
+    base total + 1, the tuple of those digits that the expectation cache
+    keeps (8 bytes a digit), and ORACLE_ENTRY_BYTES of dict slots, float and
+    cache entries."""
+    entries = math.comb(total + dim, total)
+    size = entries * (ORACLE_ENTRY_BYTES + 8 * dim + math.ceil(dim * math.log2(total + 1) / 8))
+    if size > 8 * MAX_DENSE_ENTRIES:
+        raise ValueError(
+            f"{source} let the Isserlis oracle hold {entries} monomials, about {size} bytes, "
+            f"above the dense cap of {8 * MAX_DENSE_ENTRIES} bytes"
+        )
+
+
 def check_pointwise_seeds(seeds, dim, total):
     """Raise ValueError if ``compare_expansion`` of a product of this total
     order, at ``seeds`` points of R^dim, would build an array past
@@ -149,11 +170,13 @@ def equivalence_case(rng, max_blocks=4, max_order=3, max_dim=3, max_total=10, po
 
     Before it draws, it checks the largest arrays an instance can build: a
     factor of order up to min(max_order, max_total - 1), and expansion terms
-    and pointwise arrays up to the top degree, which ``expand_product`` caps.
+    and pointwise arrays up to the top degree, which ``expand_product`` caps,
+    and the oracle's monomials at that total order.
     """
     top = min(max_total, max_blocks * max_order, DEFAULT_EXPANSION_CAP)
     _check_caps(max_dim, max_order, max_total, max(min(max_order, max_total - 1), top))
     check_pointwise_seeds(pointwise_seeds, max_dim, top)
+    check_oracle(max_dim, top, f"max_dim {max_dim} and max_total {max_total}")
     decomp = random_decomposition(rng, max_blocks, max_order, max_total)
     dim = int(rng.integers(2, max_dim + 1))
     tensors = random_tensors(rng, decomp, dim)

@@ -64,7 +64,7 @@ QUAD_TAIL_CELLS = 128  # log-spaced cells left of -2s
 QUAD_TAIL_FACTOR = 1e4  # the tail reaches QUAD_TAIL_FACTOR^(1/(1 - beta1)) * s
 FGN_SERIES_TERMS = 40  # binomial-series terms of the fGn autocorrelation at lags >= 2
 GRID_CELL_BUDGET = 4_000_000  # most cells GridSpec.build puts on a grid
-WINDOW_CHUNK_POINTS = 1 << 18  # transform points per chunk of blocks in a windowed convolution
+WINDOW_CHUNK_POINTS = 1 << 18  # points per chunk: a windowed convolution's transform points, or cells of a grid-long computation
 
 
 # -- FFT convolution -------------------------------------------------------------
@@ -113,19 +113,23 @@ def _window_spectra(g, first, width):
     [b - 1, n), where the window is read.  Blocks left of x[0] or meeting
     only zeros of g are left out, and so are the entries of x below
     ``start`` = max(0, first - g.size + 1), which meet only zeros of g, so a
-    window that x cannot reach reads exactly 0.
+    window that x cannot reach reads exactly 0.  The blocks are transformed
+    about WINDOW_CHUNK_POINTS points at a time, each chunk from a copy of its
+    own span of g, so nothing longer than a chunk is built beside the spectra.
     """
     n = _fast_len(min(first + width, 4 * width) + width - 1)
     b = n - width + 1
     count = -(-min(first + width, g.size + width - 1) // b)
-    padded = np.zeros((count - 1) * b + n)  # padded[p] = g[p - width + 1]
-    reach = min(g.size, padded.size - width + 1)
-    padded[width - 1 : width - 1 + reach] = g[:reach]
-    segments = np.lib.stride_tricks.sliding_window_view(padded, n)[::b][::-1]
     step = max(1, WINDOW_CHUNK_POINTS // n)
     hats = np.empty((count, n // 2 + 1), dtype=complex)
     for i in range(0, count, step):
-        hats[i : i + step] = rfft(segments[i : i + step], n)
+        k = min(step, count - i)
+        # blocks i .. i + k - 1 read g[o : o + span], zero outside g
+        o, span = (count - i - k) * b - width + 1, (k - 1) * b + n
+        lo, hi = max(o, 0), min(o + span, g.size)
+        buf = np.zeros(span)
+        buf[lo - o : hi - o] = g[lo:hi]
+        hats[i : i + k] = rfft(np.lib.stride_tricks.sliding_window_view(buf, n)[::b][::-1], n)
     return n, max(0, first - g.size + 1), hats
 
 
@@ -195,10 +199,13 @@ def envelope_cell_averages(beta2, spacing, count):
     singularity analytically, preserving the small-separation power law.
     """
     a = beta2 / 2.0
-    m = np.arange(count, dtype=float)
-    hi = np.maximum(m * spacing + spacing / 2.0, 0.0)
-    lo = np.maximum(m * spacing - spacing / 2.0, 0.0)
-    return (hi**a - lo**a) / (a * spacing)
+    out = np.empty(count)
+    for start in range(0, count, WINDOW_CHUNK_POINTS):  # elementwise, so chunks change no float
+        m = np.arange(start, min(start + WINDOW_CHUNK_POINTS, count), dtype=float)
+        hi = np.maximum(m * spacing + spacing / 2.0, 0.0)
+        lo = np.maximum(m * spacing - spacing / 2.0, 0.0)
+        out[start : start + m.size] = (hi**a - lo**a) / (a * spacing)
+    return out
 
 
 def fgn_autocorr(alpha, lags):
@@ -360,10 +367,23 @@ class EnvelopeField:
 
     def window(self, first, width):
         """(first, width, spectra, ||phi_u||) for the u-cells first .. first + width - 1,
-        where ||phi_u||^2 = h * sum_{m<=u} env[m]^2."""
+        where ||phi_u||^2 = h * sum_{m<=u} env[m]^2.
+
+        The sums run over WINDOW_CHUNK_POINTS cells at a time, each chunk's
+        cumsum started from the total so far, which adds in np.cumsum's order
+        over the whole prefix: the same bits, with only the width kept.
+        """
         if self._window[:2] != (first, width):
-            norms = np.sqrt(self.h * np.cumsum(self.envelope[: first + width] ** 2)[first:])
-            self._window = (first, width, _window_spectra(self.envelope, first, width), norms)
+            sums = np.empty(width)
+            total = 0.0
+            for a in range(0, first + width, WINDOW_CHUNK_POINTS):
+                part = self.envelope[a : min(a + WINDOW_CHUNK_POINTS, first + width)] ** 2
+                part[0] += total
+                np.cumsum(part, out=part)
+                total, end = part[-1], a + part.size
+                if end > first:
+                    sums[max(a - first, 0) : end - first] = part[max(first - a, 0) :]
+            self._window = (first, width, _window_spectra(self.envelope, first, width), np.sqrt(self.h * sums))
         return self._window
 
     def draw(self, xi, window):
@@ -460,11 +480,6 @@ class KernelDiscretization:
         """The envelope vectors' Gaussian field (``EnvelopeField``)."""
         return EnvelopeField(self.spec.beta2, self.h, self.cells)
 
-    @cached_property
-    def edges(self):
-        """The cell edges, -left + h k for k = 0..cells (read by the weights)."""
-        return -self.grid.left + self.h * np.arange(self.cells + 1)
-
     # weights -----------------------------------------------------------------
 
     @cached_property
@@ -491,10 +506,25 @@ class KernelDiscretization:
         return 1.0 / math.sqrt(var)
 
     def _raw_weights(self, t):
-        return filter_cell_integrals(self.spec.beta1, t, self.edges)
+        """The filter's cell integrals at time t, at scale 1, over every cell.
+
+        The edges are -left + h k, built for the cells computed only.  At
+        beta1 = 0 those are the cells meeting (0, t], u-cells left_cells ..
+        left_cells + ceil(t / h) - 1, and one more on each side against
+        rounding in the edges; ``filter_cell_integrals`` gives +0.0 on every
+        other cell, as do the zeros left there.  Otherwise every cell is.
+        """
+        if self.spec.beta1 != 0.0:
+            return filter_cell_integrals(self.spec.beta1, t, -self.grid.left + self.h * np.arange(self.cells + 1))
+        lo = max(self.left_cells - 1, 0)
+        hi = min(self.left_cells + math.ceil(t / self.h) + 1, self.cells)
+        w = np.zeros(self.cells)
+        w[lo:hi] = filter_cell_integrals(0.0, t, -self.grid.left + self.h * np.arange(lo, hi + 1))
+        return w
 
     def weights(self, t):
-        """Filter weight vector of the kernel at time t (scale applied)."""
+        """Filter weight vector of the kernel at time t (scale applied), over
+        every cell; ``_raw_weights`` says which cells are computed."""
         if not 0.0 <= t <= self.spec.horizon + 1e-12:
             raise ValueError(f"t = {t} outside [0, {self.spec.horizon}]")
         return self.scale * self._raw_weights(t)
@@ -589,7 +619,7 @@ class KernelDiscretization:
         """
         if not exact:
             return self.pair_inner(w, w)
-        support = np.flatnonzero(np.abs(w) > 0)
+        support = np.flatnonzero(w)
         if support.size == 0:
             return 0.0
         lo, hi = support[0], support[-1]
@@ -624,8 +654,8 @@ class KernelDiscretization:
             return self.norm_sq(wa) * self.norm_sq(wb)
         if j == n:
             return self.pair_inner(wa, wb) ** 2
-        sa = np.flatnonzero(np.abs(wa) > 0)
-        sb = np.flatnonzero(np.abs(wb) > 0)
+        sa = np.flatnonzero(wa)
+        sb = np.flatnonzero(wb)
         if sa.size == 0 or sb.size == 0:
             return 0.0
         ia = np.arange(sa[0], sa[-1] + 1)

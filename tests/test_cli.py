@@ -1106,26 +1106,35 @@ def _limit_address_space():
 
 
 @pytest.mark.parametrize(
-    "command, cfg",
+    "command, cfg, key",
     [
-        ("expand", {"fixture": "first-order-product", "pointwise_seeds": 10**12}),
-        ("fuzz", {"pointwise_seeds": 10**12}),
-        ("fuzz", {"max_order": 30, "max_total": 40, "max_dim": 3, "seed": 0}),
-        ("fuzz", {"equivalence_instances": 0, "max_order": 30, "max_total": 40, "max_dim": 3, "seed": 0}),
+        ("expand", {"fixture": "first-order-product", "pointwise_seeds": 10**12}, "pointwise_seeds"),
+        ("fuzz", {"pointwise_seeds": 10**12}, "pointwise_seeds"),
+        ("fuzz", {"max_order": 30, "max_total": 40, "max_dim": 3, "seed": 0}, "max_order"),
+        ("fuzz", {"equivalence_instances": 0, "max_order": 30, "max_total": 40, "max_dim": 3, "seed": 0},
+         "max_order"),
+        # two order-1 factors at d = 3,000 pass every array check, and the
+        # oracle's C(3,002, 2) monomials, keys of 3,000 base-3 digits, do not
+        ("expand", {"tensors": "wide.json", "pointwise_seeds": 2}, "tensors"),
+        ("fuzz", {"max_dim": 900, "max_total": 2, "seed": 0}, "max_dim"),
     ],
-    ids=["expand-pointwise-seeds", "fuzz-pointwise-seeds", "fuzz-max-order-30", "fuzz-inequalities-max-order-30"],
+    ids=["expand-pointwise-seeds", "fuzz-pointwise-seeds", "fuzz-max-order-30", "fuzz-inequalities-max-order-30",
+         "expand-oracle-dim-3000", "fuzz-oracle-max-dim-900"],
 )
-def test_sizes_are_checked_before_allocation(tmp_path, command, cfg):
-    # each array an instance can build is compared with the dense cap before
-    # the first draw: exit 2 naming the key, never a MemoryError traceback
+def test_sizes_are_checked_before_allocation(tmp_path, command, cfg, key):
+    # each array an instance can build, and the oracle's monomials, are
+    # compared with the dense cap before the first draw: exit 2 naming the
+    # key, never a MemoryError traceback
+    d = 3000
+    wide = [{"order": 1, "dim": d, "entries": np.sin(np.arange(d) + k).tolist()} for k in (1.0, 2.0)]
+    (tmp_path / "wide.json").write_text(json.dumps(wide))
     env = {**os.environ, "PYTHONPATH": str(Path(chaoslab.__file__).resolve().parent.parent)}
     argv = [sys.executable, "-m", "chaoslab.cli", command, "--config", write_config(tmp_path, "cfg.json", cfg),
             "--out-dir", str(tmp_path / "out")]
     start = time.monotonic()
-    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120,
+    done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
                           preexec_fn=_limit_address_space)
     assert time.monotonic() - start < 60
     assert done.returncode == 2, done.stderr
     assert "Traceback" not in done.stderr
-    key = "pointwise_seeds" if "pointwise_seeds" in cfg else "max_order"
     assert key in done.stderr and "dense cap" in done.stderr

@@ -1,16 +1,20 @@
+import functools
 import math
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from numpy.fft import rfft
 from scipy.fft import next_fast_len
 from scipy.integrate import quad
 from scipy.signal import fftconvolve as scipy_fftconvolve
 from scipy.special import beta as beta_fn
 
+from chaoslab import kernels
 from chaoslab.kernels import (
     GRID_CELL_BUDGET,
     CirculantField,
+    EnvelopeField,
     GridSpec,
     HermiteKernelSpec,
     KernelDiscretization,
@@ -265,6 +269,63 @@ def test_exact_norm_matches_suffix_sum_reference(spec, steps, left_units, times)
         assert kd.norm_sq(w, exact=True) == pytest.approx(reference_exact_norm_sq(kd, w), rel=1e-13)
     w = kd._raw_weights(0.75) - kd._raw_weights(0.25)
     assert kd.norm_sq(w, exact=True) == pytest.approx(reference_exact_norm_sq(kd, w), rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "spec, steps, left_units",
+    [
+        (HermiteKernelSpec.hermite(2, 0.7), 2**8, 30),
+        # the edge at u = 0 rounds to +1.8e-15, so the cell left of it meets (0, t]
+        (HermiteKernelSpec.hermite(2, 0.7, horizon=1.3), 100, 10),
+        (HermiteKernelSpec.fbm(0.75), 2**8, 30),
+    ],
+    ids=["rosenblatt", "rosenblatt-T1.3", "fbm-compact"],
+)
+def test_compact_weights_are_the_integrals_over_every_edge(spec, steps, left_units):
+    # at beta1 = 0 only the cells meeting (0, t] and one on each side are
+    # computed, from their own edges: every byte is still that of the
+    # integrals over every cell's edge
+    kd = KernelDiscretization(spec, GridSpec.build(spec, steps=steps, left_units=left_units))
+    edges = -kd.grid.left + kd.h * np.arange(kd.cells + 1)
+    T, h = spec.horizon, kd.h
+    for t in (0.0, h / 3, h, 2.5 * h, T / 2, T, 1.0):
+        w = kd._raw_weights(t)
+        assert w.tobytes() == filter_cell_integrals(0.0, t, edges).tobytes(), t
+
+
+def _held_arrays(*objs):
+    """The distinct ndarrays (their bases) reachable from ``objs`` through
+    attributes, containers and partials."""
+    held, stack = {}, list(objs)
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            held[id(obj)] = obj
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, functools.partial):
+            stack.extend((obj.args, obj.keywords))
+        elif isinstance(obj, (KernelDiscretization, EnvelopeField)):
+            stack.append(vars(obj))
+    return list(held.values())
+
+
+def test_order_two_discretization_holds_no_grid_sized_array():
+    # after the scale and the path model, what kd keeps is the envelope, the
+    # window spectra and arrays as long as the time cells: at 2^10 steps and
+    # 300 horizons the grid is 301 times the time cells, so one more
+    # grid-long array (cell edges, weights) breaks the bound
+    spec = HermiteKernelSpec.hermite(2, 0.7)
+    kd = KernelDiscretization(spec, GridSpec.build(spec, steps=2**10))
+    kd.scale, kd.path_model
+    envelope, spectra = kd.field.envelope, kd.field.window(kd.left_cells, kd.time_cells)[2][2]
+    held = sum(a.nbytes for a in _held_arrays(kd))
+    assert held <= envelope.nbytes + spectra.nbytes + 8 * 8 * kd.time_cells
+    assert kd.cells == 301 * kd.time_cells
 
 
 @pytest.mark.parametrize(
@@ -615,14 +676,9 @@ def test_fftconvolve_is_bitwise_scipy():
             assert ours.shape == ref.shape and ours.tobytes() == ref.tobytes(), (na, nb)
 
 
-@pytest.mark.parametrize("chunk_points", [None, 64])
-def test_windowed_matches_np_convolve(chunk_points, monkeypatch):
-    # outputs first .. first + width - 1 of x (*) g; 64 points per chunk
-    # splits the blocks into chunks of one to four
-    if chunk_points is not None:
-        monkeypatch.setattr("chaoslab.kernels.WINDOW_CHUNK_POINTS", chunk_points)
-    rng = np.random.default_rng(21)
-    cases = [  # (first, width, x size, g size)
+def _window_cases(rng):
+    """(first, width, x size, g size) of the windowed convolution tests."""
+    cases = [
         (0, 9, 40, 40),  # one block
         (0, 1, 5, 5),
         (3, 8, 40, 40),  # first < width
@@ -642,7 +698,17 @@ def test_windowed_matches_np_convolve(chunk_points, monkeypatch):
     cases += [tuple(int(v) for v in rng.integers((0, 1, 1, 1), (300, 60, 400, 400))) for _ in range(200)]
     # first >= 4 width: blocks several windows wide
     cases += [tuple(int(v) for v in rng.integers((200, 1, 1, 1), (2000, 50, 2500, 2500))) for _ in range(100)]
-    for first, width, nx, ng in cases:
+    return cases
+
+
+@pytest.mark.parametrize("chunk_points", [None, 64])
+def test_windowed_matches_np_convolve(chunk_points, monkeypatch):
+    # outputs first .. first + width - 1 of x (*) g; 64 points per chunk
+    # splits the blocks into chunks of one to four
+    if chunk_points is not None:
+        monkeypatch.setattr("chaoslab.kernels.WINDOW_CHUNK_POINTS", chunk_points)
+    rng = np.random.default_rng(21)
+    for first, width, nx, ng in _window_cases(rng):
         x, g = rng.standard_normal(nx), rng.standard_normal(ng)
         full = np.concatenate((np.convolve(x, g), np.zeros(first + width)))
         ref = full[first : first + width]
@@ -658,6 +724,59 @@ def test_windowed_matches_np_convolve(chunk_points, monkeypatch):
     out = _windowed(x[30::-1], 30, 12, _window_spectra(x, 30, 12))
     ref = np.convolve(x[30::-1], x)[30:42]
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _padded_window_spectra(g, first, width):
+    """``_window_spectra`` as it was built from one zero-padded copy of g as
+    long as the blocks (kept as the reference of the chunked build)."""
+    n = _fast_len(min(first + width, 4 * width) + width - 1)
+    b = n - width + 1
+    count = -(-min(first + width, g.size + width - 1) // b)
+    padded = np.zeros((count - 1) * b + n)  # padded[p] = g[p - width + 1]
+    reach = min(g.size, padded.size - width + 1)
+    padded[width - 1 : width - 1 + reach] = g[:reach]
+    segments = np.lib.stride_tricks.sliding_window_view(padded, n)[::b][::-1]
+    step = max(1, kernels.WINDOW_CHUNK_POINTS // n)
+    hats = np.empty((count, n // 2 + 1), dtype=complex)
+    for i in range(0, count, step):
+        hats[i : i + step] = rfft(segments[i : i + step], n)
+    return n, max(0, first - g.size + 1), hats
+
+
+@pytest.mark.parametrize("chunk_points", [None, 64])
+def test_window_spectra_match_the_padded_build(chunk_points, monkeypatch):
+    # each chunk copies its own span of g: the same bytes as transforming
+    # views of one padded copy of g, over the windowed convolution's cases
+    if chunk_points is not None:
+        monkeypatch.setattr("chaoslab.kernels.WINDOW_CHUNK_POINTS", chunk_points)
+    rng = np.random.default_rng(22)
+    gs = [(first, width, rng.standard_normal(ng)) for first, width, _, ng in _window_cases(rng)]
+    gs.append((30, 12, rng.standard_normal(50)[::-1]))  # a reversed view
+    for first, width, g in gs:
+        n, start, hats = _window_spectra(g, first, width)
+        ref_n, ref_start, ref_hats = _padded_window_spectra(g, first, width)
+        assert (n, start) == (ref_n, ref_start)
+        assert hats.shape == ref_hats.shape and hats.tobytes() == ref_hats.tobytes(), (first, width, g.size)
+
+
+@pytest.mark.parametrize("chunk_points", [None, 64])
+def test_chunked_envelope_and_norms_are_the_one_shot_bytes(chunk_points, monkeypatch):
+    # the envelope is elementwise and the norms' chunked cumsum carries its
+    # total, so chunks change no bit: 200 cells at 64 a chunk, or 2^19 + 123
+    # cells at the default chunk, cross at least two chunk boundaries
+    count = 200 if chunk_points else 2 * kernels.WINDOW_CHUNK_POINTS + 123
+    if chunk_points is not None:
+        monkeypatch.setattr("chaoslab.kernels.WINDOW_CHUNK_POINTS", chunk_points)
+    for beta2, h in ((0.7, 1.0 / 1024), (0.85, 0.37)):
+        env = envelope_cell_averages(beta2, h, count)
+        a, m = beta2 / 2.0, np.arange(count, dtype=float)
+        hi, lo = np.maximum(m * h + h / 2.0, 0.0), np.maximum(m * h - h / 2.0, 0.0)
+        assert env.tobytes() == ((hi**a - lo**a) / (a * h)).tobytes()
+        field = EnvelopeField(beta2, h, count)
+        for first, width in ((0, count), (count - 70, 70), (65, 3), (130, 1)):
+            norms = field.window(first, width)[3]
+            ref = np.sqrt(h * np.cumsum(env[: first + width] ** 2)[first:])
+            assert norms.tobytes() == ref.tobytes(), (first, width)
 
 
 def test_fast_len_is_scipy_next_fast_len():

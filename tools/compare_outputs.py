@@ -13,15 +13,19 @@ order-4 blocks), a small ``simulate`` of each README kernel block,
 of an order-2 kernel with beta1 != 0 (the windowed filter), of an order-1
 custom kernel at T = 1.3 and of an fBm twin that differs only in
 ``left_units`` (order-1 paths do not read the depth), the zero kernel at
-orders 1 and 2, and the two ``paths-fine`` configs of ``chaosbench`` (seed
-1).  Both trees run every config with the same relative paths, under
-``<work>/parent`` and ``<work>/change``: the config as ``<name>.json``, the
-outputs in ``out/<name>/`` and the exit code, stdout and stderr in
-``logs/<name>.txt``.  The tool prints each file that differs or exists on
-one side only, with its first differing line, then each tree's line count
-of ``src/chaoslab/*.py`` (the total of ``wc -l``), and exits 1 if a file
-differs, else 0.  Without ``--work`` the runs go to a temporary directory
-that is removed afterwards.
+orders 1 and 2, the beta1 != 0 kernel at 1,024 steps and the default depth
+(308,224 cells, whose envelope, norms and filter spectra are each built in
+two chunks; ``kernel.scale`` 1.0 skips the capped exact norm), and the two
+``paths-fine`` configs of ``chaosbench`` (seed 1).  Both trees run every
+config with the same relative paths, under ``<work>/parent`` and
+``<work>/change``: the config as ``<name>.json``, the outputs in
+``out/<name>/`` and the exit code, stdout and stderr in ``logs/<name>.txt``.
+The tool prints each file that differs or exists on one side only, with its
+first differing line, then each config's peak RSS in both trees (the
+``ru_maxrss`` that ``os.wait4`` reports for the CLI process and the workers
+it waited for), then each tree's line count of ``src/chaoslab/*.py`` (the
+total of ``wc -l``), and exits 1 if a file differs, else 0.  Without
+``--work`` the runs go to a temporary directory that is removed afterwards.
 """
 
 from __future__ import annotations
@@ -102,6 +106,9 @@ CONFIGS = [
                                      "grid": _SMALL_GRID, "paths": 2}),
     ("simulate-custom-filter", "simulate", {"kernel": {"type": "custom", "order": 2, "beta1": -0.1, "beta2": 0.8},
                                             "grid": _SMALL_GRID, "paths": 2}),
+    ("simulate-custom-filter-deep", "simulate", {"kernel": {"type": "custom", "order": 2, "beta1": -0.1, "beta2": 0.8,
+                                                            "scale": 1.0},
+                                                 "grid": {"steps": 1024}, "paths": 2, "seed": 3}),
     ("simulate-custom-1", "simulate", {"kernel": {"type": "custom", "order": 1, "beta1": 0.2, "beta2": 0.5,
                                                   "horizon": 1.3}, "grid": _SMALL_GRID, "paths": 2}),
     ("simulate-fbm-deep", "simulate", {"kernel": {"type": "fbm", "alpha": 0.75},
@@ -116,21 +123,27 @@ CONFIGS = [
 
 
 def run_tree(tree, work):
-    """Run every config with ``tree``'s chaoslab, with ``work`` as the working directory."""
+    """Run every config with ``tree``'s chaoslab, with ``work`` as the working
+    directory; returns each config's peak RSS in MB."""
     work.mkdir(parents=True)
     (work / "tensors.json").write_text(json.dumps(TENSORS))
     (work / "tensors-12.json").write_text(json.dumps(TENSORS_12))
     (work / "logs").mkdir()
     env = {**os.environ, "PYTHONPATH": str(Path(tree).resolve() / "src")}
+    peaks = {}
     for name, command, cfg in CONFIGS:
         (work / f"{name}.json").write_text(json.dumps(cfg))
-        done = subprocess.run(
-            [sys.executable, "-m", "chaoslab.cli", command, "--config", f"{name}.json", "--out-dir", f"out/{name}"],
-            cwd=work, env=env, capture_output=True, text=True,
-        )
-        log = f"exit {done.returncode}\n-- stdout\n{done.stdout}-- stderr\n{done.stderr}"
-        (work / "logs" / f"{name}.txt").write_text(log)
-        print(f"{work.name}: {name}: exit {done.returncode}", file=sys.stderr)
+        argv = [sys.executable, "-m", "chaoslab.cli", command, "--config", f"{name}.json", "--out-dir", f"out/{name}"]
+        with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+            proc = subprocess.Popen(argv, cwd=work, env=env, stdout=out, stderr=err)
+            _, status, usage = os.wait4(proc.pid, 0)  # wait4, not wait: it reports the peak RSS
+            proc.returncode = code = os.waitstatus_to_exitcode(status)
+            out.seek(0), err.seek(0)
+            stdout, stderr = out.read().decode(), err.read().decode()
+        peaks[name] = usage.ru_maxrss / 1024
+        (work / "logs" / f"{name}.txt").write_text(f"exit {code}\n-- stdout\n{stdout}-- stderr\n{stderr}")
+        print(f"{work.name}: {name}: exit {code}", file=sys.stderr)
+    return peaks
 
 
 def first_difference(a, b):
@@ -169,13 +182,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
     work = args.work if args.work is not None else Path(tempfile.mkdtemp(prefix="compare-outputs-")) / "runs"
     try:
-        run_tree(args.parent, work / "parent")
-        run_tree(args.change, work / "change")
+        before = run_tree(args.parent, work / "parent")
+        after = run_tree(args.change, work / "change")
         lines, total = compare(work / "parent", work / "change")
     finally:
         if args.work is None:
             shutil.rmtree(work.parent, ignore_errors=True)
     print("\n".join(lines + [f"{len(lines)} of {total} files differ"]))
+    print("peak RSS (MB): parent -> change")
+    for name, _, _ in CONFIGS:
+        print(f"  {name}: {before[name]:.1f} -> {after[name]:.1f} ({after[name] / before[name] - 1:+.1%})")
     for side, tree in (("parent", args.parent), ("change", args.change)):
         print(f"{side}: {source_lines(tree)} lines in src/chaoslab/*.py")
     return 1 if lines else 0
