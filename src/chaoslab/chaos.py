@@ -296,7 +296,13 @@ def expand_product(tensors):
 # product of monomials is the sum of their keys.
 
 
-@lru_cache(maxsize=None)
+# Monomials each of the two caches below keeps: far above a criterion-1 deck's
+# working set (20 decks meet about 730 keys and 350 power tuples), and bounded,
+# so that a long run does not keep every monomial it ever met.
+MONOMIAL_CACHE_SIZE = 2**14
+
+
+@lru_cache(maxsize=MONOMIAL_CACHE_SIZE)
 def _gaussian_monomial_expectation(powers):
     """E prod_c xi_c^{p_c} for independent standard Gaussians.
 
@@ -312,7 +318,7 @@ def _gaussian_monomial_expectation(powers):
     return 1.0
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MONOMIAL_CACHE_SIZE)
 def _monomial_key_expectation(key, base, dim):
     """``_gaussian_monomial_expectation`` of the monomial with this key."""
     return _gaussian_monomial_expectation(tuple(key // base**c % base for c in range(dim)))

@@ -445,7 +445,7 @@ class CirculantField:
         return kernel[lag % self.normals]
 
 
-PathModel = namedtuple("PathModel", "normals draw filter weight times reads")
+PathModel = namedtuple("PathModel", "normals draw filter times reads")
 
 
 def _partial_sums(b):
@@ -489,37 +489,60 @@ class KernelDiscretization:
 
         At order 1 ||A_t||^2 is ``continuum_norm_sq``, the variance of the
         exact fBm that the sampler draws; at order >= 2 it is the exact grid
-        norm (``norm_sq``).
+        norm (``norm_sq``), after ``check_scale``.
         """
         if self.spec.scale is not None:
             return float(self.spec.scale)
         t_ref = min(1.0, self.spec.horizon)
         if self.spec.order == 1:
             return 1.0 / math.sqrt(continuum_norm_sq(self.spec, t_ref))
-        try:
-            var = math.factorial(self.spec.order) * self.norm_sq(self._raw_weights(t_ref), exact=True)
-        except ValueError as exc:  # past the span cap; at beta1 = 0 it spans time cells, and no depth helps
-            fewer = "fewer grid.steps" if self.spec.beta1 == 0.0 else "a smaller grid.left_units"
-            raise ValueError(f"{exc}; use {fewer}, or give kernel.scale to skip the norm") from None
+        self.check_scale()
+        var = math.factorial(self.spec.order) * self.norm_sq(self._raw_weights(t_ref), exact=True)
         if var <= 0:
             raise ValueError("cannot normalize a degenerate kernel")
         return 1.0 / math.sqrt(var)
 
-    def _raw_weights(self, t):
-        """The filter's cell integrals at time t, at scale 1, over every cell.
+    def check_scale(self):
+        """Refuse what ``scale`` refuses before its exact norm sums anything:
+        weights at t = min(1, T) with no support (a degenerate kernel) or
+        with a support past EXACT_SPAN_CAP cells.  At beta1 = 0 that support
+        is the time cells, and no depth helps."""
+        spec = self.spec
+        if spec.scale is not None or spec.order == 1:
+            return
+        support = np.flatnonzero(self._cell_integrals(min(1.0, spec.horizon))[1])
+        if support.size == 0:
+            raise ValueError("cannot normalize a degenerate kernel")
+        span = support[-1] - support[0] + 1
+        if span > EXACT_SPAN_CAP:
+            fewer = "fewer grid.steps" if spec.beta1 == 0.0 else "a smaller grid.left_units"
+            raise ValueError(f"exact norm: support span {span} exceeds the cap of {EXACT_SPAN_CAP} cells; "
+                             f"use {fewer}, or give kernel.scale to skip the norm")
 
-        The edges are -left + h k, built for the cells computed only.  At
-        beta1 = 0 those are the cells meeting (0, t], u-cells left_cells ..
-        left_cells + ceil(t / h) - 1, and one more on each side against
-        rounding in the edges; ``filter_cell_integrals`` gives +0.0 on every
-        other cell, as do the zeros left there.  Otherwise every cell is.
+    def _cell_integrals(self, t):
+        """(lo, v): the filter's cell integrals at time t, at scale 1, are v
+        on u-cells lo .. lo + v.size - 1 and +0.0 on every other cell.
+
+        The edges are -left + h k, built for those cells only.  At beta1 = 0
+        they are the cells meeting (0, t], u-cells left_cells .. left_cells +
+        ceil(t / h) - 1, and one more on each side against rounding in the
+        edges; ``filter_cell_integrals`` gives +0.0 on every other cell.
+        Otherwise they are every cell.
         """
         if self.spec.beta1 != 0.0:
-            return filter_cell_integrals(self.spec.beta1, t, -self.grid.left + self.h * np.arange(self.cells + 1))
+            return 0, filter_cell_integrals(self.spec.beta1, t, -self.grid.left + self.h * np.arange(self.cells + 1))
         lo = max(self.left_cells - 1, 0)
         hi = min(self.left_cells + math.ceil(t / self.h) + 1, self.cells)
+        return lo, filter_cell_integrals(0.0, t, -self.grid.left + self.h * np.arange(lo, hi + 1))
+
+    def _raw_weights(self, t):
+        """The filter's cell integrals at time t, at scale 1, over every cell
+        (``_cell_integrals``)."""
+        lo, v = self._cell_integrals(t)
+        if v.size == self.cells:
+            return v
         w = np.zeros(self.cells)
-        w[lo:hi] = filter_cell_integrals(0.0, t, -self.grid.left + self.h * np.arange(lo, hi + 1))
+        w[lo : lo + v.size] = v
         return w
 
     def weights(self, t):
@@ -559,40 +582,52 @@ class KernelDiscretization:
     def path_model(self):
         """How a path is drawn (``PathModel``); the one place that picks it.
 
-        A path is weight * filter(|phi|^n He_n(z / |phi|))[times], (z, |phi|)
-        = draw(xi) for ``normals`` standard normals xi; filter output k is the
-        path at time cell k, +0.0 at k = 0.  ``reads`` is what the paths
-        depend on besides xi (``simulate.provenance_tag`` hashes it).
+        A path is ``path_weight`` * filter(|phi|^n He_n(z / |phi|))[times],
+        (z, |phi|) = draw(xi) for ``normals`` standard normals xi; filter
+        output k is the path at time cell k, +0.0 at k = 0.  The model does
+        not read the scale, so paths can be drawn while it is summed.
+        ``reads`` is what the paths depend on besides xi
+        (``simulate.provenance_tag`` hashes it).
 
         Order 1 is fractional Brownian motion whatever beta1 and beta2 are,
         drawn exactly on the time steps: unit fGn z (``CirculantField``, 2
-        steps normals, unit norms), its partial sums, and the weight scale
-        sqrt(continuum_norm_sq(T / steps)), so Var X_t = scale^2 ||A_t||^2 of
-        the continuum kernel at every grid time.  It reads spec and steps.
+        steps normals, unit norms) and its partial sums.  It reads spec and
+        steps.
 
         Order n >= 2 is the order-n integral of the kernel family along the
         time grid for one Gaussian per cell.  By the rank-one structure it is
         the field z_u = <phi_u, xi> on the u-cells the filter reads (an
         ``EnvelopeField`` window), a Hermite transform per u-cell, then the
-        partial sums (beta1 = 0; weight scale h) or the windowed convolution
-        with ``filter_response`` less its t-independent (-u)_+ half, output
-        left_cells (weight scale / -beta1).  It reads spec and grid.
+        partial sums (beta1 = 0) or the windowed convolution with
+        ``filter_response`` less its t-independent (-u)_+ half, output
+        left_cells.  It reads spec and grid.
         """
-        spec, grid, scale = self.spec, self.grid, self.scale
+        spec, grid = self.spec, self.grid
         if spec.order == 1:
             fgn = CirculantField(fgn_autocorr(spec.alpha, np.arange(grid.steps + 1)))
-            step_sd = scale * math.sqrt(continuum_norm_sq(spec, spec.horizon / grid.steps))
-            return PathModel(fgn.normals, fgn.draw, _partial_sums, step_sd, slice(None),
+            return PathModel(fgn.normals, fgn.draw, _partial_sums, slice(None),
                              {"spec": spec.to_dict(), "steps": grid.steps})
         if spec.beta1 == 0.0:
             window, response = self.field.window(self.left_cells, self.time_cells), _partial_sums
-            weight = scale * self.h
         else:
             filt = dict(first=self.left_cells, width=self.time_cells + 1)
-            window, weight = self.field.window(0, self.cells), scale / -spec.beta1
+            window = self.field.window(0, self.cells)
             response = partial(_from_start, **filt, spectra=_window_spectra(self.filter_response, **filt))
-        return PathModel(self.cells, partial(self.field.draw, window=window), response, weight,
+        return PathModel(self.cells, partial(self.field.draw, window=window), response,
                          slice(None, None, self.per_step), {"spec": spec.to_dict(), "grid": vars(grid)})
+
+    @cached_property
+    def path_weight(self):
+        """The factor of ``path_model``'s filter output in a path: at order 1
+        scale sqrt(continuum_norm_sq(T / steps)), so Var X_t = scale^2
+        ||A_t||^2 of the continuum kernel at every grid time; at order >= 2
+        scale h for the partial sums (beta1 = 0), else scale / -beta1."""
+        spec, scale = self.spec, self.scale
+        if spec.order == 1:
+            return scale * math.sqrt(continuum_norm_sq(spec, spec.horizon / self.grid.steps))
+        if spec.beta1 == 0.0:
+            return scale * self.h
+        return scale / -spec.beta1
 
     def pair_inner(self, wa, wb):
         """<A, B> for two weight vectors, via the stationary Gram."""

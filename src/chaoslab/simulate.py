@@ -1,12 +1,14 @@
 """Sampling of chaos-process trajectories from discretized kernels.
 
 A path draws a Gaussian field, takes its Hermite transform, filters it in
-time and weights it, as ``KernelDiscretization.path_model`` says for each
-order.  Every call samples in ``min(workers, count)`` worker processes.  The
-caller finishes the discretization first, its scale and its path model, and
-the workers inherit it and only draw and transform.  Each path owns stream
-``(seed, stream_index)`` of a counter-based generator, so a path is bitwise
-the same for any worker count.
+time and weights it, as ``KernelDiscretization.path_model`` and
+``path_weight`` say for each order.  Every call samples in
+``min(workers, count)`` worker processes.  The caller finishes the path
+model and makes the scale's refusals that need no sum, then opens the pool;
+the workers inherit the model and only draw and transform, at weight 1,
+while the caller sums the scale and then weights each path in place.  Each
+path owns stream ``(seed, stream_index)`` of a counter-based generator, so a
+path is bitwise the same for any worker count.
 """
 
 from __future__ import annotations
@@ -31,18 +33,20 @@ def provenance_tag(kd):
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def sample_path_values(kd, xi):
+def sample_path_values(kd, xi, weight=None):
     """Process values at all grid time points for one draw of
-    ``kd.path_normals`` Gaussians."""
+    ``kd.path_normals`` Gaussians, at ``weight`` (``kd.path_weight`` if None)."""
     model = kd.path_model
     xi = np.asarray(xi, dtype=float)
     if xi.size != model.normals:
         raise ValueError(f"need {model.normals} Gaussians per path, got {xi.size}")
-    if model.weight == 0.0:  # +0.0 throughout, where 0.0 times a negative sum would give -0.0
+    if weight is None:
+        weight = kd.path_weight
+    if weight == 0.0:  # +0.0 throughout, where 0.0 times a negative sum would give -0.0
         return np.zeros(kd.grid.steps + 1)
     n = kd.spec.order
     z, norms = model.draw(xi)
-    return model.weight * model.filter(norms**n * hermite_he(n, z / norms))[model.times]
+    return weight * model.filter(norms**n * hermite_he(n, z / norms))[model.times]
 
 
 _WORKER_KD = None
@@ -54,9 +58,10 @@ def _init_worker(kd):
 
 
 def _worker_chunk(seed, streams):
-    """Path values of ``streams``, in order; each path draws its own stream."""
+    """Path values of ``streams`` at weight 1 (an exact product), in order;
+    each path draws its own stream."""
     kd = _WORKER_KD
-    return [sample_path_values(kd, philox_stream(seed, s).standard_normal(kd.path_normals)) for s in streams]
+    return [sample_path_values(kd, philox_stream(seed, s).standard_normal(kd.path_normals), 1.0) for s in streams]
 
 
 def sample_paths(spec, grid, count, seed, workers=1, first_stream=0, kd=None):
@@ -77,17 +82,25 @@ def sample_paths(spec, grid, count, seed, workers=1, first_stream=0, kd=None):
     streams = range(first_stream, first_stream + count)
     _philox_key(seed, streams[0]), _philox_key(seed, streams[-1])  # before any work
     workers = min(workers, count)
-    # The caller finishes kd; the workers inherit it, under fork without a
-    # copy, under spawn or forkserver pickled once each with its path model.
-    kd.scale, kd.path_model
+    # The caller refuses a scale it cannot sum, then builds the path model
+    # that the workers inherit: under fork without a copy, under spawn or
+    # forkserver pickled once each, before the scale exists.
+    kd.check_scale()
+    kd.path_model
     # numpy loads numpy.random at the first draw; loaded here, forked workers
     # inherit it instead of each loading it on its first philox_stream
     import numpy.random  # noqa: F401
     values = [None] * count
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(kd,)) as pool:
         chunks = pool.map(_worker_chunk, [seed] * workers, [streams[w::workers] for w in range(workers)])
+        weight = kd.path_weight  # the scale's sum, while the workers draw
         for w, chunk in enumerate(chunks):
             values[w::workers] = chunk
+    for v in values:  # in place, the bytes of weight * v
+        if weight == 0.0:
+            v.fill(0.0)  # +0.0, as sample_path_values gives at weight 0
+        else:
+            v *= weight
     tag = provenance_tag(kd)
     times = np.arange(grid.steps + 1) * (spec.horizon / grid.steps)
     return [PathSample(times=times, values=v, seed=seed, stream=stream, provenance=tag)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from chaoslab import chaos
 from chaoslab.chaos import (
     ChaosExpansion,
     _class_sums,
@@ -340,6 +341,17 @@ def test_oracle_is_bitwise_the_tuple_key_oracle():
     for i, tensors in enumerate(_oracle_reference_cases()):
         got = moment_oracle(tensors, max_total_order=64)
         assert got.hex() == moment_oracle_by_tuple_keys(tensors).hex(), (i, [t.order for t in tensors])
+
+
+def test_oracle_monomial_caches_are_bounded():
+    # two order-1 factors at d = 100 meet 5,050 monomials; each cache keeps
+    # at most its maxsize of them, not every key for the life of the process
+    rng = np.random.default_rng(3)
+    a, b = (SymTensor(rng.standard_normal(100)) for _ in range(2))
+    moment_oracle([a, b])
+    for cache in (chaos._monomial_key_expectation, chaos._gaussian_monomial_expectation):
+        info = cache.cache_info()
+        assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
 
 
 def test_evaluate_batch_is_bitwise_the_term_sum():

@@ -569,6 +569,27 @@ def test_exact_norm_span_cap_at_beta1_zero_names_the_steps(tmp_path, capsys):
     assert "grid.steps" in err and "kernel.scale" in err and "left_units" not in err
 
 
+@pytest.mark.parametrize(
+    "kernel, grid, refusal",
+    [
+        ({"type": "hermite", "order": 2, "alpha": 0.7}, {"steps": 131072, "left_units": 1},
+         "support span 131072 exceeds the cap of 65536 cells; use fewer grid.steps"),
+        ({"type": "custom", "order": 2, "beta1": -0.1, "beta2": 0.8}, {"steps": 256},
+         "support span 77056 exceeds the cap of 65536 cells; use a smaller grid.left_units"),
+    ],
+    ids=["hermite", "custom-filter"],
+)
+def test_scale_refused_without_a_sum_opens_no_pool(tmp_path, capsys, monkeypatch, kernel, grid, refusal):
+    # the span cap is told from the weights alone, before any worker is forked
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was opened")
+
+    monkeypatch.setattr("chaoslab.simulate.ProcessPoolExecutor", no_pool)
+    cfg = write_config(tmp_path, "cfg.json", {"kernel": kernel, "grid": grid, "paths": 1})
+    err = _assert_clean_exit_2(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "o")], capsys)
+    assert f"{refusal}, or give kernel.scale to skip the norm" in err
+
+
 def test_verify_reports_the_tail_of_a_custom_kernel_past_the_span_cap(tmp_path):
     # 77,056 cells, past the exact norm's span cap; the given scale skips the
     # norm, and the tail against the closed form needs none of the cap

@@ -229,12 +229,11 @@ def test_worker_count_defaults_to_one(monkeypatch):
 
 
 def test_workers_take_the_callers_discretization(monkeypatch):
-    # The caller finishes the discretization before the pool: the scale, and
-    # the path model with the circulant root (order 1) or the filter response
-    # and every window a path reads (a field window builds its norms with its
-    # spectra).  Forked
-    # workers inherit these patches, so a build in a worker raises there and
-    # fails the call.
+    # The caller builds the path model before the pool, with the circulant
+    # root (order 1) or the filter response and every window a path reads (a
+    # field window builds its norms with its spectra), and sums the scale
+    # itself while the workers draw.  Forked workers inherit these patches,
+    # so a build in a worker raises there and fails the call.
     caller = os.getpid()
 
     def caller_only(build):
@@ -328,6 +327,68 @@ def test_no_pool_for_bad_worker_count_or_no_paths(monkeypatch):
     with pytest.raises(ValueError, match="count=-1"):
         sample_paths(spec, grid, -1, seed=3)
     assert sample_paths(spec, grid, 0, seed=3, workers=2) == []
+
+
+def test_scale_is_summed_while_the_workers_draw(monkeypatch):
+    # the pool opens before the exact norm of an order-2 scale, which runs
+    # once, in the caller (a call in a worker raises there and fails the call)
+    caller = os.getpid()
+    events = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            super().__init__(max_workers, **kwargs)
+            events.append("pool")
+
+    norm_sq = KernelDiscretization.norm_sq
+
+    def recording_norm_sq(self, w, exact=False):
+        assert os.getpid() == caller, "norm_sq ran in a worker"
+        events.append("norm_sq")
+        return norm_sq(self, w, exact)
+
+    monkeypatch.setattr("chaoslab.simulate.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(KernelDiscretization, "norm_sq", recording_norm_sq)
+    spec = HermiteKernelSpec.hermite(2, 0.7)
+    grid = GridSpec.build(spec, steps=32, left_units=4)
+    for workers in (1, 2):
+        events.clear()
+        assert len(sample_paths(spec, grid, 4, seed=9, workers=workers)) == 4
+        assert events == ["pool", "norm_sq"]
+
+
+def test_degenerate_scale_opens_no_pool(monkeypatch):
+    # weights with no support are refused before any sum, and before the pool
+    # (the span cap likewise: tests/test_cli.py)
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was opened")
+
+    monkeypatch.setattr("chaoslab.simulate.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("chaoslab.kernels.filter_cell_integrals", lambda beta1, t, edges: np.zeros(edges.size - 1))
+    spec = HermiteKernelSpec.hermite(2, 0.7)
+    with pytest.raises(ValueError, match="cannot normalize a degenerate kernel"):
+        sample_paths(spec, GridSpec.build(spec, steps=32, left_units=4), 1, seed=0)
+
+
+def test_scale_refused_after_its_sum_leaves_no_worker(monkeypatch):
+    # the caller raises what the sum raises, once the workers it overlapped have exited
+    opened = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            opened.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    def failing_norm_sq(self, w, exact=False):
+        raise ValueError("the sum failed")
+
+    monkeypatch.setattr("chaoslab.simulate.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(KernelDiscretization, "norm_sq", failing_norm_sq)
+    spec = HermiteKernelSpec.hermite(2, 0.7)
+    with pytest.raises(ValueError, match="the sum failed"):
+        sample_paths(spec, GridSpec.build(spec, steps=32, left_units=4), 4, seed=9, workers=2)
+    assert opened == [2]
+    assert multiprocessing.active_children() == []
 
 
 def test_normalization_contract_fbm():

@@ -9,16 +9,19 @@ examples, an ``expand`` of four order-3 factors at d = 3, a ``fuzz`` at
 total order 12 (the expansion cap, where the oracle, contractions and
 symmetrizer work hardest), a ``fuzz`` of inequality instances only, with
 blocks up to order 4 (traces, compositions and block permutations of
-order-4 blocks), a small ``simulate`` of each README kernel block,
+order-4 blocks), README's Rosenblatt ``simulate`` again at two workers, a small ``simulate``
+of each README kernel block, of an order-2 kernel at horizon 2 (whose scale
+reads another window than its paths),
 of an order-2 kernel with beta1 != 0 (the windowed filter), of an order-1
 custom kernel at T = 1.3 and of an fBm twin that differs only in
 ``left_units`` (order-1 paths do not read the depth), the zero kernel at
 orders 1 and 2, the beta1 != 0 kernel at 1,024 steps and the default depth
 (308,224 cells, whose envelope, norms and filter spectra are each built in
 two chunks; ``kernel.scale`` 1.0 skips the capped exact norm), and the two
-``paths-fine`` configs of ``chaosbench`` (seed 1).  Both trees run every
-config with the same relative paths, under ``<work>/parent`` and
-``<work>/change``: the config as ``<name>.json``, the outputs in
+``paths-fine`` configs of ``chaosbench`` (seed 1).  A config runs with one
+worker unless its entry gives a count.  Both trees run every config with
+the same relative paths, under ``<work>/parent`` and ``<work>/change``: the
+config as ``<name>.json``, the outputs in
 ``out/<name>/`` and the exit code, stdout and stderr in ``logs/<name>.txt``.
 The tool prints each file that differs or exists on one side only, with its
 first differing line, then each config's peak RSS in both trees (the
@@ -56,6 +59,9 @@ TENSORS_12 = [
 
 _SMALL_GRID = {"steps": 256, "left_units": 2}
 
+_ROSENBLATT = {"kernel": {"type": "hermite", "order": 2, "alpha": 0.7},  # README's simulate example
+               "grid": {"steps": 8192, "left_units": 30}, "paths": 50, "seed": 31415}
+
 
 def _bench(label, kernel, alpha, tolerance, steps):
     """The simulate and report configs of one paths-fine case (chaosbench, size full)."""
@@ -71,7 +77,8 @@ def _bench(label, kernel, alpha, tolerance, steps):
     return [(f"bench-{label}-simulate", "simulate", simulate), (f"bench-{label}-report", "report", report)]
 
 
-# (name, command, config), run in this order: a report's paths_dir is an earlier run's out dir
+# (name, command, config[, workers]), run in this order: a report's paths_dir
+# is an earlier run's out dir
 CONFIGS = [
     ("expand-tensors", "expand", {"tensors": "tensors.json", "seed": 0, "pointwise_seeds": 100, "tolerance": 1e-9}),
     ("expand-counterexample", "expand", {"fixture": "counterexample"}),
@@ -80,8 +87,8 @@ CONFIGS = [
     ("verify-rosenblatt", "verify", {"kernel": {"type": "hermite", "order": 2, "alpha": 0.7},
                                      "grid": {"steps": 256, "left_units": 30},
                                      "upper_levels": [1, 2, 3, 4, 5, 6], "coupling_levels": [2, 3, 4, 5, 6]}),
-    ("simulate-rosenblatt", "simulate", {"kernel": {"type": "hermite", "order": 2, "alpha": 0.7},
-                                         "grid": {"steps": 8192, "left_units": 30}, "paths": 50, "seed": 31415}),
+    ("simulate-rosenblatt", "simulate", _ROSENBLATT),
+    ("simulate-rosenblatt-w2", "simulate", _ROSENBLATT, 2),
     ("report-paths", "report", {"paths_dir": "out/simulate-rosenblatt",
                                 "slope": {"p": 2, "levels": [3, 4, 5, 6, 7, 8, 9, 10],
                                           "expected_alpha": 0.7, "tolerance": 0.1},
@@ -102,6 +109,8 @@ CONFIGS = [
     ("simulate-fbm", "simulate", {"kernel": {"type": "fbm", "alpha": 0.75}, "grid": _SMALL_GRID, "paths": 2}),
     ("simulate-hermite", "simulate", {"kernel": {"type": "hermite", "order": 2, "alpha": 0.7},
                                       "grid": _SMALL_GRID, "paths": 2}),
+    ("simulate-hermite-t2", "simulate", {"kernel": {"type": "hermite", "order": 2, "alpha": 0.7, "horizon": 2.0},
+                                         "grid": {"steps": 4096}, "paths": 2, "seed": 5}),
     ("simulate-custom", "simulate", {"kernel": {"type": "custom", "order": 2, "beta1": 0.0, "beta2": 0.7},
                                      "grid": _SMALL_GRID, "paths": 2}),
     ("simulate-custom-filter", "simulate", {"kernel": {"type": "custom", "order": 2, "beta1": -0.1, "beta2": 0.8},
@@ -131,9 +140,10 @@ def run_tree(tree, work):
     (work / "logs").mkdir()
     env = {**os.environ, "PYTHONPATH": str(Path(tree).resolve() / "src")}
     peaks = {}
-    for name, command, cfg in CONFIGS:
+    for name, command, cfg, *workers in CONFIGS:
         (work / f"{name}.json").write_text(json.dumps(cfg))
         argv = [sys.executable, "-m", "chaoslab.cli", command, "--config", f"{name}.json", "--out-dir", f"out/{name}"]
+        argv += [f"--workers={n}" for n in workers]
         with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
             proc = subprocess.Popen(argv, cwd=work, env=env, stdout=out, stderr=err)
             _, status, usage = os.wait4(proc.pid, 0)  # wait4, not wait: it reports the peak RSS
@@ -190,7 +200,7 @@ def main(argv=None):
             shutil.rmtree(work.parent, ignore_errors=True)
     print("\n".join(lines + [f"{len(lines)} of {total} files differ"]))
     print("peak RSS (MB): parent -> change")
-    for name, _, _ in CONFIGS:
+    for name, *_ in CONFIGS:
         print(f"  {name}: {before[name]:.1f} -> {after[name]:.1f} ({after[name] / before[name] - 1:+.1%})")
     for side, tree in (("parent", args.parent), ("change", args.change)):
         print(f"{side}: {source_lines(tree)} lines in src/chaoslab/*.py")
