@@ -101,8 +101,8 @@ def fftconvolve(a, b):
 
 
 def _window_spectra(g, first, width):
-    """(n, start, block spectra) for outputs first .. first + width - 1 of
-    x (*) g, by overlap-save with blocks about four windows wide.
+    """(first, width, n, start, block spectra) for outputs first .. first +
+    width - 1 of x (*) g, by overlap-save with blocks about four windows wide.
 
     x is cut into blocks of b = n - width + 1 cells ending at first + width,
     n = _fast_len(min(first + width, 4 width) + width - 1), so a window
@@ -130,14 +130,14 @@ def _window_spectra(g, first, width):
         buf = np.zeros(span)
         buf[lo - o : hi - o] = g[lo:hi]
         hats[i : i + k] = rfft(np.lib.stride_tricks.sliding_window_view(buf, n)[::b][::-1], n)
-    return n, max(0, first - g.size + 1), hats
+    return first, width, n, max(0, first - g.size + 1), hats
 
 
-def _windowed(x, first, width, spectra):
+def _windowed(x, spectra):
     """Outputs first .. first + width - 1 of the linear convolution x (*) g,
     for ``spectra`` = ``_window_spectra(g, first, width)``: the block spectra
     of x times those of g, summed, then one inverse transform."""
-    n, start, hats = spectra
+    first, width, n, start, hats = spectra
     count = hats.shape[0]
     b = n - width + 1
     lo = first + width - count * b  # x index where the leftmost block starts
@@ -358,7 +358,7 @@ class EnvelopeField:
         self.h = h
         self.cells = cells
         self.envelope = envelope_cell_averages(beta2, h, cells)
-        self._window = (None, None)
+        self._window = ((None, None), None)
 
     @cached_property
     def autocorr(self):
@@ -366,14 +366,14 @@ class EnvelopeField:
         return self.h * fftconvolve(self.envelope, self.envelope[::-1])[self.cells - 1 :]
 
     def window(self, first, width):
-        """(first, width, spectra, ||phi_u||) for the u-cells first .. first + width - 1,
+        """(spectra, ||phi_u||) for the u-cells first .. first + width - 1,
         where ||phi_u||^2 = h * sum_{m<=u} env[m]^2.
 
         The sums run over WINDOW_CHUNK_POINTS cells at a time, each chunk's
         cumsum started from the total so far, which adds in np.cumsum's order
         over the whole prefix: the same bits, with only the width kept.
         """
-        if self._window[:2] != (first, width):
+        if self._window[0][:2] != (first, width):
             sums = np.empty(width)
             total = 0.0
             for a in range(0, first + width, WINDOW_CHUNK_POINTS):
@@ -383,13 +383,13 @@ class EnvelopeField:
                 total, end = part[-1], a + part.size
                 if end > first:
                     sums[max(a - first, 0) : end - first] = part[max(first - a, 0) :]
-            self._window = (first, width, _window_spectra(self.envelope, first, width), np.sqrt(self.h * sums))
+            self._window = (_window_spectra(self.envelope, first, width), np.sqrt(self.h * sums))
         return self._window
 
     def draw(self, xi, window):
         """(z_u, ||phi_u||) on the u-cells of ``window``."""
-        first, width, spectra, norms = window
-        return math.sqrt(self.h) * _windowed(xi, first, width, spectra), norms
+        spectra, norms = window
+        return math.sqrt(self.h) * _windowed(xi, spectra), norms
 
     def gram_rows(self, lo, hi):
         """Rows gram(u, u + m) = <phi_u, phi_{u+m}>, m = 0 .. hi - u, for u = lo .. hi.
@@ -399,8 +399,8 @@ class EnvelopeField:
         without its last lag plus h env[u + 1] env[u + 1 + m], added in place,
         so each row yielded is overwritten by the next.
         """
-        first, width, spectra, _ = self.window(lo, hi - lo + 1)
-        row = self.h * _windowed(self.envelope[lo::-1], first, width, spectra)
+        spectra, _ = self.window(lo, hi - lo + 1)
+        row = self.h * _windowed(self.envelope[lo::-1], spectra)
         for u in range(lo, hi + 1):
             if u > lo:
                 row = row[:-1]
@@ -453,9 +453,9 @@ def _partial_sums(b):
     return np.concatenate(([0.0], np.cumsum(b)))
 
 
-def _from_start(b, first, width, spectra):
+def _from_start(b, spectra):
     """values[0] - values of b's windowed filter convolution: +0.0 (not -0.0) at 0 for beta1 < 0."""
-    values = _windowed(b, first, width, spectra)
+    values = _windowed(b, spectra)
     return values[0] - values
 
 
@@ -474,6 +474,7 @@ class KernelDiscretization:
         self.cells = grid.cells
         self.left_cells = self.cells - self.time_cells
         self.per_step = self.time_cells // grid.steps
+        self.t_ref = min(1.0, spec.horizon)  # where the scale normalizes
 
     @cached_property
     def field(self):
@@ -484,7 +485,7 @@ class KernelDiscretization:
 
     @cached_property
     def scale(self):
-        """1 / sqrt(n! ||A_t||^2) at t = min(1, T): unit process variance
+        """1 / sqrt(n! ||A_t||^2) at t = t_ref = min(1, T): unit process variance
         there, unless the spec fixes the scale.
 
         At order 1 ||A_t||^2 is ``continuum_norm_sq``, the variance of the
@@ -493,24 +494,23 @@ class KernelDiscretization:
         """
         if self.spec.scale is not None:
             return float(self.spec.scale)
-        t_ref = min(1.0, self.spec.horizon)
         if self.spec.order == 1:
-            return 1.0 / math.sqrt(continuum_norm_sq(self.spec, t_ref))
+            return 1.0 / math.sqrt(continuum_norm_sq(self.spec, self.t_ref))
         self.check_scale()
-        var = math.factorial(self.spec.order) * self.norm_sq(self._raw_weights(t_ref), exact=True)
+        var = math.factorial(self.spec.order) * self.norm_sq(self._raw_weights(self.t_ref), exact=True)
         if var <= 0:
             raise ValueError("cannot normalize a degenerate kernel")
         return 1.0 / math.sqrt(var)
 
     def check_scale(self):
         """Refuse what ``scale`` refuses before its exact norm sums anything:
-        weights at t = min(1, T) with no support (a degenerate kernel) or
+        weights at t_ref with no support (a degenerate kernel) or
         with a support past EXACT_SPAN_CAP cells.  At beta1 = 0 that support
         is the time cells, and no depth helps."""
         spec = self.spec
         if spec.scale is not None or spec.order == 1:
             return
-        support = np.flatnonzero(self._cell_integrals(min(1.0, spec.horizon))[1])
+        support = np.flatnonzero(self._cell_integrals(self.t_ref)[1])
         if support.size == 0:
             raise ValueError("cannot normalize a degenerate kernel")
         span = support[-1] - support[0] + 1
@@ -523,17 +523,17 @@ class KernelDiscretization:
         """(lo, v): the filter's cell integrals at time t, at scale 1, are v
         on u-cells lo .. lo + v.size - 1 and +0.0 on every other cell.
 
-        The edges are -left + h k, built for those cells only.  At beta1 = 0
-        they are the cells meeting (0, t], u-cells left_cells .. left_cells +
-        ceil(t / h) - 1, and one more on each side against rounding in the
-        edges; ``filter_cell_integrals`` gives +0.0 on every other cell.
-        Otherwise they are every cell.
+        The edges are -left + h k, built for those cells only: the cells
+        meeting (0, t] at beta1 = 0, every cell left of t otherwise, up to
+        u-cell left_cells + ceil(t / h) - 1, and one more on each side against
+        rounding in the edges.  On every other cell the filter is 0.  A zero
+        integral is +0.0 in v too, where 0.0 / beta1 < 0 gives -0.0.
         """
-        if self.spec.beta1 != 0.0:
-            return 0, filter_cell_integrals(self.spec.beta1, t, -self.grid.left + self.h * np.arange(self.cells + 1))
-        lo = max(self.left_cells - 1, 0)
+        lo = max(self.left_cells - 1, 0) if self.spec.beta1 == 0.0 else 0
         hi = min(self.left_cells + math.ceil(t / self.h) + 1, self.cells)
-        return lo, filter_cell_integrals(0.0, t, -self.grid.left + self.h * np.arange(lo, hi + 1))
+        v = filter_cell_integrals(self.spec.beta1, t, -self.grid.left + self.h * np.arange(lo, hi + 1))
+        v += 0.0
+        return lo, v
 
     def _raw_weights(self, t):
         """The filter's cell integrals at time t, at scale 1, over every cell
@@ -610,9 +610,9 @@ class KernelDiscretization:
         if spec.beta1 == 0.0:
             window, response = self.field.window(self.left_cells, self.time_cells), _partial_sums
         else:
-            filt = dict(first=self.left_cells, width=self.time_cells + 1)
             window = self.field.window(0, self.cells)
-            response = partial(_from_start, **filt, spectra=_window_spectra(self.filter_response, **filt))
+            spectra = _window_spectra(self.filter_response, self.left_cells, self.time_cells + 1)
+            response = partial(_from_start, spectra=spectra)
         return PathModel(self.cells, partial(self.field.draw, window=window), response,
                          slice(None, None, self.per_step), {"spec": spec.to_dict(), "grid": vars(grid)})
 
@@ -1002,7 +1002,7 @@ def truncation_report(kd):
     """
     spec = kd.spec
     exact = spec.beta1 == 0.0 or spec.order == 1
-    t_ref = min(1.0, spec.horizon)
+    t_ref = kd.t_ref
     times = [t_ref * 2.0**-j for j in range(min(8, int(kd.grid.steps).bit_length() - 1) + 1)]
     norms = [kd.norm_sq(kd._raw_weights(t), exact=exact) for t in times]
     ratios = [norm / continuum_norm_sq(spec, t) for norm, t in zip(norms, times)]

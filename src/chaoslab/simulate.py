@@ -6,9 +6,10 @@ time and weights it, as ``KernelDiscretization.path_model`` and
 ``min(workers, count)`` worker processes.  The caller finishes the path
 model and makes the scale's refusals that need no sum, then opens the pool;
 the workers inherit the model and only draw and transform, at weight 1,
-while the caller sums the scale and then weights each path in place.  Each
-path owns stream ``(seed, stream_index)`` of a counter-based generator, so a
-path is bitwise the same for any worker count.
+while the caller sums the scale.  One step (``_weigh``) weights every path,
+serial or pooled, in place, and writes a zero product as +0.0.  Each path
+owns stream ``(seed, stream_index)`` of a counter-based generator, so a path
+is bitwise the same for any worker count.
 """
 
 from __future__ import annotations
@@ -33,6 +34,13 @@ def provenance_tag(kd):
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def _weigh(values, weight):
+    """``values`` times ``weight`` in place, a zero product +0.0 (-0.0 + 0.0 is +0.0)."""
+    values *= weight
+    values += 0.0
+    return values
+
+
 def sample_path_values(kd, xi, weight=None):
     """Process values at all grid time points for one draw of
     ``kd.path_normals`` Gaussians, at ``weight`` (``kd.path_weight`` if None)."""
@@ -40,13 +48,10 @@ def sample_path_values(kd, xi, weight=None):
     xi = np.asarray(xi, dtype=float)
     if xi.size != model.normals:
         raise ValueError(f"need {model.normals} Gaussians per path, got {xi.size}")
-    if weight is None:
-        weight = kd.path_weight
-    if weight == 0.0:  # +0.0 throughout, where 0.0 times a negative sum would give -0.0
-        return np.zeros(kd.grid.steps + 1)
     n = kd.spec.order
     z, norms = model.draw(xi)
-    return weight * model.filter(norms**n * hermite_he(n, z / norms))[model.times]
+    return _weigh(model.filter(norms**n * hermite_he(n, z / norms))[model.times],
+                  kd.path_weight if weight is None else weight)
 
 
 _WORKER_KD = None
@@ -96,12 +101,7 @@ def sample_paths(spec, grid, count, seed, workers=1, first_stream=0, kd=None):
         weight = kd.path_weight  # the scale's sum, while the workers draw
         for w, chunk in enumerate(chunks):
             values[w::workers] = chunk
-    for v in values:  # in place, the bytes of weight * v
-        if weight == 0.0:
-            v.fill(0.0)  # +0.0, as sample_path_values gives at weight 0
-        else:
-            v *= weight
     tag = provenance_tag(kd)
     times = np.arange(grid.steps + 1) * (spec.horizon / grid.steps)
-    return [PathSample(times=times, values=v, seed=seed, stream=stream, provenance=tag)
+    return [PathSample(times=times, values=_weigh(v, weight), seed=seed, stream=stream, provenance=tag)
             for stream, v in zip(streams, values)]

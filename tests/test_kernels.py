@@ -278,19 +278,23 @@ def test_exact_norm_matches_suffix_sum_reference(spec, steps, left_units, times)
         # the edge at u = 0 rounds to +1.8e-15, so the cell left of it meets (0, t]
         (HermiteKernelSpec.hermite(2, 0.7, horizon=1.3), 100, 10),
         (HermiteKernelSpec.fbm(0.75), 2**8, 30),
+        (HermiteKernelSpec.fbm(0.3), 2**8, 30),
+        (HermiteKernelSpec(order=2, beta1=-0.1, beta2=0.8, horizon=1.3), 100, 10),
     ],
-    ids=["rosenblatt", "rosenblatt-T1.3", "fbm-compact"],
+    ids=["rosenblatt", "rosenblatt-T1.3", "fbm-compact", "fbm-filter", "custom-filter-T1.3"],
 )
 def test_compact_weights_are_the_integrals_over_every_edge(spec, steps, left_units):
-    # at beta1 = 0 only the cells meeting (0, t] and one on each side are
-    # computed, from their own edges: every byte is still that of the
-    # integrals over every cell's edge
+    # only the cells meeting (0, t] (beta1 = 0) or left of t (beta1 != 0) and
+    # a margin cell on each side are computed, from their own edges: every
+    # byte is still that of the integrals over every cell's edge, where a
+    # zero integral reads +0.0 (0.0 / beta1 < 0 gives -0.0 there)
     kd = KernelDiscretization(spec, GridSpec.build(spec, steps=steps, left_units=left_units))
     edges = -kd.grid.left + kd.h * np.arange(kd.cells + 1)
     T, h = spec.horizon, kd.h
     for t in (0.0, h / 3, h, 2.5 * h, T / 2, T, 1.0):
         w = kd._raw_weights(t)
-        assert w.tobytes() == filter_cell_integrals(0.0, t, edges).tobytes(), t
+        assert w.tobytes() == (filter_cell_integrals(spec.beta1, t, edges) + 0.0).tobytes(), t
+        assert not np.signbit(w[w == 0.0]).any(), t
 
 
 def _held_arrays(*objs):
@@ -322,7 +326,7 @@ def test_order_two_discretization_holds_no_grid_sized_array():
     spec = HermiteKernelSpec.hermite(2, 0.7)
     kd = KernelDiscretization(spec, GridSpec.build(spec, steps=2**10))
     kd.scale, kd.path_model
-    envelope, spectra = kd.field.envelope, kd.field.window(kd.left_cells, kd.time_cells)[2][2]
+    envelope, spectra = kd.field.envelope, kd.field.window(kd.left_cells, kd.time_cells)[0][4]
     held = sum(a.nbytes for a in _held_arrays(kd))
     assert held <= envelope.nbytes + spectra.nbytes + 8 * 8 * kd.time_cells
     assert kd.cells == 301 * kd.time_cells
@@ -713,15 +717,15 @@ def test_windowed_matches_np_convolve(chunk_points, monkeypatch):
         full = np.concatenate((np.convolve(x, g), np.zeros(first + width)))
         ref = full[first : first + width]
         spectra = _window_spectra(g, first, width)
-        out = _windowed(x, first, width, spectra)
+        out = _windowed(x, spectra)
         assert out.shape == (width,)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref), initial=0.0), (first, width, nx, ng)
-        n, _, hats = spectra
+        _, _, n, _, hats = spectra
         if first >= 4 * width:  # about 1.25 transform points per cell, not 2
             assert hats.shape[0] * n <= 1.5 * (first + width) + n, (first, width, nx, ng)
     # reversed views, as norm_sq passes env[lo::-1]
     x = rng.standard_normal(50)[::-1]
-    out = _windowed(x[30::-1], 30, 12, _window_spectra(x, 30, 12))
+    out = _windowed(x[30::-1], _window_spectra(x, 30, 12))
     ref = np.convolve(x[30::-1], x)[30:42]
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -753,9 +757,9 @@ def test_window_spectra_match_the_padded_build(chunk_points, monkeypatch):
     gs = [(first, width, rng.standard_normal(ng)) for first, width, _, ng in _window_cases(rng)]
     gs.append((30, 12, rng.standard_normal(50)[::-1]))  # a reversed view
     for first, width, g in gs:
-        n, start, hats = _window_spectra(g, first, width)
+        f, w, n, start, hats = _window_spectra(g, first, width)
         ref_n, ref_start, ref_hats = _padded_window_spectra(g, first, width)
-        assert (n, start) == (ref_n, ref_start)
+        assert (f, w, n, start) == (first, width, ref_n, ref_start)
         assert hats.shape == ref_hats.shape and hats.tobytes() == ref_hats.tobytes(), (first, width, g.size)
 
 
@@ -774,7 +778,7 @@ def test_chunked_envelope_and_norms_are_the_one_shot_bytes(chunk_points, monkeyp
         assert env.tobytes() == ((hi**a - lo**a) / (a * h)).tobytes()
         field = EnvelopeField(beta2, h, count)
         for first, width in ((0, count), (count - 70, 70), (65, 3), (130, 1)):
-            norms = field.window(first, width)[3]
+            norms = field.window(first, width)[1]
             ref = np.sqrt(h * np.cumsum(env[: first + width] ** 2)[first:])
             assert norms.tobytes() == ref.tobytes(), (first, width)
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -155,7 +156,7 @@ def test_gram_rows_are_rows_of_the_dense_gram(spec):
     c = kd.cells
     supports = [(0, c - 1), (kd.left_cells, c - 1), (c // 3, 2 * c // 3), (c // 2, c // 2)]
     if spec.order > 1:
-        first, width = kd.path_model.draw.keywords["window"][:2]
+        first, width = kd.path_model.draw.keywords["window"][0][:2]
         assert (first, first + width - 1) in supports
     for lo, hi in supports:
         rows = [row.copy() for row in kd.field.gram_rows(lo, hi)]  # each row is overwritten by the next
@@ -178,6 +179,35 @@ def test_pooled_paths_equal_serial_redraws(spec):
             xi = philox_stream(seed, path.stream).standard_normal(kd.path_normals)
             assert sample_path_values(kd, xi).tobytes() == path.values.tobytes()
     assert all(p.values[0] == 0.0 for p in pooled)
+
+
+@pytest.mark.parametrize("spec", [HermiteKernelSpec.hermite(2, 0.7), HermiteKernelSpec.fbm(0.3)],
+                         ids=["hermite", "fbm"])
+def test_negative_scale_paths_start_at_positive_zero(spec):
+    # one weighting step, serial and pooled: at scale -1 the t = 0 entry is
+    # +0.0 (-1 times +0.0 is -0.0, written "-0"), and every other entry is -1
+    # times the scale-1 path's
+    grid = GridSpec.build(spec, steps=64, left_units=4)
+    unit, flipped = [sample_paths(replace(spec, scale=s), grid, 2, seed=7, workers=2) for s in (1.0, -1.0)]
+    kd = KernelDiscretization(replace(spec, scale=-1.0), grid)
+    for a, b in zip(unit, flipped):
+        xi = philox_stream(7, b.stream).standard_normal(kd.path_normals)
+        assert sample_path_values(kd, xi).tobytes() == b.values.tobytes()
+        assert b.values[:1].tobytes() == np.zeros(1).tobytes()
+        assert b.values[1:].tobytes() == (-1.0 * a.values[1:]).tobytes()
+
+
+@pytest.mark.parametrize("spec", [HermiteKernelSpec.fbm(0.5, scale=0.0), HermiteKernelSpec.hermite(2, 0.7, scale=0.0)],
+                         ids=["order-1", "order-2"])
+def test_zero_kernel_values_are_positive_zero_serial_and_pooled(spec):
+    # the zero kernel draws and weighs like any other: 0.0 times a negative
+    # value is -0.0, which the weighting step writes +0.0
+    grid = GridSpec.build(spec, steps=64, left_units=4)
+    kd = KernelDiscretization(spec, grid)
+    zeros = np.zeros(grid.steps + 1).tobytes()
+    for path in sample_paths(spec, grid, 2, seed=5, workers=2):
+        xi = philox_stream(5, path.stream).standard_normal(kd.path_normals)
+        assert sample_path_values(kd, xi).tobytes() == path.values.tobytes() == zeros
 
 
 def test_paths_start_at_zero():
@@ -277,7 +307,7 @@ drawn = simulate._worker_chunk
 def recording_chunk(seed, streams):
     before = set(sys.modules)
     values = drawn(seed, streams)
-    (record / f"{os.getpid()}.json").write_text(json.dumps(sorted(set(sys.modules) - before)))
+    (record / f"{streams[0]}.json").write_text(json.dumps(sorted(set(sys.modules) - before)))
     return values
 
 simulate._worker_chunk = recording_chunk
@@ -285,19 +315,20 @@ simulate.ProcessPoolExecutor = functools.partial(ProcessPoolExecutor, mp_context
 loaded = "numpy.random" in sys.modules
 spec = HermiteKernelSpec.fbm(0.6)
 simulate.sample_paths(spec, GridSpec.build(spec, steps=32, left_units=4), 4, seed=3, workers=2)
-print(json.dumps({"loaded_before": loaded, "gained": [json.loads(f.read_text()) for f in record.iterdir()]}))
+print(json.dumps({"loaded_before": loaded, "gained": {f.stem: json.loads(f.read_text()) for f in record.iterdir()}}))
 """
 
 
 def test_forked_workers_load_no_module_while_drawing(tmp_path):
     # numpy loads numpy.random at the first draw; sample_paths loads it before
     # the pool opens, so no worker pays for it.  A fresh interpreter, because
-    # this one has drawn already.
+    # this one has drawn already.  Each chunk records under its first stream,
+    # so one worker that runs both chunks still leaves two records.
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     done = subprocess.run([sys.executable, "-c", _RECORD_WORKER_IMPORTS, str(tmp_path)],
                           env=env, capture_output=True, text=True, check=True)
     result = json.loads(done.stdout)
-    assert result == {"loaded_before": False, "gained": [[], []]}
+    assert result == {"loaded_before": False, "gained": {"0": [], "1": []}}
 
 
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])

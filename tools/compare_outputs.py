@@ -5,7 +5,11 @@ output files that differ.
 
 Each tree is a source checkout with ``src/chaoslab``.  The configs are
 README's ``expand``, ``verify``, ``simulate``, ``report`` and ``fuzz``
-examples, an ``expand`` of four order-3 factors at d = 3, a ``fuzz`` at
+examples, a ``verify`` of each filter layout the exact norms read (fBm and
+an order-2 custom kernel with beta1 != 0, the latter also at horizon 2,
+where the scale's t_ref = 1 < T), of an order-3 Hermite kernel and of the
+order-2 zero kernel (which exits 1 in both trees), an ``expand`` of four
+order-3 factors at d = 3, a ``fuzz`` at
 total order 12 (the expansion cap, where the oracle, contractions and
 symmetrizer work hardest), a ``fuzz`` of inequality instances only, with
 blocks up to order 4 (traces, compositions and block permutations of
@@ -15,7 +19,8 @@ reads another window than its paths),
 of an order-2 kernel with beta1 != 0 (the windowed filter), of an order-1
 custom kernel at T = 1.3 and of an fBm twin that differs only in
 ``left_units`` (order-1 paths do not read the depth), the zero kernel at
-orders 1 and 2, the beta1 != 0 kernel at 1,024 steps and the default depth
+orders 1 and 2, an order-2 kernel at scale -1 (whose paths start at +0.0),
+the beta1 != 0 kernel at 1,024 steps and the default depth
 (308,224 cells, whose envelope, norms and filter spectra are each built in
 two chunks; ``kernel.scale`` 1.0 skips the capped exact norm), and the two
 ``paths-fine`` configs of ``chaosbench`` (seed 1).  A config runs with one
@@ -26,14 +31,17 @@ config as ``<name>.json``, the outputs in
 The tool prints each file that differs or exists on one side only, with its
 first differing line, then each config's peak RSS in both trees (the
 ``ru_maxrss`` that ``os.wait4`` reports for the CLI process and the workers
-it waited for), then each tree's line count of ``src/chaoslab/*.py`` (the
-total of ``wc -l``), and exits 1 if a file differs, else 0.  Without
+it waited for), then each tree's line counts of ``src/chaoslab/*.py``: the
+total of ``wc -l``, and the lines that hold code, without docstrings,
+comments or blank lines.  It exits 1 if a file differs, else 0.  Without
 ``--work`` the runs go to a temporary directory that is removed afterwards.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import math
 import os
@@ -41,6 +49,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 
 TENSORS = [  # the factors of README's tensor-file expand example
@@ -58,6 +67,9 @@ TENSORS_12 = [
 ]
 
 _SMALL_GRID = {"steps": 256, "left_units": 2}
+
+_CUSTOM_FILTER = {"type": "custom", "order": 2, "beta1": -0.1, "beta2": 0.8}
+_CUSTOM_FILTER_VERIFY = {"grid": {"steps": 64, "left_units": 4}, "overlap_levels": [1, 2, 3, 4]}
 
 _ROSENBLATT = {"kernel": {"type": "hermite", "order": 2, "alpha": 0.7},  # README's simulate example
                "grid": {"steps": 8192, "left_units": 30}, "paths": 50, "seed": 31415}
@@ -87,6 +99,14 @@ CONFIGS = [
     ("verify-rosenblatt", "verify", {"kernel": {"type": "hermite", "order": 2, "alpha": 0.7},
                                      "grid": {"steps": 256, "left_units": 30},
                                      "upper_levels": [1, 2, 3, 4, 5, 6], "coupling_levels": [2, 3, 4, 5, 6]}),
+    ("verify-fbm-filter", "verify", {"kernel": {"type": "fbm", "alpha": 0.3},
+                                     "grid": {"steps": 256, "left_units": 30}}),
+    ("verify-custom-filter", "verify", {"kernel": _CUSTOM_FILTER, **_CUSTOM_FILTER_VERIFY}),
+    ("verify-custom-filter-t2", "verify", {"kernel": {**_CUSTOM_FILTER, "horizon": 2.0}, **_CUSTOM_FILTER_VERIFY}),
+    ("verify-hermite-3", "verify", {"kernel": {"type": "hermite", "order": 3, "alpha": 0.7},
+                                    "grid": {"steps": 128, "left_units": 10}}),
+    ("verify-zero-2", "verify", {"kernel": {"type": "zero", "order": 2}, "grid": {"steps": 64},
+                                 "skip_refinement": True}),
     ("simulate-rosenblatt", "simulate", _ROSENBLATT),
     ("simulate-rosenblatt-w2", "simulate", _ROSENBLATT, 2),
     ("report-paths", "report", {"paths_dir": "out/simulate-rosenblatt",
@@ -113,8 +133,7 @@ CONFIGS = [
                                          "grid": {"steps": 4096}, "paths": 2, "seed": 5}),
     ("simulate-custom", "simulate", {"kernel": {"type": "custom", "order": 2, "beta1": 0.0, "beta2": 0.7},
                                      "grid": _SMALL_GRID, "paths": 2}),
-    ("simulate-custom-filter", "simulate", {"kernel": {"type": "custom", "order": 2, "beta1": -0.1, "beta2": 0.8},
-                                            "grid": _SMALL_GRID, "paths": 2}),
+    ("simulate-custom-filter", "simulate", {"kernel": _CUSTOM_FILTER, "grid": _SMALL_GRID, "paths": 2}),
     ("simulate-custom-filter-deep", "simulate", {"kernel": {"type": "custom", "order": 2, "beta1": -0.1, "beta2": 0.8,
                                                             "scale": 1.0},
                                                  "grid": {"steps": 1024}, "paths": 2, "seed": 3}),
@@ -126,6 +145,8 @@ CONFIGS = [
                                      "paths": 2, "seed": 5}),
     ("simulate-zero-2", "simulate", {"kernel": {"type": "zero", "order": 2}, "grid": {"steps": 64},
                                      "paths": 2, "seed": 5}),
+    ("simulate-negative-scale", "simulate", {"kernel": {"type": "hermite", "order": 2, "alpha": 0.7, "scale": -1.0},
+                                             "grid": {"steps": 64}, "paths": 2, "seed": 5}),
     *_bench("rosenblatt", {"type": "hermite", "order": 2, "alpha": 0.7}, 0.7, 0.25, 2**13),
     *_bench("fbm", {"type": "fbm", "alpha": 0.3}, 0.3, 0.1, 2**14),
 ]
@@ -179,9 +200,26 @@ def compare(parent, change):
     return lines, len(left | right)
 
 
+def code_lines(source):
+    """Lines of Python ``source`` that a token other than a comment or a
+    docstring (a module's, class's or function's) starts, ends or spans."""
+    kinds = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, kinds) and ast.get_docstring(node, clean=False) is not None:
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in layout:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
 def source_lines(tree):
-    """Lines of ``src/chaoslab/*.py`` in ``tree``, the total ``wc -l`` prints."""
-    return sum(p.read_bytes().count(b"\n") for p in (Path(tree) / "src" / "chaoslab").glob("*.py"))
+    """(the total ``wc -l`` prints, code lines) of ``src/chaoslab/*.py`` in ``tree``."""
+    sources = [p.read_text() for p in (Path(tree) / "src" / "chaoslab").glob("*.py")]
+    return sum(s.count("\n") for s in sources), sum(code_lines(s) for s in sources)
 
 
 def main(argv=None):
@@ -203,7 +241,8 @@ def main(argv=None):
     for name, *_ in CONFIGS:
         print(f"  {name}: {before[name]:.1f} -> {after[name]:.1f} ({after[name] / before[name] - 1:+.1%})")
     for side, tree in (("parent", args.parent), ("change", args.change)):
-        print(f"{side}: {source_lines(tree)} lines in src/chaoslab/*.py")
+        total, code = source_lines(tree)
+        print(f"{side}: {total} lines ({code} of code) in src/chaoslab/*.py")
     return 1 if lines else 0
 
 
