@@ -170,11 +170,19 @@ def equivalence_case(rng, max_blocks=4, max_order=3, max_dim=3, max_total=10, po
 
     Before it draws, it checks the largest arrays an instance can build: a
     factor of order up to min(max_order, max_total - 1), and expansion terms
-    and pointwise arrays up to the top degree, which ``expand_product`` caps,
-    and the oracle's monomials at that total order.
+    and pointwise arrays up to the top degree.  It refuses sizes that let the
+    total order, min(max_total, max_blocks * max_order), pass the cap of
+    ``expand_product``, which would refuse such an instance only after its
+    draw, and checks the oracle's monomials at that total order.
     """
-    top = min(max_total, max_blocks * max_order, DEFAULT_EXPANSION_CAP)
-    _check_caps(max_dim, max_order, max_total, max(min(max_order, max_total - 1), top))
+    top = min(max_total, max_blocks * max_order)
+    # a factor past the dense cap is named as such, before the total order
+    _check_caps(max_dim, max_order, max_total, max(min(max_order, max_total - 1), min(top, DEFAULT_EXPANSION_CAP)))
+    if top > DEFAULT_EXPANSION_CAP:
+        raise ValueError(
+            f"max_blocks {max_blocks}, max_order {max_order} and max_total {max_total} let an instance reach "
+            f"total order {top}, above the expansion cap {DEFAULT_EXPANSION_CAP}"
+        )
     check_pointwise_seeds(pointwise_seeds, max_dim, top)
     check_oracle(max_dim, top, f"max_dim {max_dim} and max_total {max_total}")
     decomp = random_decomposition(rng, max_blocks, max_order, max_total)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,11 +24,8 @@ __all__ = [
     "modulus_holder_statistic",
 ]
 
-LUXEMBURG_REL_TOL = 1e-12  # luxemburg_norm bisection: relative bracket width
-LUXEMBURG_MAX_ITER = 200  # and step limit
-LUXEMBURG_NEWTON_TOL = 1e-10  # _luxemburg_root: last Newton step in log(1/lambda)
-LUXEMBURG_NEWTON_MAX_ITER = 100  # and step limit
-LUXEMBURG_NEWTON_WINDOW = 1e-9  # luxemburg_norm computes the excess this close (relative) to the root
+LUXEMBURG_TOL = 1e-12  # luxemburg_norm: last Newton step in log(max|f|/lambda), relative to max(1, |that|)
+LUXEMBURG_MAX_ITER = 100  # and step limit
 PSUP_RATIO = 1.25  # ratio of consecutive exponents p in psup_norm's grid
 MOMENT_QUANTILE = 0.99  # pooled quantile of moment_growth_report (q99 in moment_quantiles.csv)
 BOOTSTRAP_SEED = 0  # moment_growth_report: seed of the path resampling
@@ -84,8 +80,8 @@ class PathSample:
 class OrliczFunction:
     """Young function of exponential type: x -> exp(x^beta) - 1.
 
-    Used unmodified on all of [0, inf) even for beta < 1 (convexity near 0
-    is not needed by the bisection, only monotonicity).
+    Used unmodified on all of [0, inf) even for beta < 1: ``luxemburg_norm``
+    needs no convexity near 0, only monotonicity.
     """
 
     beta: float
@@ -129,82 +125,44 @@ def _lp_norm(sizes, step, p):
     return float((np.sum(sizes**p) * step) ** (1.0 / p))
 
 
-def _luxemburg_root(f, cell_measure, beta):
-    """The lambda where sum Phi(f/lambda) * cell = 1, by Newton's method, or
-    None if it does not converge.
-
-    Newton runs on L(t) = log(sum expm1((f e^t)^beta) * cell) in t =
-    log(1/lambda).  L is convex and increasing (a log-sum-exp of convex
-    functions of t), so from its start, where the largest term alone
-    reaches 1, the iterates fall monotonically onto the root.
-    """
-    top = float(f.max())
-    if not (math.isfinite(top) and math.isfinite(cell_measure)):
-        return None
-    t = math.log(math.log1p(1.0 / cell_measure)) / beta - math.log(top) + LUXEMBURG_NEWTON_TOL
-    with np.errstate(all="ignore"):
-        for _ in range(LUXEMBURG_NEWTON_MAX_ITER):
-            y = (f * np.exp(t)) ** beta
-            grow = np.expm1(y)
-            total = float(np.sum(grow))
-            slope = beta * float(np.dot(y, grow) + np.sum(y))  # dL/dt times total
-            if not (0.0 < total < math.inf and 0.0 < slope < math.inf):
-                return None
-            step = math.log(total * cell_measure) * total / slope
-            t -= step
-            if abs(step) <= LUXEMBURG_NEWTON_TOL:
-                root = float(np.exp(-t))
-                return root if 0.0 < root < math.inf else None
-    return None
-
-
 def luxemburg_norm(values, cell_measure, orlicz):
-    """inf{lambda : sum Phi(|f|/lambda) * cell <= 1} by bisection.
+    """inf{lambda : sum Phi(|f|/lambda) * cell <= 1} by Newton's method.
 
-    The bisection defines the value: lambda doubles from max|f| until the
-    excess sum Phi(|f|/lambda) * cell - 1 is at most 0, halves until it is
-    not negative, then the bracket is halved to a relative width of
-    LUXEMBURG_REL_TOL and its top returned.  The excess falls as lambda
-    grows, so once Newton's method (``_luxemburg_root``) has found where it
-    crosses 0, its sign at a lambda more than LUXEMBURG_NEWTON_WINDOW
-    (relative) from that root is known, and it is computed only at the
-    lambdas within the window.  Every step, and so the result, is the same
-    float as with the excess computed at every lambda, which is what
-    happens where Newton does not converge.  Zero input gives 0; the norm is
-    absolutely homogeneous to bisection accuracy.
+    With g = |f| / max|f| and s = log(max|f| / lambda), Newton runs on
+    L(s) = log(sum expm1(g^beta e^(beta s)) * cell).  L is convex and
+    increasing (a log-sum-exp of the convex u -> log expm1(e^(u + a))), so
+    from its start, where the largest term alone reaches 1, the iterates
+    fall monotonically onto the root.  They stop once a step is at most
+    LUXEMBURG_TOL * max(1, |s|), which leaves the norm accurate to about
+    1e-12 relative.  Zero input gives 0; scaling f changes g, and so s, by
+    rounding at most.  Non-finite values, a cell measure that is not
+    positive and finite, and a norm past the largest float raise ValueError;
+    running out of steps raises ArithmeticError.
     """
     f = np.abs(np.asarray(values, dtype=float))
-    if cell_measure <= 0:
-        raise ValueError("cell measure must be positive")
+    if not np.all(np.isfinite(f)):
+        raise ValueError("Luxemburg norm of non-finite values")
+    if not 0.0 < cell_measure < math.inf:
+        raise ValueError(f"cell measure must be positive and finite, got {cell_measure}")
     top = float(f.max(initial=0.0))
     if top == 0.0:
         return 0.0
-    root = _luxemburg_root(f, cell_measure, orlicz.beta)
-
-    def excess(lam):
-        if root is not None and abs(lam - root) > LUXEMBURG_NEWTON_WINDOW * root:
-            return 1.0 if lam < root else -1.0
-        return float(np.sum(orlicz(f / lam)) * cell_measure) - 1.0
-
-    hi, big = top, sys.float_info.max
-    while excess(hi) > 0:  # doubling stops at the largest float, then one step to inf
-        hi = min(2.0 * hi, big) if hi < big else math.inf
-    if hi == math.inf:
-        raise ValueError("Luxemburg norm is not finite: the Young function is too flat near 0")
-    lo = hi / 2.0
-    while excess(lo) < 0:
-        lo /= 2.0
-        if lo < 1e-300:
-            return 0.0
+    beta = orlicz.beta
+    g_beta = (f / top) ** beta
+    s = math.log(math.log1p(1.0 / cell_measure)) / beta
     for _ in range(LUXEMBURG_MAX_ITER):
-        mid = 0.5 * lo + 0.5 * hi  # 0.5 (lo + hi) without its overflow: lo >= 1e-300
-        if excess(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= LUXEMBURG_REL_TOL * hi:
-            break
-    return hi
+        y = g_beta * math.exp(beta * s)  # not (g e^s)^beta: e^s underflows where beta is small
+        grow = np.expm1(y)
+        total = float(np.sum(grow))
+        slope = beta * float(np.dot(y, grow) + np.sum(y))  # dL/ds times total
+        step = math.log(total * cell_measure) * total / slope
+        s -= step
+        if abs(step) <= LUXEMBURG_TOL * max(1.0, abs(s)):
+            try:
+                return math.exp(math.log(top) - s)
+            except OverflowError:
+                raise ValueError("Luxemburg norm is not finite: the Young function is too flat near 0") from None
+    raise ArithmeticError(f"Luxemburg norm: Newton's method did not converge in {LUXEMBURG_MAX_ITER} steps")
 
 
 def psup_norm(values, beta, cell_measure):

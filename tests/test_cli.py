@@ -1159,3 +1159,19 @@ def test_sizes_are_checked_before_allocation(tmp_path, command, cfg, key):
     assert done.returncode == 2, done.stderr
     assert "Traceback" not in done.stderr
     assert key in done.stderr and "dense cap" in done.stderr
+
+
+def test_fuzz_refuses_totals_past_the_expansion_cap_before_drawing(tmp_path):
+    # total order 10^9 passes the expansion cap, so the sizes are refused
+    # before the first draw, which would propose up to 10^9 block lengths
+    cfg = {"equivalence_instances": 1, "inequality_instances": 0, "max_blocks": 10**9, "max_total": 10**9,
+           "max_order": 1}
+    env = {**os.environ, "PYTHONPATH": str(Path(chaoslab.__file__).resolve().parent.parent)}
+    argv = [sys.executable, "-m", "chaoslab.cli", "fuzz", "--config", write_config(tmp_path, "cfg.json", cfg),
+            "--out-dir", str(tmp_path / "out")]
+    start = time.monotonic()
+    done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=10)
+    assert time.monotonic() - start < 10
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert all(key in done.stderr for key in ("max_blocks", "max_order", "max_total", "expansion cap"))

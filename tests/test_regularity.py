@@ -7,8 +7,6 @@ from scipy.stats import kendalltau
 from hypothesis import strategies as st
 
 from chaoslab.regularity import (
-    LUXEMBURG_MAX_ITER,
-    LUXEMBURG_REL_TOL,
     OrliczFunction,
     _kendall,
     _kendall_rows,
@@ -145,9 +143,14 @@ def test_luxemburg_monotone_in_absolute_value():
     assert luxemburg_norm(np.abs(g), 0.01, phi) >= luxemburg_norm(np.abs(f), 0.01, phi)
 
 
+BISECTION_REL_TOL = 1e-12  # luxemburg_by_bisection: relative bracket width
+BISECTION_MAX_ITER = 200  # and step limit
+BRACKET = 1e-12  # luxemburg_norm's lambda, scaled by 1 -/+ this, brackets the root
+
+
 def luxemburg_by_bisection(values, cell_measure, orlicz):
-    """The norm with the excess computed at every step: the reference the
-    Newton-guided search must equal bitwise."""
+    """The norm by plain bisection on lambda, to a relative bracket width of
+    BISECTION_REL_TOL: the reference for the Newton iteration."""
     f = np.abs(np.asarray(values, dtype=float))
     if cell_measure <= 0:
         raise ValueError("cell measure must be positive")
@@ -168,18 +171,25 @@ def luxemburg_by_bisection(values, cell_measure, orlicz):
         lo /= 2.0
         if lo < 1e-300:
             return 0.0
-    for _ in range(LUXEMBURG_MAX_ITER):
+    for _ in range(BISECTION_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if excess(mid) > 0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= LUXEMBURG_REL_TOL * hi:
+        if hi - lo <= BISECTION_REL_TOL * hi:
             break
     return hi
 
 
-def test_luxemburg_search_is_bitwise_bisection():
+def assert_brackets_root(lam, values, cell, phi):
+    """sum Phi(|f| / lambda) * cell is at most 1 just above lam and above 1 just below it."""
+    f = np.abs(np.asarray(values, dtype=float))
+    assert float(np.sum(phi(f / (lam * (1.0 + BRACKET)))) * cell) <= 1.0
+    assert float(np.sum(phi(f / (lam * (1.0 - BRACKET)))) * cell) > 1.0
+
+
+def test_luxemburg_newton_brackets_the_root_and_matches_bisection():
     rng = np.random.default_rng(2025)
     kinds = {
         "normal": lambda k: rng.standard_normal(k),
@@ -196,32 +206,48 @@ def test_luxemburg_search_is_bitwise_bisection():
         # the cell of a unit horizon, or any cell from 1e-5 to 10
         cell = 1.0 / length if i % 3 == 0 else 10 ** rng.uniform(-5.0, 1.0)
         phi = OrliczFunction(beta)
-        assert luxemburg_norm(values, cell, phi) == luxemburg_by_bisection(values, cell, phi), (i, kind)
+        lam, ref = luxemburg_norm(values, cell, phi), luxemburg_by_bisection(values, cell, phi)
+        assert_brackets_root(lam, values, cell, phi)
+        assert abs(lam - ref) <= 2e-12 * ref, (i, kind)
     for length in (1, 20_000):
         for beta in (2.0, 0.5):
             values = rng.standard_normal(length)
             phi = OrliczFunction(beta)
-            assert luxemburg_norm(values, 1.0 / length, phi) == luxemburg_by_bisection(values, 1.0 / length, phi)
-    # too flat near 0: the excess stays positive at every finite lambda
+            lam = luxemburg_norm(values, 1.0 / length, phi)
+            assert_brackets_root(lam, values, 1.0 / length, phi)
+            assert lam == pytest.approx(luxemburg_by_bisection(values, 1.0 / length, phi), rel=2e-12)
+    # too flat near 0: the sum stays above 1 at every finite lambda
     for norm in (luxemburg_norm, luxemburg_by_bisection):
         with pytest.raises(ValueError, match="too flat"):
             norm(np.ones(10), 1.0, OrliczFunction(0.001))
-    assert luxemburg_norm(np.ones(10), 1.0, OrliczFunction(0.01)) == luxemburg_by_bisection(
-        np.ones(10), 1.0, OrliczFunction(0.01)
+    assert luxemburg_norm(np.ones(10), 1.0, OrliczFunction(0.01)) == pytest.approx(
+        luxemburg_by_bisection(np.ones(10), 1.0, OrliczFunction(0.01)), rel=2e-12
     )
 
 
 def test_luxemburg_norm_near_the_float_limit():
-    # the doubling from max|f| = 1e308 would overflow, but the norm is
-    # 1e308 / ln 2, about 1.44e308: sum Phi(f/lambda) cell <= 1 there and > 1
-    # one bracket width below, and the search reaches it from its capped top
+    # max|f| = 1e308 and the norm is 1e308 / ln 2, about 1.44e308:
+    # sum Phi(f/lambda) cell <= 1 just above it and > 1 just below
     phi = OrliczFunction(1.0)
     for f, cell in ((np.array([1e308, 1.0]), 1.0), (np.array([1.2e308, 3e307, -5e307]), 0.5)):
         lam = luxemburg_norm(f, cell, phi)
         assert math.isfinite(lam)
-        assert float(np.sum(phi(np.abs(f) / lam)) * cell) <= 1.0
-        assert float(np.sum(phi(np.abs(f) / (lam * (1.0 - LUXEMBURG_REL_TOL)))) * cell) > 1.0
+        assert_brackets_root(lam, f, cell, phi)
     assert luxemburg_norm(np.array([1e308, 1.0]), 1.0, phi) == pytest.approx(1e308 / math.log(2.0), rel=1e-11)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "values, cell",
+    [([1.0, math.nan], 0.5), ([1.0, math.inf], 0.5), ([1.0, -math.inf], 0.5),
+     ([1.0, 2.0], math.nan), ([1.0, 2.0], math.inf), ([1.0, 2.0], 0.0), ([1.0, 2.0], -0.5)],
+    ids=["nan-value", "inf-value", "minus-inf-value", "nan-cell", "inf-cell", "zero-cell", "negative-cell"],
+)
+def test_luxemburg_norm_refuses_what_it_cannot_measure(values, cell):
+    # a norm of a nan, or over a nan cell, is no number: refused, not returned
+    # as nan or as a finite guess, and without a RuntimeWarning on the way
+    with pytest.raises(ValueError, match="non-finite|cell measure"):
+        luxemburg_norm(np.array(values), cell, OrliczFunction(1.0))
 
 
 def test_psup_zero_and_constant():

@@ -5,8 +5,10 @@ output files that differ.
 
 Each tree is a source checkout with ``src/chaoslab``.  The configs are
 README's ``expand``, ``verify``, ``simulate``, ``report`` and ``fuzz``
-examples, a ``verify`` of each filter layout the exact norms read (fBm and
-an order-2 custom kernel with beta1 != 0, the latter also at horizon 2,
+examples (the inline ``report`` given a ``besov`` block at Phi_2), a
+``report`` of inline order-3 Hermite paths with ``besov`` at Phi_{2/3}, a
+``verify`` of each filter layout the exact norms read (fBm and an order-2
+custom kernel with beta1 != 0, the latter also at horizon 2,
 where the scale's t_ref = 1 < T), of an order-3 Hermite kernel and of the
 order-2 zero kernel (which exits 1 in both trees), an ``expand`` of four
 order-3 factors at d = 3, a ``fuzz`` at
@@ -29,11 +31,11 @@ the same relative paths, under ``<work>/parent`` and ``<work>/change``: the
 config as ``<name>.json``, the outputs in
 ``out/<name>/`` and the exit code, stdout and stderr in ``logs/<name>.txt``.
 The tool prints each file that differs or exists on one side only, with its
-first differing line, then each config's peak RSS in both trees (the
-``ru_maxrss`` that ``os.wait4`` reports for the CLI process and the workers
-it waited for), then each tree's line counts of ``src/chaoslab/*.py``: the
-total of ``wc -l``, and the lines that hold code, without docstrings,
-comments or blank lines.  It exits 1 if a file differs, else 0.  Without
+first differing line and the largest relative move of a number in it, then
+each config's peak RSS in both trees (the ``ru_maxrss`` that ``os.wait4``
+reports for the CLI process and the workers it waited for), then each
+tree's line counts of ``src/chaoslab/*.py``: the total of ``wc -l``, and
+the lines that hold code, without docstrings, comments or blank lines.  It exits 1 if a file differs, else 0.  Without
 ``--work`` the runs go to a temporary directory that is removed afterwards.
 """
 
@@ -45,6 +47,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -119,7 +122,11 @@ CONFIGS = [
     ("report-inline", "report", {"simulate": {"kernel": {"type": "fbm", "alpha": 0.75},
                                               "grid": {"steps": 1024, "left_units": 30}, "paths": 8, "seed": 21},
                                  "slope": {"p": 2, "levels": [3, 4, 5, 6, 7],
-                                           "expected_alpha": 0.75, "tolerance": 0.08}}),
+                                           "expected_alpha": 0.75, "tolerance": 0.08},
+                                 "besov": {"smoothness": 0.75, "orlicz_beta": 2.0}}),
+    ("report-hermite-3", "report", {"simulate": {"kernel": {"type": "hermite", "order": 3, "alpha": 0.7},
+                                                 "grid": {"steps": 256, "left_units": 10}, "paths": 8, "seed": 7},
+                                    "besov": {"smoothness": 0.7, "orlicz_beta": 2 / 3}}),
     ("fuzz", "fuzz", {"seed": 1, "equivalence_instances": 200, "inequality_instances": 200,
                       "max_blocks": 4, "max_order": 3, "max_dim": 3, "max_total": 10}),
     ("fuzz-12", "fuzz", {"seed": 2, "equivalence_instances": 40, "inequality_instances": 20,
@@ -186,6 +193,19 @@ def first_difference(a, b):
     return f"{len(left)} vs {len(right)} lines"
 
 
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def largest_move(a, b):
+    """The largest |x - y| / max(|x|, |y|) over the numbers at the same place
+    in two files, as text, or a note that their counts differ."""
+    left, right = (NUMBER.findall(p.read_bytes()) for p in (a, b))
+    if len(left) != len(right):
+        return f"{len(left)} vs {len(right)} numbers"
+    moves = (abs(x - y) / max(abs(x), abs(y)) for x, y in zip(map(float, left), map(float, right)) if x != y)
+    return f"largest relative move {max(moves, default=0.0):.1e}"
+
+
 def compare(parent, change):
     """Lines naming each file under ``out/`` or ``logs/`` that is not the same bytes on both sides."""
     def files(root):
@@ -196,7 +216,8 @@ def compare(parent, change):
     lines += [f"only in change: {p}" for p in sorted(right - left)]
     for p in sorted(left & right):
         if (parent / p).read_bytes() != (change / p).read_bytes():
-            lines.append(f"differs: {p} ({first_difference(parent / p, change / p)})")
+            lines.append(f"differs: {p} ({first_difference(parent / p, change / p)}; "
+                         f"{largest_move(parent / p, change / p)})")
     return lines, len(left | right)
 
 
