@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -284,24 +285,35 @@ def make_grid(cfg, spec):
 
 
 def _fmt(x):
+    """A cell's CSV text: a float as %.17g, None empty, a list (a fuzz row's
+    block lengths) as its items joined by 'x', anything else as str."""
     if isinstance(x, float):
         return format(x, ".17g")
-    return str(x)
+    if x is None:
+        return ""
+    return "x".join(map(str, x)) if isinstance(x, list) else str(x)
 
 
-def write_csv(path, header, rows):
-    """Comma-separated lines, the bytes ``csv.writer`` would write unquoted.
+def write_csv(path, header, columns):
+    """The table of ``columns`` under ``header``, as comma-separated lines:
+    the bytes ``csv.writer`` would write unquoted over ``_fmt`` text.
 
-    No field needs CSV quoting: every field is a header name, an ``_fmt``
-    number (digits, sign, '.', 'e', inf or nan), lengths joined by 'x', or an
-    empty string in a row of several fields.  None holds a comma, quote or
-    line break.
+    The rows are formatted by one ``%`` template: a column of floats as
+    %.17g, a column of strings as it is, any other column as its cells'
+    ``_fmt`` text.  No field needs CSV quoting: every field is a header name,
+    an ``_fmt`` number (digits, sign, '.', 'e', inf or nan), lengths joined
+    by 'x', or an empty string in a row of several fields.  None holds a
+    comma, quote or line break.
     """
-    lines = [",".join(header)]
-    lines.extend([",".join([_fmt(x) for x in row]) for row in rows])
-    lines.append("")
+    specs, cells = [], []
+    for column in columns:
+        kinds = set(map(type, column))
+        specs.append("%.17g" if kinds <= {float} else "%s")
+        cells.append(column if kinds <= {float} or kinds <= {str} else list(map(_fmt, column)))
+    rows = min(map(len, cells), default=0)
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines))
+        fh.write(",".join(header) + "\n")
+        fh.write((",".join(specs) + "\n") * rows % tuple(itertools.chain.from_iterable(zip(*cells))))
 
 
 def _jsonable(obj):
@@ -443,13 +455,10 @@ def _write_paths(out_dir, paths):
     # indices padded to one width, 4 digits at least, so that the sorted
     # names are in index order
     width = max(4, len(str(len(paths) - 1)))
-    # sample_paths gives every path one t array: it is formatted once, as _fmt text
+    # sample_paths gives every path one t array: it is formatted once
     t_text = list(map(_fmt, paths[0].times.tolist()))
     for i, path in enumerate(paths):
-        # write_csv's bytes for the rows zip(t_text, values), in one format pass
-        rows = "\n".join(map("{},{:.17g}".format, t_text, path.values.tolist()))
-        with open(out_dir / f"path-{i:0{width}d}.csv", "w", newline="\n") as fh:
-            fh.write(f"t,value\n{rows}\n")
+        write_csv(out_dir / f"path-{i:0{width}d}.csv", ["t", "value"], [t_text, path.values.tolist()])
 
 
 def _simulate(cfg, workers):
@@ -540,11 +549,7 @@ def cmd_report(cfg, out_dir, workers=1):
     if "slope" in cfg:
         sub = cfg["slope"]
         fit = scaling_exponent_fit(paths, p=sub["p"], levels=sub["levels"])
-        write_csv(
-            out_dir / "slopes.csv",
-            ["path", "slope"],
-            [(i, s) for i, s in enumerate(fit.slopes)],
-        )
+        write_csv(out_dir / "slopes.csv", ["path", "slope"], [range(len(fit.slopes)), fit.slopes])
         entry = dict(vars(fit))
         if "expected_alpha" in sub:
             tol = sub.get("tolerance", 0.05)
@@ -565,7 +570,7 @@ def cmd_report(cfg, out_dir, workers=1):
             rows.extend(
                 (i, l.level, l.lag, l.increment_norm, l.weighted) for l in rep.levels
             )
-        write_csv(out_dir / "besov_levels.csv", ["path", "level", "lag", "norm", "weighted"], rows)
+        write_csv(out_dir / "besov_levels.csv", ["path", "level", "lag", "norm", "weighted"], zip(*rows))
         summary["checks"]["besov"] = {
             "smoothness": sub["smoothness"],
             "seminorm_mean": float(np.mean(sups)),
@@ -582,7 +587,7 @@ def cmd_report(cfg, out_dir, workers=1):
         rows = []
         for e, d in rep.by_exponent.items():
             rows.extend((e, ell, q) for ell, q in zip(rep.ells, d["quantiles"]))
-        write_csv(out_dir / "moment_quantiles.csv", ["exponent", "ell", "q99"], rows)
+        write_csv(out_dir / "moment_quantiles.csv", ["exponent", "ell", "q99"], zip(*rows))
         summary["checks"]["moment_growth"] = rep
     if "modulus" in cfg:
         sub = cfg["modulus"]
@@ -598,7 +603,7 @@ def cmd_report(cfg, out_dir, workers=1):
             ]
             by_factor[factor] = float(np.mean(vals))
             rows.extend((factor, i, v) for i, v in enumerate(vals))
-        write_csv(out_dir / "modulus.csv", ["subsample_factor", "path", "statistic"], rows)
+        write_csv(out_dir / "modulus.csv", ["subsample_factor", "path", "statistic"], zip(*rows))
         entry = {"alpha": sub["alpha"], "log_exponent": sub["log_exponent"], "mean_by_factor": by_factor}
         if len(factors) > 1:
             coarse = by_factor[max(factors)]
@@ -616,14 +621,6 @@ def cmd_report(cfg, out_dir, workers=1):
 # -- fuzz -----------------------------------------------------------------------
 
 
-def _fuzz_cell(value):
-    """A fuzz row's value as its CSV field: lengths joined by 'x', an absent
-    composition residual empty."""
-    if value is None:
-        return ""
-    return "x".join(map(str, value)) if isinstance(value, list) else value
-
-
 def cmd_fuzz(cfg, out_dir):
     seed = cfg.get("seed", 0)
     tol = cfg.get("tolerance", 1e-9)
@@ -635,7 +632,7 @@ def cmd_fuzz(cfg, out_dir):
     ineq_rows = [fuzzing.inequality_case(rng, **caps) for _ in range(cfg.get("inequality_instances", 100))]
     for name, rows in (("fuzz_equivalence.csv", eq_rows), ("fuzz_inequalities.csv", ineq_rows)):
         if rows:  # the columns are the keys of the case's rows
-            write_csv(out_dir / name, list(rows[0]), [[_fuzz_cell(v) for v in r.values()] for r in rows])
+            write_csv(out_dir / name, list(rows[0]), [[r[key] for r in rows] for key in rows[0]])
     # (summary key, row column, reducer, bound): max columns pass at most their bound, min ones at least it
     checks = [
         ("relative_gap", "relative_gap", max, tol),

@@ -136,8 +136,9 @@ def luxemburg_norm(values, cell_measure, orlicz):
     LUXEMBURG_TOL * max(1, |s|), which leaves the norm accurate to about
     1e-12 relative.  Zero input gives 0; scaling f changes g, and so s, by
     rounding at most.  Non-finite values, a cell measure that is not
-    positive and finite, and a norm past the largest float raise ValueError;
-    running out of steps raises ArithmeticError.
+    positive and finite, sums that overflow (a cell measure near the float
+    limit) and a norm past the largest float raise ValueError; running out
+    of steps raises ArithmeticError.
     """
     f = np.abs(np.asarray(values, dtype=float))
     if not np.all(np.isfinite(f)):
@@ -151,10 +152,13 @@ def luxemburg_norm(values, cell_measure, orlicz):
     g_beta = (f / top) ** beta
     s = math.log(math.log1p(1.0 / cell_measure)) / beta
     for _ in range(LUXEMBURG_MAX_ITER):
-        y = g_beta * math.exp(beta * s)  # not (g e^s)^beta: e^s underflows where beta is small
-        grow = np.expm1(y)
-        total = float(np.sum(grow))
-        slope = beta * float(np.dot(y, grow) + np.sum(y))  # dL/ds times total
+        with np.errstate(over="ignore", invalid="ignore"):  # sums that overflow are refused below
+            y = g_beta * math.exp(beta * s)  # not (g e^s)^beta: e^s underflows where beta is small
+            grow = np.expm1(y)
+            total = float(np.sum(grow))
+            slope = beta * float(np.dot(y, grow) + np.sum(y))  # dL/ds times total
+        if not (math.isfinite(total) and math.isfinite(slope)):
+            raise ValueError(f"Luxemburg norm: the Orlicz sums overflow at cell measure {cell_measure}")
         step = math.log(total * cell_measure) * total / slope
         s -= step
         if abs(step) <= LUXEMBURG_TOL * max(1.0, abs(s)):

@@ -816,25 +816,16 @@ def test_path_file_times_must_increase(tmp_path, capsys, times):
 
 
 def test_written_csv_files_are_csv_writer_bytes(tmp_path, monkeypatch):
-    # write_csv joins fields without quoting, and _write_paths formats the
-    # path files in one pass; every CSV that simulate, report and fuzz write
-    # is byte for byte what csv.writer writes
+    # every CSV that simulate, report and fuzz write, path files included,
+    # goes through write_csv, and is byte for byte what csv.writer writes
     real, written = cli.write_csv, []
 
-    def spy(path, header, rows):
-        rows = list(rows)
-        written.append((path, header, rows))
-        real(path, header, rows)
-
-    real_paths = cli._write_paths
-
-    def paths_spy(out_dir, paths):
-        real_paths(out_dir, paths)
-        for path, sample in zip(sorted(Path(out_dir).glob("path-*.csv")), paths):
-            written.append((path, ["t", "value"], list(zip(sample.times.tolist(), sample.values.tolist()))))
+    def spy(path, header, columns):
+        columns = [list(c) for c in columns]
+        written.append((path, header, list(zip(*columns))))
+        real(path, header, columns)
 
     monkeypatch.setattr(cli, "write_csv", spy)
-    monkeypatch.setattr(cli, "_write_paths", paths_spy)
     sim = write_config(tmp_path, "sim.json", {**_TINY_FBM, "grid": {"steps": 256, "left_units": 2}})
     assert main(["simulate", "--config", sim, "--out-dir", str(tmp_path / "sim")]) == 0
     report = {"paths_dir": str(tmp_path / "sim"), "slope": {"p": 2, "levels": [2, 3, 4]},
@@ -847,7 +838,7 @@ def test_written_csv_files_are_csv_writer_bytes(tmp_path, monkeypatch):
     names = {Path(path).name for path, _, _ in written}
     assert {"path-0000.csv", "slopes.csv", "besov_levels.csv", "moment_quantiles.csv", "modulus.csv",
             "fuzz_equivalence.csv", "fuzz_inequalities.csv"} <= names
-    assert any("" in row for _, _, rows in written for row in rows)  # composition residual of no survivors
+    assert any(None in row for _, _, rows in written for row in rows)  # composition residual of no survivors
     for path, header, rows in written:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -856,13 +847,78 @@ def test_written_csv_files_are_csv_writer_bytes(tmp_path, monkeypatch):
         assert Path(path).read_bytes() == buf.getvalue().encode(), path
 
 
+def reference_cell(x):
+    """A cell's CSV text as the row-wise writer gave it, the reference for
+    write_csv's one template: a fuzz row's None empty and its lists as
+    lengths joined by 'x', then floats as .17g and anything else as str."""
+    if x is None:
+        return ""
+    if isinstance(x, list):
+        return "x".join(map(str, x))
+    return format(x, ".17g") if isinstance(x, float) else str(x)
+
+
+def reference_csv(header, columns):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([reference_cell(x) for x in row] for row in zip(*columns))
+    return buf.getvalue().encode()
+
+
+# one cell of each kind the writer meets: floats at the edges of the format,
+# np.float64, ints, bools, strings, None and lists
+_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+           0.1, -1 / 3, 1e16, 123456789.0, 1e-7]
+_MIXED = [1.5, np.float64(-0.1), 3, True, "1x2", None, [2, 1], math.inf, -math.inf, math.nan, -0.0, "",
+          np.float64(math.nan)]
+
+
+def test_write_csv_matches_the_reference_formatting(tmp_path):
+    n = len(_FLOATS)
+    tables = {
+        "mixed": (["floats", "np", "ints", "bools", "strings", "mixed", "lists"],
+                  [_FLOATS, list(map(np.float64, _FLOATS)), list(range(-3, n - 3)), [i % 3 == 0 for i in range(n)],
+                   [("a", "", "1x2x3", "nan", "-0")[i % 5] for i in range(n)], _MIXED, [[i, 1] for i in range(n)]]),
+        "empty-cells": (["degree", "residual"], [[1.0, 2.0, 3.0, 4.0], [0.25, None, -0.0, None]]),
+        "no-rows": (["path", "slope"], [[], []]),
+        "no-columns": (["path", "level"], []),
+        "ranges": (["path", "slope"], [range(3), (0.5, np.float64(1e-300), 2.0)]),
+    }
+    for name, (header, columns) in tables.items():
+        write_csv(tmp_path / f"{name}.csv", header, columns)
+        assert (tmp_path / f"{name}.csv").read_bytes() == reference_csv(header, columns), name
+
+
+@given(st.lists(st.tuples(st.floats(), st.integers(-10**20, 10**20), st.floats(width=32) | st.none()), max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_write_csv_matches_the_reference_formatting_property(tmp_path_factory, rows):
+    # a float column by one %.17g, an int column and a column of floats and
+    # empty cells by _fmt text: every float, nan and inf included
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    columns = [list(c) for c in zip(*rows)] or [[], [], []]
+    write_csv(path, ["a", "b", "c"], columns)
+    assert path.read_bytes() == reference_csv(["a", "b", "c"], columns)
+
+
+def test_path_files_are_the_row_wise_text(tmp_path):
+    # _write_paths through write_csv: the bytes the per-row "{},{:.17g}" text gave
+    times = np.linspace(0.0, 0.3, 9)
+    rng = np.random.default_rng(5)
+    values = [rng.standard_normal(9), np.array([0.0, -0.0, 1e-310, -1e308, 0.1, 2.0, -1 / 3, 1e16, 5e-324])]
+    cli._write_paths(tmp_path, [PathSample(times=times, values=v) for v in values])
+    for i, v in enumerate(values):
+        text = "".join(map("{},{:.17g}\n".format, map(reference_cell, times.tolist()), v.tolist()))
+        assert (tmp_path / f"path-{i:04d}.csv").read_text() == "t,value\n" + text
+
+
 def test_simulated_time_column_loads_at_2_20_steps(tmp_path):
     # the t column cmd_simulate writes: sample_paths' times, as write_csv formats them
     steps, horizon = 2**20, 0.3
     times = np.arange(steps + 1) * (horizon / steps)
     paths_dir = tmp_path / "paths"
     paths_dir.mkdir()
-    write_csv(paths_dir / "path-0000.csv", ["t", "value"], zip(times.tolist(), [0.0] * (steps + 1)))
+    write_csv(paths_dir / "path-0000.csv", ["t", "value"], [times.tolist(), [0.0] * (steps + 1)])
     assert np.array_equal(_load_paths(paths_dir)[0].times, times)
 
 

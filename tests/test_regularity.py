@@ -250,6 +250,28 @@ def test_luxemburg_norm_refuses_what_it_cannot_measure(values, cell):
         luxemburg_norm(np.array(values), cell, OrliczFunction(1.0))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "count, cell",
+    [(1000, 1e-304), (3, 3e-308), (3, 1e-308), (3, 1e-310)],
+    ids=["sums-1e-304", "sums-3e-308", "start-1e-308", "subnormal-1e-310"],
+)
+def test_luxemburg_norm_refuses_sums_that_overflow(count, cell):
+    # the norm of `count` ones is 1 / log1p(1 / (count * cell)), about 0.0014
+    # here, but Phi's terms at the start reach 1 / cell, so a sum overflows:
+    # refused, not returned as the start nor run out on inf and nan
+    assert math.isfinite(1.0 / math.log1p(1.0 / (count * cell)))
+    with pytest.raises(ValueError, match=f"cell measure {cell}"):
+        luxemburg_norm(np.ones(count), cell, OrliczFunction(1.0))
+
+
+def test_luxemburg_norm_small_cells_whose_sums_stay_finite():
+    # one step above the overflow: the closed form of a constant, to rounding
+    for count, cell in ((1000, 1e-300), (3, 1e-303)):
+        expected = 1.0 / math.log1p(1.0 / (count * cell))
+        assert luxemburg_norm(np.ones(count), cell, OrliczFunction(1.0)) == pytest.approx(expected, rel=1e-12)
+
+
 def test_psup_zero_and_constant():
     assert psup_norm(np.zeros(50), 2.0, 1 / 50) == 0.0
     c = 2.9

@@ -15,7 +15,9 @@ order-3 factors at d = 3, a ``fuzz`` at
 total order 12 (the expansion cap, where the oracle, contractions and
 symmetrizer work hardest), a ``fuzz`` of inequality instances only, with
 blocks up to order 4 (traces, compositions and block permutations of
-order-4 blocks), README's Rosenblatt ``simulate`` again at two workers, a small ``simulate``
+order-4 blocks), a ``fuzz`` of 2,000 instances of each kind at the
+default caps (thousands of CSV rows that mix ints, floats and empty cells),
+README's Rosenblatt ``simulate`` again at two workers, a small ``simulate``
 of each README kernel block, of an order-2 kernel at horizon 2 (whose scale
 reads another window than its paths),
 of an order-2 kernel with beta1 != 0 (the windowed filter), of an order-1
@@ -133,6 +135,7 @@ CONFIGS = [
                          "max_blocks": 4, "max_order": 3, "max_dim": 3, "max_total": 12}),
     ("fuzz-inequalities", "fuzz", {"seed": 3, "equivalence_instances": 0, "inequality_instances": 300,
                                    "max_order": 4, "max_dim": 2, "max_total": 10}),
+    ("fuzz-large", "fuzz", {"seed": 5, "equivalence_instances": 2000, "inequality_instances": 2000}),
     ("simulate-fbm", "simulate", {"kernel": {"type": "fbm", "alpha": 0.75}, "grid": _SMALL_GRID, "paths": 2}),
     ("simulate-hermite", "simulate", {"kernel": {"type": "hermite", "order": 2, "alpha": 0.7},
                                       "grid": _SMALL_GRID, "paths": 2}),
