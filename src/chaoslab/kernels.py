@@ -230,6 +230,19 @@ def fgn_autocorr(alpha, lags):
     return np.select([m == 0, m == 1], [1.0, math.expm1((a - 1.0) * math.log(2.0))], far**a * series)
 
 
+def _support(w):
+    """(lo, w[lo : hi + 1]) for the first and last nonzero entries lo, hi of a
+    weight vector, or None if it has none."""
+    nonzero = np.flatnonzero(w)
+    return (nonzero[0], w[nonzero[0] : nonzero[-1] + 1]) if nonzero.size else None
+
+
+def _check_span(span, remedy=""):
+    """Refuse an exact norm at order >= 2 over more than EXACT_SPAN_CAP cells."""
+    if span > EXACT_SPAN_CAP:
+        raise ValueError(f"exact norm: support span {span} exceeds the cap of {EXACT_SPAN_CAP} cells{remedy}")
+
+
 # -- spec objects --------------------------------------------------------------
 
 
@@ -510,14 +523,11 @@ class KernelDiscretization:
         spec = self.spec
         if spec.scale is not None or spec.order == 1:
             return
-        support = np.flatnonzero(self._cell_integrals(self.t_ref)[1])
-        if support.size == 0:
+        support = _support(self._cell_integrals(self.t_ref)[1])
+        if support is None:
             raise ValueError("cannot normalize a degenerate kernel")
-        span = support[-1] - support[0] + 1
-        if span > EXACT_SPAN_CAP:
-            fewer = "fewer grid.steps" if spec.beta1 == 0.0 else "a smaller grid.left_units"
-            raise ValueError(f"exact norm: support span {span} exceeds the cap of {EXACT_SPAN_CAP} cells; "
-                             f"use {fewer}, or give kernel.scale to skip the norm")
+        fewer = "fewer grid.steps" if spec.beta1 == 0.0 else "a smaller grid.left_units"
+        _check_span(support[1].size, f"; use {fewer}, or give kernel.scale to skip the norm")
 
     def _cell_integrals(self, t):
         """(lo, v): the filter's cell integrals at time t, at scale 1, are v
@@ -629,18 +639,19 @@ class KernelDiscretization:
             return scale * self.h
         return scale / -spec.beta1
 
+    def _gram(self, lags, j):
+        """The stationary Gram's entries at integer ``lags``, to the power j:
+        the one read of ``EnvelopeField.autocorr``."""
+        return self.field.autocorr[np.abs(lags)] ** j
+
     def pair_inner(self, wa, wb):
         """<A, B> for two weight vectors, via the stationary Gram."""
-        n = self.spec.order
-        sa = np.flatnonzero(wa)
-        sb = np.flatnonzero(wb)
-        if sa.size == 0 or sb.size == 0:
+        sa, sb = _support(wa), _support(wb)
+        if sa is None or sb is None:
             return 0.0
-        a = wa[sa[0] : sa[-1] + 1]
-        b = wb[sb[0] : sb[-1] + 1]
+        (la, a), (lb, b) = sa, sb
         cross = fftconvolve(a, b[::-1])
-        offsets = sa[0] - sb[0] + np.arange(-(b.size - 1), a.size)
-        return float(np.sum(cross * self.field.autocorr[np.abs(offsets)] ** n))
+        return float(np.sum(cross * self._gram(la - lb + np.arange(-(b.size - 1), a.size), self.spec.order)))
 
     def norm_sq(self, w, exact=False):
         """||A||^2 for a weight vector.
@@ -654,17 +665,15 @@ class KernelDiscretization:
         """
         if not exact:
             return self.pair_inner(w, w)
-        support = np.flatnonzero(w)
-        if support.size == 0:
+        support = _support(w)
+        if support is None:
             return 0.0
-        lo, hi = support[0], support[-1]
-        span = hi - lo + 1
-        ws = w[lo : hi + 1]
+        lo, ws = support
+        hi = lo + ws.size - 1
         if self.spec.order == 1:
-            profile = fftconvolve(ws, self.field.envelope[hi::-1])[span - 1 :]
+            profile = fftconvolve(ws, self.field.envelope[hi::-1])[ws.size - 1 :]
             return float(self.h * np.sum(profile**2))
-        if span > EXACT_SPAN_CAP:
-            raise ValueError(f"exact norm: support span {span} exceeds the cap of {EXACT_SPAN_CAP} cells")
+        _check_span(ws.size)
         total = 0.0
         for i, row in enumerate(self.field.gram_rows(lo, hi)):
             p = row**self.spec.order
@@ -689,23 +698,19 @@ class KernelDiscretization:
             return self.norm_sq(wa) * self.norm_sq(wb)
         if j == n:
             return self.pair_inner(wa, wb) ** 2
-        sa = np.flatnonzero(wa)
-        sb = np.flatnonzero(wb)
-        if sa.size == 0 or sb.size == 0:
+        sa, sb = _support(wa), _support(wb)
+        if sa is None or sb is None:
             return 0.0
-        ia = np.arange(sa[0], sa[-1] + 1)
-        ib = np.arange(sb[0], sb[-1] + 1)
-        if ia.size > CONTRACTION_WINDOW_CAP or ib.size > CONTRACTION_WINDOW_CAP:
+        (la, a), (lb, b) = sa, sb
+        if a.size > CONTRACTION_WINDOW_CAP or b.size > CONTRACTION_WINDOW_CAP:
             raise ValueError(
                 f"middle contractions need compact filter support "
-                f"(windows {ia.size} x {ib.size} exceed cap {CONTRACTION_WINDOW_CAP}); "
+                f"(windows {a.size} x {b.size} exceed cap {CONTRACTION_WINDOW_CAP}); "
                 f"only available for beta1 = 0 kernels at this resolution"
             )
-        gram_ab = self.field.autocorr[np.abs(ia[:, None] - ib[None, :])]
-        gram_aa = self.field.autocorr[np.abs(ia[:, None] - ia[None, :])]
-        gram_bb = self.field.autocorr[np.abs(ib[:, None] - ib[None, :])]
-        cross = wa[ia][:, None] * gram_ab**j * wb[ib][None, :]
-        mixed = gram_aa ** (n - j) @ cross @ gram_bb ** (n - j)
+        ka, kb = np.arange(a.size), np.arange(b.size)
+        cross = a[:, None] * self._gram(la - lb + ka[:, None] - kb, j) * b
+        mixed = self._gram(ka[:, None] - ka, n - j) @ cross @ self._gram(kb[:, None] - kb, n - j)
         return float(np.sum(cross * mixed))
 
     # dense assembly -----------------------------------------------------------
@@ -738,8 +743,6 @@ def increment_coupling(kd, s, t, x, y):
     scaled by (st)^-a.  At order 1 only the first piece exists.
     """
     spec = kd.spec
-    if x < 0 or y < 0 or s <= 0 or t <= 0 or x + s > spec.horizon + 1e-12 or y + t > spec.horizon + 1e-12:
-        raise ValueError("increment windows must lie inside [0, horizon]")
     a = spec.alpha
     wa = kd.increment_weights(x, s)
     wb = kd.increment_weights(y, t)
@@ -790,11 +793,11 @@ class ScalingFitReport:
     intercept: float
 
 
-def _loglog_fit(scales, values):
-    xs = np.log(np.asarray(scales))
-    ys = np.log(np.asarray(values))
-    slope, intercept = np.polyfit(xs, ys, 1)
-    return float(slope), float(intercept)
+def _loglog_fit(levels, scales, values):
+    """The least-squares line through (log scale, log value)."""
+    slope, intercept = np.polyfit(np.log(np.asarray(scales)), np.log(np.asarray(values)), 1)
+    return ScalingFitReport(levels=levels, scales=scales, values=values, slope=float(slope),
+                            intercept=float(intercept))
 
 
 def _resolved_levels(kd, levels, first, last, fewest, name):
@@ -820,11 +823,7 @@ def coupling_scaling_report(kd, levels=None):
     T = kd.spec.horizon
     levels = _resolved_levels(kd, levels, 2, 6, 2, "coupling")
     scales = [T * 2.0**-j for j in levels]
-    values = [coupling_integral(kd, s, s) for s in scales]
-    slope, intercept = _loglog_fit(scales, values)
-    return ScalingFitReport(
-        levels=levels, scales=scales, values=values, slope=slope, intercept=intercept
-    )
+    return _loglog_fit(levels, scales, [coupling_integral(kd, s, s) for s in scales])
 
 
 # -- condition checks ----------------------------------------------------------
@@ -849,7 +848,7 @@ def _scaling_sweep(increment_norm, alpha, T, levels, x_count):
         s = T * 2.0**-j
         xs = np.linspace(0.0, T - s, x_count)
         vals = [increment_norm(x, s) * s**-alpha for x in xs]
-        level_stats[j] = (max(vals), min(vals), xs[int(np.argmax(vals))], xs[int(np.argmin(vals))])
+        level_stats[j] = (max(vals), min(vals), xs[int(np.argmax(vals))])
     return level_stats
 
 
@@ -954,16 +953,11 @@ def overlap_scaling_report(spec, levels=range(1, 7)):
     T = spec.horizon
     levels = [int(j) for j in levels]
     scales = [T * 2.0**-j for j in levels]
-    diag = [filter_overlap_integral(spec, s, s) for s in scales]
-    slope_diag, intercept = _loglog_fit(scales, diag)
-    t0 = T / 2.0
-    col = [filter_overlap_integral(spec, s, t0) for s in scales]
-    slope_s, _ = _loglog_fit(scales, col)
+    diagonal = _loglog_fit(levels, scales, [filter_overlap_integral(spec, s, s) for s in scales])
+    column = _loglog_fit(levels, scales, [filter_overlap_integral(spec, s, T / 2.0) for s in scales])
     return {
-        "diagonal": ScalingFitReport(
-            levels=levels, scales=scales, values=diag, slope=slope_diag, intercept=intercept
-        ),
-        "slope_per_variable": float(slope_s),
+        "diagonal": diagonal,
+        "slope_per_variable": column.slope,
         "predicted_per_variable": 1.0 + min(spec.beta1, 0.0),
     }
 

@@ -122,7 +122,13 @@ def _increment_sizes(path, lag):
 
 
 def _lp_norm(sizes, step, p):
-    return float((np.sum(sizes**p) * step) ** (1.0 / p))
+    """(sum |x|^p * step)^(1/p); a sum that overflows, or that underflows
+    below the smallest normal float while some |x| is nonzero, raises ValueError."""
+    with np.errstate(over="ignore"):  # refused below
+        total = np.sum(sizes**p)
+    if not np.isfinite(total) or (total < np.finfo(float).tiny and sizes.any()):
+        raise ValueError(f"L^p norm at p = {p}: the sum of |increment|^p leaves the float range")
+    return float((total * step) ** (1.0 / p))
 
 
 def luxemburg_norm(values, cell_measure, orlicz):

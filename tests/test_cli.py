@@ -590,15 +590,18 @@ def test_scale_refused_without_a_sum_opens_no_pool(tmp_path, capsys, monkeypatch
     assert f"{refusal}, or give kernel.scale to skip the norm" in err
 
 
-def test_verify_reports_the_tail_of_a_custom_kernel_past_the_span_cap(tmp_path):
+@pytest.mark.parametrize("levels", [{}, {"coupling_levels": [2, 3]}], ids=["default-levels", "given-levels"])
+def test_verify_reports_the_tail_of_a_custom_kernel_past_the_span_cap(tmp_path, levels):
     # 77,056 cells, past the exact norm's span cap; the given scale skips the
-    # norm, and the tail against the closed form needs none of the cap
+    # norm, and the tail against the closed form needs none of the cap.  The
+    # coupling fit's windows pass the contraction cap at any level, given or not
     kernel = {"type": "custom", "order": 2, "beta1": -0.1, "beta2": 0.8, "scale": 1.0}
-    cfg = write_config(tmp_path, "cfg.json", {"kernel": kernel, "grid": {"steps": 256}, "skip_refinement": True})
+    cfg = write_config(tmp_path, "cfg.json", {"kernel": kernel, "grid": {"steps": 256}, "skip_refinement": True,
+                                              **levels})
     out = tmp_path / "o"
     assert main(["verify", "--config", cfg, "--out-dir", str(out)]) == 1
     report = read_json(out / "verify_report.json")
-    assert "unresolved" in report["coupling"]  # middle contractions need compact support
+    assert "middle contractions need compact filter support" in report["coupling"]["unresolved"]
     assert report["grid"]["cells"] == 77_056
     assert report["truncation"]["relative_tail"] == pytest.approx(0.232, abs=2e-3)
     assert len(report["truncation"]["self_similarity"]) == 9
@@ -710,6 +713,12 @@ _REPORT_CHECKS = {
 }
 
 _TINY_FBM = {"kernel": {"type": "fbm", "alpha": 0.75}, "grid": {"steps": 32, "left_units": 2}, "paths": 2}
+
+
+def _fbm_half(scale):
+    """An inline simulate block: fBm alpha = 0.5 paths at 64 steps and the given scale."""
+    return {"kernel": {"type": "fbm", "alpha": 0.5, "scale": scale}, "grid": {"steps": 64}, "paths": 2}
+
 
 _VERIFY_BASE = {
     "kernel": {"type": "fbm", "alpha": 0.75},
@@ -944,9 +953,13 @@ def test_malformed_run_json_exits_2(tmp_path, capsys, content):
         ("report", {"simulate": _TINY_FBM, "besov": {"smoothness": 0.5, "orlicz_beta": 1e-300}}),
         ("report", {"simulate": _TINY_FBM, "moment_growth": {"alpha": 1e3, "exponents": [1.0]}}),
         ("report", {"simulate": _TINY_FBM, "modulus": {"alpha": 1e3, "log_exponent": 1.0}}),
+        ("report", {"simulate": _fbm_half(1e-3), "besov": {"smoothness": 0.5, "p": 400}}),
+        ("report", {"simulate": _fbm_half(1e3), "besov": {"smoothness": 0.5, "p": 400}}),
+        ("report", {"simulate": _fbm_half(1e3), "slope": {"p": 400, "levels": [1, 2, 3]}}),
     ],
     ids=["paths-float", "steps-float", "instances-float", "fuzz-seed-2^64", "fuzz-seed-negative", "horizon-underflows",
-         "coupling-sub-step", "orlicz-flat", "moment-alpha-underflows", "modulus-alpha-underflows"],
+         "coupling-sub-step", "orlicz-flat", "moment-alpha-underflows", "modulus-alpha-underflows",
+         "besov-lp-underflows", "besov-lp-overflows", "slope-lp-overflows"],
 )
 def test_degenerate_numbers_exit_2(tmp_path, capsys, command, cfg):
     path = write_config(tmp_path, "cfg.json", cfg)

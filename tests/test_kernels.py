@@ -427,6 +427,31 @@ def test_dense_vs_gram_contractions_two_path():
         assert gram_val == pytest.approx(dense_val, rel=0.01)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_gram_forms_are_the_four_index_sums_over_a_stationary_row(n):
+    # pair_inner and contraction_norm_sq against brute-force sums over
+    # gram[u, v] = row[|u - v|], for a positive definite row put in place of
+    # the envelope's: a_u b_v gram^n, and a_u a_w b_v b_x gram[u, v]^j
+    # gram[w, x]^j gram[u, w]^(n-j) gram[v, x]^(n-j)
+    spec = HermiteKernelSpec.hermite(n, 0.7, scale=1.0)
+    kd = KernelDiscretization(spec, GridSpec(left=1.0, cells=32, steps=16))
+    kd.field.autocorr = 0.3 * fgn_autocorr(0.7, np.arange(kd.cells))
+    gram = kd.field.autocorr[np.abs(np.subtract.outer(np.arange(kd.cells), np.arange(kd.cells)))]
+    rng = np.random.default_rng(11)
+    supports = {"overlapping": ((2, 14), (8, 21)), "nested": ((0, 26), (5, 10)), "disjoint": ((0, 7), (15, 31))}
+    for name, spans in supports.items():
+        wa, wb = np.zeros(kd.cells), np.zeros(kd.cells)
+        for w, (lo, hi) in zip((wa, wb), spans):
+            w[lo:hi] = rng.uniform(0.5, 1.5, hi - lo)
+        for a, b in ((wa, wb), (wb, wa)):
+            inner_sum = np.einsum("u,v,uv->", a, b, gram**n)
+            assert kd.pair_inner(a, b) == pytest.approx(inner_sum, rel=1e-12), name
+            for j in range(n + 1):
+                brute = np.einsum("u,w,v,x,uv,wx,uw,vx->", a, a, b, b, gram**j, gram**j, gram ** (n - j),
+                                  gram ** (n - j))
+                assert kd.contraction_norm_sq(a, b, j) == pytest.approx(brute, rel=1e-12), (name, j)
+
+
 def test_contraction_consistency_edges():
     _, _, kd = small_rosenblatt()
     w1 = kd.increment_weights(0.0, 0.5)

@@ -10,10 +10,13 @@ examples (the inline ``report`` given a ``besov`` block at Phi_2), a
 ``verify`` of each filter layout the exact norms read (fBm and an order-2
 custom kernel with beta1 != 0, the latter also at horizon 2,
 where the scale's t_ref = 1 < T), of an order-3 Hermite kernel and of the
-order-2 zero kernel (which exits 1 in both trees), an ``expand`` of four
-order-3 factors at d = 3, a ``fuzz`` at
-total order 12 (the expansion cap, where the oracle, contractions and
-symmetrizer work hardest), a ``fuzz`` of inequality instances only, with
+order-2 zero kernel (which exits 1 in both trees), a ``verify`` of an
+order-2 custom kernel with beta1 != 0 at 256 steps, a given scale and given
+``coupling_levels`` (77,056 cells, past the contraction window cap), a
+``report`` whose Besov L^p sums overflow (fBm at scale 1000, p = 400), an
+``expand`` of four order-3 factors at d = 3, a ``fuzz`` at total order 12
+(the expansion cap, where the oracle, contractions and symmetrizer work
+hardest), a ``fuzz`` of inequality instances only, with
 blocks up to order 4 (traces, compositions and block permutations of
 order-4 blocks), a ``fuzz`` of 2,000 instances of each kind at the
 default caps (thousands of CSV rows that mix ints, floats and empty cells),
@@ -110,6 +113,8 @@ CONFIGS = [
     ("verify-custom-filter-t2", "verify", {"kernel": {**_CUSTOM_FILTER, "horizon": 2.0}, **_CUSTOM_FILTER_VERIFY}),
     ("verify-hermite-3", "verify", {"kernel": {"type": "hermite", "order": 3, "alpha": 0.7},
                                     "grid": {"steps": 128, "left_units": 10}}),
+    ("verify-custom-filter-levels", "verify", {"kernel": {**_CUSTOM_FILTER, "scale": 1.0}, "grid": {"steps": 256},
+                                               "skip_refinement": True, "coupling_levels": [2, 3]}),
     ("verify-zero-2", "verify", {"kernel": {"type": "zero", "order": 2}, "grid": {"steps": 64},
                                  "skip_refinement": True}),
     ("simulate-rosenblatt", "simulate", _ROSENBLATT),
@@ -129,6 +134,9 @@ CONFIGS = [
     ("report-hermite-3", "report", {"simulate": {"kernel": {"type": "hermite", "order": 3, "alpha": 0.7},
                                                  "grid": {"steps": 256, "left_units": 10}, "paths": 8, "seed": 7},
                                     "besov": {"smoothness": 0.7, "orlicz_beta": 2 / 3}}),
+    ("report-lp-overflow", "report", {"simulate": {"kernel": {"type": "fbm", "alpha": 0.5, "scale": 1000.0},
+                                                   "grid": {"steps": 64}, "paths": 2},
+                                      "besov": {"smoothness": 0.5, "p": 400}}),
     ("fuzz", "fuzz", {"seed": 1, "equivalence_instances": 200, "inequality_instances": 200,
                       "max_blocks": 4, "max_order": 3, "max_dim": 3, "max_total": 10}),
     ("fuzz-12", "fuzz", {"seed": 2, "equivalence_instances": 40, "inequality_instances": 20,
