@@ -70,17 +70,13 @@ def _hermite_table(n_max, x):
 
 @lru_cache(maxsize=None)
 def hermite_he_coefficients(n):
-    """Monomial coefficients of He_n as exact integers, low degree first."""
-    if n == 0:
-        return (1,)
-    if n == 1:
-        return (0, 1)
-    prev, cur = (1,), (0, 1)
-    for k in range(1, n):
-        shifted = (0,) + cur
-        damped = tuple(-k * c for c in prev) + (0, 0)
-        cur, prev = tuple(a + b for a, b in zip(shifted, damped)), cur
-    return cur
+    """Monomial coefficients of He_n as exact integers, low degree first: x^(n-2k)
+    has (-1)^k n! / (k! (n - 2k)! 2^k), the explicit sum, not the recurrence
+    that ``_hermite_table`` runs."""
+    f, coefficients = math.factorial, [0] * (n + 1)
+    for k in range(n // 2 + 1):
+        coefficients[n - 2 * k] = (-1) ** k * f(n) // (f(k) * f(n - 2 * k) * 2**k)
+    return tuple(coefficients)
 
 
 # -- seeds -------------------------------------------------------------------
@@ -288,7 +284,7 @@ def expand_product(tensors):
 #
 # Independent route: expand every integral into ordinary monomials of the
 # Gaussian coordinates via exact Hermite coefficients, multiply the
-# polynomials, and take expectations monomial-wise by recursive pairing.
+# polynomials, and take expectations monomial-wise, prod_c (p_c - 1)!! (Isserlis).
 # No pair-set enumeration or tensor contraction is involved.
 #
 # A monomial is keyed by one integer: the exponent of coordinate c is digit c
@@ -304,18 +300,17 @@ MONOMIAL_CACHE_SIZE = 2**14
 
 @lru_cache(maxsize=MONOMIAL_CACHE_SIZE)
 def _gaussian_monomial_expectation(powers):
-    """E prod_c xi_c^{p_c} for independent standard Gaussians.
-
-    Recursive pairing of the first remaining factor: it must pair with one of
-    the p_c - 1 same-coordinate copies (cross-coordinate covariance is 0).
-    """
-    for c, p in enumerate(powers):
-        if p > 0:
-            if p == 1:
-                return 0.0
-            reduced = powers[:c] + (p - 2,) + powers[c + 1 :]
-            return (p - 1) * _gaussian_monomial_expectation(reduced)
-    return 1.0
+    """E prod_c xi_c^{p_c} for independent standard Gaussians: prod_c (p_c - 1)!!,
+    or 0 if some p_c is odd.  The float product runs from the last coordinate's
+    factor 1 up to the first's p_0 - 1, the order in which pairing the first
+    factor recursively would multiply, so products past 2^53 round alike."""
+    if any(p % 2 for p in powers):
+        return 0.0
+    product = 1.0
+    for p in reversed(powers):
+        for k in range(1, p, 2):
+            product *= k
+    return product
 
 
 @lru_cache(maxsize=MONOMIAL_CACHE_SIZE)

@@ -510,7 +510,7 @@ class KernelDiscretization:
         if self.spec.order == 1:
             return 1.0 / math.sqrt(continuum_norm_sq(self.spec, self.t_ref))
         self.check_scale()
-        var = math.factorial(self.spec.order) * self.norm_sq(self._raw_weights(self.t_ref), exact=True)
+        var = math.factorial(self.spec.order) * self.norm_sq(self._raw_weights(self.t_ref))
         if var <= 0:
             raise ValueError("cannot normalize a degenerate kernel")
         return 1.0 / math.sqrt(var)
@@ -653,18 +653,15 @@ class KernelDiscretization:
         cross = fftconvolve(a, b[::-1])
         return float(np.sum(cross * self._gram(la - lb + np.arange(-(b.size - 1), a.size), self.spec.order)))
 
-    def norm_sq(self, w, exact=False):
-        """||A||^2 for a weight vector.
-
-        The stationary Gram ignores that cells near the left edge see a
-        shorter envelope; ``exact=True`` sums the exact Gram over the weight
-        support [lo, hi] instead.  At order 1 that is h * sum_i profile_i^2,
-        profile_i = sum_u w_u env[u - i], one convolution of the support with
-        env[:hi + 1]; at order n >= 2 it is the sum over u of w_u (2 sum_m
-        w_{u+m} gram^n - w_u gram(u, u)^n) over ``EnvelopeField.gram_rows``.
+    def norm_sq(self, w):
+        """||A||^2 for a weight vector: the sampled grid's exact Gram summed over
+        the weight support [lo, hi].  ``pair_inner(w, w)`` is the stationary
+        form, which ignores that cells near the left edge see a shorter
+        envelope.  At order 1 this is h * sum_i profile_i^2, profile_i = sum_u
+        w_u env[u - i], one convolution of the support with env[:hi + 1]; at
+        order n >= 2 it is the sum over u of w_u (2 sum_m w_{u+m} gram^n - w_u
+        gram(u, u)^n) over ``EnvelopeField.gram_rows``.
         """
-        if not exact:
-            return self.pair_inner(w, w)
         support = _support(w)
         if support is None:
             return 0.0
@@ -682,7 +679,8 @@ class KernelDiscretization:
 
     def increment_norm(self, x, s):
         """||A_{x+s} - A_x|| via the stationary Gram."""
-        return math.sqrt(max(self.norm_sq(self.increment_weights(x, s)), 0.0))
+        w = self.increment_weights(x, s)
+        return math.sqrt(max(self.pair_inner(w, w), 0.0))
 
     def contraction_norm_sq(self, wa, wb, j):
         """||A (x)_j B||^2 for weight vectors wa, wb and 0 <= j <= n.
@@ -695,7 +693,7 @@ class KernelDiscretization:
         if not 0 <= j <= n:
             raise ValueError(f"j = {j} outside 0..{n}")
         if j == 0:
-            return self.norm_sq(wa) * self.norm_sq(wb)
+            return self.pair_inner(wa, wa) * self.pair_inner(wb, wb)
         if j == n:
             return self.pair_inner(wa, wb) ** 2
         sa, sb = _support(wa), _support(wb)
@@ -995,10 +993,12 @@ def truncation_report(kd):
     order 1 it draws exact fBm, whose ratio is 1 at every grid time.
     """
     spec = kd.spec
-    exact = spec.beta1 == 0.0 or spec.order == 1
     t_ref = kd.t_ref
     times = [t_ref * 2.0**-j for j in range(min(8, int(kd.grid.steps).bit_length() - 1) + 1)]
-    norms = [kd.norm_sq(kd._raw_weights(t), exact=exact) for t in times]
+    # at beta1 != 0 and order >= 2 the weights span the whole grid, where each exact norm costs
+    # O(span^2) and refuses spans past EXACT_SPAN_CAP: the stationary Gram stands in (README)
+    norm_sq = kd.norm_sq if spec.beta1 == 0.0 or spec.order == 1 else lambda w: kd.pair_inner(w, w)
+    norms = [norm_sq(kd._raw_weights(t)) for t in times]
     ratios = [norm / continuum_norm_sq(spec, t) for norm, t in zip(norms, times)]
     return {"left_units": kd.grid.left / spec.horizon, "norm_sq": norms[0],
             "continuum_norm_sq": continuum_norm_sq(spec, t_ref), "relative_tail": 1.0 - ratios[0],

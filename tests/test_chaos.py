@@ -58,6 +58,24 @@ def test_hermite_coefficients_exact():
         assert by_coef == pytest.approx(float(hermite_he(n, x)), rel=1e-12)
 
 
+def hermite_he_coefficients_by_recurrence(n):
+    """He_n's coefficients by He_{k+1} = x He_k - k He_{k-1} on exact
+    integers: the reference of the explicit sum."""
+    prev, cur = (), (1,)
+    for k in range(n):
+        shifted = (0,) + cur
+        damped = tuple(-k * c for c in prev) + (0,) * (len(shifted) - len(prev))
+        cur, prev = tuple(a + b for a, b in zip(shifted, damped)), cur
+    return cur
+
+
+def test_hermite_coefficients_are_the_recurrence():
+    for n in range(130):
+        got = hermite_he_coefficients(n)
+        assert got == hermite_he_coefficients_by_recurrence(n), n
+        assert all(type(c) is int for c in got), n
+
+
 def test_wick_eval_squared_basis():
     a = elementary([[1, 0], [1, 0]])
     assert wick_eval(a, np.array([2.0, 0.0])) == pytest.approx(3.0)  # He_2(2) = 3
@@ -341,6 +359,29 @@ def test_oracle_is_bitwise_the_tuple_key_oracle():
     for i, tensors in enumerate(_oracle_reference_cases()):
         got = moment_oracle(tensors, max_total_order=64)
         assert got.hex() == moment_oracle_by_tuple_keys(tensors).hex(), (i, [t.order for t in tensors])
+
+
+def gaussian_monomial_expectation_by_pairing(powers):
+    """E prod_c xi_c^{p_c} by pairing the first remaining factor with one of
+    its p_c - 1 same-coordinate copies (cross-coordinate covariance is 0),
+    recursively: the reference of the closed form."""
+    for c, p in enumerate(powers):
+        if p > 0:
+            if p == 1:
+                return 0.0
+            reduced = powers[:c] + (p - 2,) + powers[c + 1 :]
+            return (p - 1) * gaussian_monomial_expectation_by_pairing(reduced)
+    return 1.0
+
+
+def test_monomial_expectation_is_bitwise_the_pairing_recursion():
+    powers = [t for dim, top in ((1, 20), (2, 20), (3, 12), (4, 12))
+              for t in itertools.product(range(top + 1), repeat=dim)]
+    # products past 2^53, where the order of the float products shows
+    powers += [(64,), (32, 32), (40, 24), (62, 2), (30, 30, 4)]
+    for t in powers:
+        got = _gaussian_monomial_expectation.__wrapped__(t)
+        assert got.hex() == gaussian_monomial_expectation_by_pairing(t).hex(), t
 
 
 def test_oracle_monomial_caches_are_bounded():

@@ -231,6 +231,44 @@ def test_sample_paths_deterministic_and_stream_keyed():
     assert not np.array_equal(a[0].values, a[1].values)
 
 
+def _path_values(spec, steps, count, seed, left_units=None):
+    grid = GridSpec.build(spec, steps=steps, left_units=left_units)
+    return np.array([p.values for p in sample_paths(spec, grid, count, seed=seed)])
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_order_1_horizon_scaling(alpha):
+    # fBm is alpha-self-similar and both runs normalize at t = 1: at equal
+    # steps the paths on [0, 4] are 2^alpha times those on [0, 2]
+    short = _path_values(HermiteKernelSpec.fbm(alpha, horizon=2.0), 256, 4, seed=11)
+    long = _path_values(HermiteKernelSpec.fbm(alpha, horizon=4.0), 256, 4, seed=11)
+    np.testing.assert_array_max_ulp(long, 2.0**alpha * short, maxulp=2)
+
+
+def test_order_1_reads_alpha_alone():
+    # exact fBm: specs of equal alpha draw the same paths whatever (beta1, beta2)
+    paths = _path_values(HermiteKernelSpec.fbm(0.7), 256, 4, seed=11)
+    for beta2 in (0.5, 0.6, 0.8, 0.9):
+        np.testing.assert_array_max_ulp(_path_values(HermiteKernelSpec.fbm(0.7, beta2=beta2), 256, 4, seed=11),
+                                        paths, maxulp=2)
+
+
+@pytest.mark.parametrize(
+    "spec, maxulp",
+    [(HermiteKernelSpec.fbm(0.7), 2), (HermiteKernelSpec.hermite(2, 0.7), 0), (HermiteKernelSpec.hermite(3, 0.7), 0)],
+    ids=["fbm", "rosenblatt", "hermite3"],
+)
+def test_scale_linearity(spec, maxulp):
+    # kernel.scale c gives c times the paths at scale 1, and +0.0 at t = 0: up to
+    # one rounding of the weight at order 1, exactly at beta1 = 0 and order >= 2,
+    # where the weight is scale * h and h = 1/64 is a power of two
+    unit = _path_values(replace(spec, scale=1.0), 64, 4, seed=11, left_units=10)
+    for c in (3.0, -2.5, 1e-3):
+        scaled = _path_values(replace(spec, scale=c), 64, 4, seed=11, left_units=10)
+        np.testing.assert_array_max_ulp(scaled, c * unit, maxulp=maxulp)
+        assert np.all(scaled[:, 0] == 0.0) and not np.signbit(scaled[:, 0]).any()
+
+
 def test_sample_paths_workers_agree():
     spec = HermiteKernelSpec.fbm(0.6)
     grid = GridSpec(left=4.0, cells=160, steps=32)
@@ -373,10 +411,10 @@ def test_scale_is_summed_while_the_workers_draw(monkeypatch):
 
     norm_sq = KernelDiscretization.norm_sq
 
-    def recording_norm_sq(self, w, exact=False):
+    def recording_norm_sq(self, w):
         assert os.getpid() == caller, "norm_sq ran in a worker"
         events.append("norm_sq")
-        return norm_sq(self, w, exact)
+        return norm_sq(self, w)
 
     monkeypatch.setattr("chaoslab.simulate.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(KernelDiscretization, "norm_sq", recording_norm_sq)
@@ -410,7 +448,7 @@ def test_scale_refused_after_its_sum_leaves_no_worker(monkeypatch):
             opened.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-    def failing_norm_sq(self, w, exact=False):
+    def failing_norm_sq(self, w):
         raise ValueError("the sum failed")
 
     monkeypatch.setattr("chaoslab.simulate.ProcessPoolExecutor", RecordingPool)

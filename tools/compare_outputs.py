@@ -12,7 +12,10 @@ custom kernel with beta1 != 0, the latter also at horizon 2,
 where the scale's t_ref = 1 < T), of an order-3 Hermite kernel and of the
 order-2 zero kernel (which exits 1 in both trees), a ``verify`` of an
 order-2 custom kernel with beta1 != 0 at 256 steps, a given scale and given
-``coupling_levels`` (77,056 cells, past the contraction window cap), a
+``coupling_levels`` (77,056 cells, past the contraction window cap) and
+at 64 steps and its default depth (19,264 cells, under the exact-norm span
+cap: its ``truncation`` reads the stationary Gram, and coupling is
+unresolved, so it exits 1 in both trees), a
 ``report`` whose Besov L^p sums overflow (fBm at scale 1000, p = 400), an
 ``expand`` of four order-3 factors at d = 3, a ``fuzz`` at total order 12
 (the expansion cap, where the oracle, contractions and symmetrizer work
@@ -115,6 +118,7 @@ CONFIGS = [
                                     "grid": {"steps": 128, "left_units": 10}}),
     ("verify-custom-filter-levels", "verify", {"kernel": {**_CUSTOM_FILTER, "scale": 1.0}, "grid": {"steps": 256},
                                                "skip_refinement": True, "coupling_levels": [2, 3]}),
+    ("verify-custom-filter-default-depth", "verify", {"kernel": _CUSTOM_FILTER, "grid": {"steps": 64}}),
     ("verify-zero-2", "verify", {"kernel": {"type": "zero", "order": 2}, "grid": {"steps": 64},
                                  "skip_refinement": True}),
     ("simulate-rosenblatt", "simulate", _ROSENBLATT),
