@@ -45,6 +45,8 @@ reports for the CLI process and the workers it waited for), then each
 tree's line counts of ``src/chaoslab/*.py``: the total of ``wc -l``, and
 the lines that hold code, without docstrings, comments or blank lines.  It exits 1 if a file differs, else 0.  Without
 ``--work`` the runs go to a temporary directory that is removed afterwards.
+``tools/output_manifest.py`` hashes the outputs of a subset of ``CONFIGS``
+for the Tier-1 test ``tests/test_output_manifest.py``.
 """
 
 from __future__ import annotations
@@ -174,12 +176,17 @@ CONFIGS = [
 ]
 
 
+def write_inputs(work):
+    """Write the tensor files that the ``expand`` configs name into ``work``."""
+    (work / "tensors.json").write_text(json.dumps(TENSORS))
+    (work / "tensors-12.json").write_text(json.dumps(TENSORS_12))
+
+
 def run_tree(tree, work):
     """Run every config with ``tree``'s chaoslab, with ``work`` as the working
     directory; returns each config's peak RSS in MB."""
     work.mkdir(parents=True)
-    (work / "tensors.json").write_text(json.dumps(TENSORS))
-    (work / "tensors-12.json").write_text(json.dumps(TENSORS_12))
+    write_inputs(work)
     (work / "logs").mkdir()
     env = {**os.environ, "PYTHONPATH": str(Path(tree).resolve() / "src")}
     peaks = {}
