@@ -114,7 +114,8 @@ CONFIG_SCHEMAS = {
             "upper_levels": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
             "coupling_levels": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 2,
                                 "uniqueItems": True},
-            "overlap_levels": {"type": "array", "items": {"type": "integer"}, "minItems": 2, "uniqueItems": True},
+            "overlap_levels": {"type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 2,
+                               "uniqueItems": True},
             "skip_refinement": {"type": "boolean"},
         },
         "required": ["kernel", "grid"],

@@ -307,7 +307,8 @@ class HermiteKernelSpec:
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform discretization: space domain [-left, horizon] split into
-    ``cells`` equal cells, time grid of ``steps`` steps on [0, horizon]."""
+    ``cells`` equal cells, of which the last ``steps`` are the time steps on
+    [0, horizon], one u-cell per step."""
 
     left: float
     cells: int
@@ -317,19 +318,13 @@ class GridSpec:
         if self.left <= 0 or self.cells < 2 or self.steps < 1:
             raise ValueError(f"invalid grid {self}")
 
-    def spacing(self, horizon):
-        return (self.left + horizon) / self.cells
-
     def validate(self, horizon):
-        h = self.spacing(horizon)
-        time_cells = round(horizon / h)
-        if abs(time_cells * h - horizon) > 1e-9 * horizon:
-            raise ValueError("horizon is not an integer number of cells")
-        if time_cells % self.steps:
-            raise ValueError(
-                f"time step must be a whole number of cells ({time_cells} cells per horizon, {self.steps} steps)"
-            )
-        return h, time_cells
+        """The cell width h, once steps h = horizon to 1e-9: one cell per time step."""
+        h = (self.left + horizon) / self.cells
+        if abs(self.steps * h - horizon) > 1e-9 * horizon:
+            raise ValueError(f"a time step must be one cell: {self.cells} cells on [-{self.left}, {horizon}] "
+                             f"give {horizon / h:.6g} cells per horizon, for {self.steps} steps")
+        return h
 
     @classmethod
     def build(cls, spec, steps, left_units=None):
@@ -458,7 +453,7 @@ class CirculantField:
         return kernel[lag % self.normals]
 
 
-PathModel = namedtuple("PathModel", "normals draw filter times reads")
+PathModel = namedtuple("PathModel", "normals draw filter reads")
 
 
 def _partial_sums(b):
@@ -483,10 +478,10 @@ class KernelDiscretization:
     def __init__(self, spec, grid):
         self.spec = spec
         self.grid = grid
-        self.h, self.time_cells = grid.validate(spec.horizon)
+        self.h = grid.validate(spec.horizon)
         self.cells = grid.cells
+        self.time_cells = grid.steps
         self.left_cells = self.cells - self.time_cells
-        self.per_step = self.time_cells // grid.steps
         self.t_ref = min(1.0, spec.horizon)  # where the scale normalizes
 
     @cached_property
@@ -592,12 +587,11 @@ class KernelDiscretization:
     def path_model(self):
         """How a path is drawn (``PathModel``); the one place that picks it.
 
-        A path is ``path_weight`` * filter(|phi|^n He_n(z / |phi|))[times],
-        (z, |phi|) = draw(xi) for ``normals`` standard normals xi; filter
-        output k is the path at time cell k, +0.0 at k = 0.  The model does
-        not read the scale, so paths can be drawn while it is summed.
-        ``reads`` is what the paths depend on besides xi
-        (``simulate.provenance_tag`` hashes it).
+        A path is ``path_weight`` * filter(|phi|^n He_n(z / |phi|)), (z, |phi|)
+        = draw(xi) for ``normals`` standard normals xi; filter output k is the
+        path at time step k, +0.0 at k = 0.  The model does not read the
+        scale, so paths can be drawn while it is summed.  ``reads`` is what
+        the paths depend on besides xi (``simulate.provenance_tag`` hashes it).
 
         Order 1 is fractional Brownian motion whatever beta1 and beta2 are,
         drawn exactly on the time steps: unit fGn z (``CirculantField``, 2
@@ -615,8 +609,7 @@ class KernelDiscretization:
         spec, grid = self.spec, self.grid
         if spec.order == 1:
             fgn = CirculantField(fgn_autocorr(spec.alpha, np.arange(grid.steps + 1)))
-            return PathModel(fgn.normals, fgn.draw, _partial_sums, slice(None),
-                             {"spec": spec.to_dict(), "steps": grid.steps})
+            return PathModel(fgn.normals, fgn.draw, _partial_sums, {"spec": spec.to_dict(), "steps": grid.steps})
         if spec.beta1 == 0.0:
             window, response = self.field.window(self.left_cells, self.time_cells), _partial_sums
         else:
@@ -624,7 +617,7 @@ class KernelDiscretization:
             spectra = _window_spectra(self.filter_response, self.left_cells, self.time_cells + 1)
             response = partial(_from_start, spectra=spectra)
         return PathModel(self.cells, partial(self.field.draw, window=window), response,
-                         slice(None, None, self.per_step), {"spec": spec.to_dict(), "grid": vars(grid)})
+                         {"spec": spec.to_dict(), "grid": vars(grid)})
 
     @cached_property
     def path_weight(self):
@@ -724,9 +717,9 @@ class KernelDiscretization:
         return SymTensor(np.einsum(spec_str, *operands, optimize=True), dim=self.cells)
 
     def refined(self):
-        """Same spec and domain, twice as many cells (same scale resolution
-        convention, re-normalized on the finer grid)."""
-        grid = GridSpec(left=self.grid.left, cells=self.grid.cells * 2, steps=self.grid.steps)
+        """Same spec and domain, twice as many cells and time steps (same scale
+        resolution convention, re-normalized on the finer grid)."""
+        grid = GridSpec(left=self.grid.left, cells=self.grid.cells * 2, steps=self.grid.steps * 2)
         return KernelDiscretization(self.spec, grid)
 
 
@@ -850,7 +843,7 @@ def _scaling_sweep(increment_norm, alpha, T, levels, x_count):
     return level_stats
 
 
-def upper_scaling_report(kd, alpha=None, levels=None, refined=None):
+def upper_scaling_report(kd, levels=None, refined=None):
     """Estimate the constant in ||A_{x,s}|| <= kappa s^alpha over a dyadic sweep.
 
     ``refined`` (a finer discretization of the same spec) measures grid
@@ -860,8 +853,7 @@ def upper_scaling_report(kd, alpha=None, levels=None, refined=None):
     whose window T 2^-j is shorter than one time step are rejected
     (``_resolved_levels``).
     """
-    alpha = kd.spec.alpha if alpha is None else alpha
-    T = kd.spec.horizon
+    alpha, T = kd.spec.alpha, kd.spec.horizon
     levels = _resolved_levels(kd, levels, 1, 7, 1, "upper scaling")
     stats = _scaling_sweep(kd.increment_norm, alpha, T, levels, UPPER_X_COUNT)
     sups = {j: v[0] for j, v in stats.items()}
@@ -945,7 +937,7 @@ def filter_overlap_integral(spec, s, t):
     return float(ku @ weight @ kv)
 
 
-def overlap_scaling_report(spec, levels=range(1, 7)):
+def overlap_scaling_report(spec, levels):
     """Dyadic scaling of the overlap integral; the coarse bound predicts
     exponent 1 + min(beta1, 0) per variable (so twice that on the diagonal)."""
     T = spec.horizon

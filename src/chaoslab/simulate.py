@@ -50,8 +50,7 @@ def sample_path_values(kd, xi, weight=None):
         raise ValueError(f"need {model.normals} Gaussians per path, got {xi.size}")
     n = kd.spec.order
     z, norms = model.draw(xi)
-    return _weigh(model.filter(norms**n * hermite_he(n, z / norms))[model.times],
-                  kd.path_weight if weight is None else weight)
+    return _weigh(model.filter(norms**n * hermite_he(n, z / norms)), kd.path_weight if weight is None else weight)
 
 
 _WORKER_KD = None

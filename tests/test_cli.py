@@ -746,13 +746,14 @@ _VERIFY_BASE = {
         ("verify", {"overlap_levels": []}),
         ("verify", {"overlap_levels": [3]}),
         ("verify", {"overlap_levels": [3, 3]}),
+        ("verify", {"overlap_levels": [-1, 1]}),
         ("verify", {"upper_levels": []}),
     ],
     ids=[
         "slope-empty", "slope-one", "slope-repeated", "moment-levels-empty", "moment-exponents-empty",
         "moment-ells-empty", "subsample-zero", "subsample-empty", "modulus-repeated", "coupling-empty",
         "coupling-one", "coupling-level-zero", "coupling-repeated",
-        "overlap-empty", "overlap-one", "overlap-repeated", "upper-empty",
+        "overlap-empty", "overlap-one", "overlap-repeated", "overlap-negative", "upper-empty",
     ],
 )
 def test_short_lists_exit_2(tmp_path, capsys, command, block):

@@ -147,12 +147,13 @@ def test_fbm_constructor_consistency():
 
 def test_grid_validation():
     spec = HermiteKernelSpec.fbm(0.75)
-    grid = GridSpec(left=2.0, cells=96, steps=16)
-    h, time_cells = grid.validate(spec.horizon)
-    assert h == pytest.approx(3.0 / 96)
-    assert time_cells == 32
+    grid = GridSpec(left=2.0, cells=96, steps=32)
+    assert grid.validate(spec.horizon) == pytest.approx(3.0 / 96)
+    assert KernelDiscretization(spec, grid).time_cells == 32
+    with pytest.raises(ValueError, match="96 cells .* 16 steps"):
+        GridSpec(left=2.0, cells=96, steps=16).validate(1.0)  # two cells per step
     with pytest.raises(ValueError):
-        GridSpec(left=2.0, cells=97, steps=16).validate(1.0)  # horizon off-grid
+        GridSpec(left=2.0, cells=97, steps=32).validate(1.0)  # horizon off-grid
     with pytest.raises(ValueError):
         GridSpec(left=2.0, cells=96, steps=5).validate(1.0)  # step not whole cells
 
@@ -162,7 +163,8 @@ def test_grid_build_budget():
     spec = HermiteKernelSpec.hermite(2, 0.7)
     grid = GridSpec.build(spec, steps=128, left_units=1e6)
     assert grid.cells == GRID_CELL_BUDGET
-    assert grid.validate(spec.horizon)[1] == 128
+    assert grid.steps == 128
+    assert grid.validate(spec.horizon) == pytest.approx(spec.horizon / 128)
 
 
 @pytest.mark.parametrize(
@@ -551,15 +553,14 @@ def test_upper_scaling_fbm_kappa_near_normalization():
 
 def test_upper_scaling_flags_wrong_exponent():
     class LinearKernel:
-        spec = HermiteKernelSpec.fbm(0.5)  # alpha attribute only used via argument
+        spec = HermiteKernelSpec.fbm(0.5)  # the sweep reads alpha = 0.5 from the spec
 
         def increment_norm(self, x, s):
             return s  # deterministic kernel t*h: alpha = 1 pathological
 
     lk = LinearKernel()
-    lk.spec = HermiteKernelSpec.fbm(0.5)
     lk.grid = GridSpec(left=1.0, cells=256, steps=128)  # resolves levels 1..7
-    rep = upper_scaling_report(lk, alpha=0.5, levels=range(1, 8))
+    rep = upper_scaling_report(lk, levels=range(1, 8))
     assert rep.diverging and not rep.passed
 
 
@@ -567,7 +568,6 @@ def test_lower_scaling_zero_kernel_fails():
     class ZeroKernel:
         spec = HermiteKernelSpec.fbm(0.5)
         h = 1.0 / 512
-        per_step = 1
         time_cells = 512
 
         def increment_norm(self, x, s):

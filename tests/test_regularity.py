@@ -600,3 +600,130 @@ def test_kendall_rows_are_kendall_row_by_row():
         assert [float(t) for t in batched] == [kendall_by_pairs(xs, row) for row in rows], (xs, rows)
     assert _kendall_rows([1.0, np.nan, 2.0], [[1.0, 2.0, 3.0]]).tolist() == [0.0]
     assert _kendall_rows([1.0, 2.0, 3.0], np.array([[3.0, 2.0, 1.0], [1.0, 2.0, 3.0]])).tolist() == [-1.0, 1.0]
+
+
+# -- exact relations between runs (metamorphic) ----------------------------------------
+#
+# Each relation ties an estimator on a path to the same estimator on a
+# transformed path; it needs no reference value.  ``_ulps`` measures how far
+# the floats miss it, in units in the last place of the expected value.  The
+# gates are the largest misses measured on these paths (fBm at H = 0.3 and
+# 0.7, 256 steps, seeds 11 and 12) with numpy 2.4 on x86-64.
+
+
+@pytest.fixture(scope="module")
+def relation_paths():
+    return [fbm_path(np.random.default_rng(seed), hurst, 256) for seed in (11, 12) for hurst in (0.3, 0.7)]
+
+
+def _ulps(got, want):
+    """The largest |got - want| over the entries, in units in the last place of want."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return float(np.max(np.abs(got - want) / np.spacing(np.abs(want))))
+
+
+def _transformed(path, c=1.0, stretch=1.0):
+    """The path with its values times c and its time column T -> stretch * T."""
+    return PathSample(times=np.linspace(0.0, stretch * path.horizon, path.times.size), values=c * path.values)
+
+
+def _level_norms(report):
+    return [level.increment_norm for level in report.levels]
+
+
+@pytest.mark.parametrize("c", [2.0, -3.0])
+def test_lp_norms_are_homogeneous_in_the_values(relation_paths, c):
+    """N(cX) = |c| N(X) for ``increment_lp_norm``, the L^p Besov levels and
+    their seminorm.
+
+    The increments of cX are c times those of X, so sum |c D|^p h = |c|^p sum
+    |D|^p h, whose p-th root is |c| times X's; the level weights 2^(js) and
+    the sup over levels keep the factor.  In floats, c v_i and each
+    difference round once (at c = 2 neither rounds), and so do the powers,
+    the sum, the root and the product |c| N(X).  Measured: at most 2 ulps
+    (1 at c = 2).  At c = 2 and p = 1 it is bitwise: every step scales by a
+    power of two, and x^(1/1) is x.
+    """
+    for path in relation_paths:
+        scaled = _transformed(path, c=c)
+        for p in (1.0, 2.0, 3.5):
+            for lag in (2.0**-3, 2.0**-6, 2.0**-8):
+                assert _ulps(increment_lp_norm(scaled, lag, p), abs(c) * increment_lp_norm(path, lag, p)) <= 2
+            a, b = dyadic_besov_seminorm(path, 0.5, p=p), dyadic_besov_seminorm(scaled, 0.5, p=p)
+            assert _ulps(_level_norms(b), abs(c) * np.array(_level_norms(a))) <= 2
+            assert _ulps(b.seminorm, abs(c) * a.seminorm) <= 2
+            if c == 2.0 and p == 1.0:
+                assert increment_lp_norm(scaled, 2.0**-6, p) == 2.0 * increment_lp_norm(path, 2.0**-6, p)
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0 / 3.0])
+@pytest.mark.parametrize("c", [2.0, -3.0])
+def test_luxemburg_levels_are_homogeneous_in_the_values(relation_paths, c, beta):
+    """N(cX) = |c| N(X) for the Luxemburg Besov levels and their seminorm, at
+    beta = 1 and 2/3.
+
+    sum Phi(|c D| / lambda) h <= 1 exactly when sum Phi(|D| / (lambda / |c|)) h
+    <= 1, so the infimum lambda scales by |c|.  ``luxemburg_norm`` runs
+    Newton on g = |D| / max|D|, which the factor leaves alone up to the
+    rounding of c D (none at c = 2), and returns exp(log max|D| - s), whose
+    log and exp each round.  Measured: at most 4 ulps (1 at c = 2).
+    """
+    for path in relation_paths:
+        a = dyadic_besov_seminorm(path, 0.5, orlicz_beta=beta)
+        b = dyadic_besov_seminorm(_transformed(path, c=c), 0.5, orlicz_beta=beta)
+        assert _ulps(_level_norms(b), abs(c) * np.array(_level_norms(a))) <= (1 if c == 2.0 else 4)
+        assert _ulps(b.seminorm, abs(c) * a.seminorm) <= (1 if c == 2.0 else 4)
+
+
+@pytest.mark.parametrize("c", [2.0, -3.0])
+def test_modulus_statistic_is_homogeneous_in_the_values(relation_paths, c):
+    """M(cX) = |c| M(X) for ``modulus_holder_statistic``.
+
+    Its denominators do not read the values, and its numerators are the
+    increments |c D|.  At c = 2 every step scales exactly (the tables, the
+    bounds, hence the same search, and the ratio), so the relation is
+    bitwise.  At c = -3 the products c v_i round, and the sign flip swaps
+    the running maxima and minima.  Measured: at most 2 ulps.
+    """
+    for path in relation_paths:
+        for alpha, e in ((0.5, 1.0), (0.3, 0.5)):
+            got = modulus_holder_statistic(_transformed(path, c=c), alpha, e)
+            want = abs(c) * modulus_holder_statistic(path, alpha, e)
+            assert got == want if c == 2.0 else _ulps(got, want) <= 2
+
+
+@pytest.mark.parametrize("stretch", [2.0, 3.0])
+def test_lp_levels_follow_the_time_column(relation_paths, stretch):
+    """T -> cT at equal values multiplies each L^p Besov level by c^(1/p).
+
+    The lags T 2^-j become cT 2^-j, the same number of grid steps, so the
+    increments are the same; only the cell measure h = T / steps becomes
+    c h, and (sum |D|^p c h)^(1/p) = c^(1/p) (sum |D|^p h)^(1/p).  In floats
+    c h (the time column's first step) and the roots round.  Measured: at
+    most 1 ulp.
+    """
+    for path in relation_paths:
+        stretched = _transformed(path, stretch=stretch)
+        for p in (1.0, 2.0, 3.5):
+            a, b = dyadic_besov_seminorm(path, 0.5, p=p), dyadic_besov_seminorm(stretched, 0.5, p=p)
+            assert [level.lag for level in b.levels] == [stretch * level.lag for level in a.levels]
+            assert _ulps(_level_norms(b), stretch ** (1.0 / p) * np.array(_level_norms(a))) <= 1
+
+
+@pytest.mark.parametrize("c, stretch", [(2.0, 1.0), (-3.0, 1.0), (1.0, 2.0), (1.0, 3.0)])
+def test_slopes_ignore_value_and_time_scaling(relation_paths, c, stretch):
+    """``scaling_exponent_fit``'s slopes are unchanged by X -> cX and by
+    T -> cT at equal values.
+
+    It fits log Y_j against log lag_j, Y_j = N_j / (T - lag_j)^(1/p).
+    Values times c add log|c| to every log Y_j; a stretched time column
+    multiplies N_j and (T - lag_j)^(1/p) by the same c^(1/p), and adds log c
+    to every log lag_j.  A common shift of either coordinate leaves a least
+    squares slope unchanged.  In floats the shifted logs round, and the
+    fit's cancellation of the means amplifies that.  Measured: at most 9 ulps.
+    """
+    for path in relation_paths:
+        for p in (1.0, 2.0, 3.5):
+            a = scaling_exponent_fit([path], p, range(2, 8))
+            b = scaling_exponent_fit([_transformed(path, c=c, stretch=stretch)], p, range(2, 8))
+            assert _ulps(b.slopes, a.slopes) <= 9

@@ -17,19 +17,29 @@ seed and exit code go under ``failed_run``, the runs made so far are written
 A workload already in ``--out`` is replaced, and the replaced entry, with its
 own earlier runs, moves under the new entry's ``earlier_runs``, so every run
 made is kept.  Each side's ``tree`` records its ``git rev-parse HEAD`` (null if
-the tree is not the top of a git checkout) and ``src_lines``, the total of
-``wc -l src/chaoslab/*.py``, so that size is tracked alongside speed.
+the tree is not the top of a git checkout), ``src_lines``, the total of
+``wc -l src/chaoslab/*.py``, and ``code_lines``, the lines of code among them
+as ``tools/compare_outputs.py`` counts them, so that size is tracked alongside
+speed.  ``machine`` records the platform, the CPU count and the Python and
+numpy versions the runs used, and ``session`` the UTC start and end of the
+pairs, since timings compare only within one machine and session.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import re
 import statistics
 import subprocess
 import sys
+from datetime import datetime, timezone
+from importlib import metadata
 from pathlib import Path
+
+from compare_outputs import source_lines
 
 
 def run(tree, workload, seed, seconds):
@@ -44,12 +54,17 @@ def run(tree, workload, seed, seconds):
 
 
 def tree_facts(tree):
-    """{"head": the tree's commit or None, "src_lines": total of wc -l src/chaoslab/*.py}."""
+    """{"head": the tree's commit or None, "src_lines": total of wc -l
+    src/chaoslab/*.py, "code_lines": the code lines among them}."""
     done = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"], cwd=tree, capture_output=True, text=True)
     top, _, head = done.stdout.strip().partition("\n")
     own = done.returncode == 0 and Path(top).resolve() == Path(tree).resolve()
-    lines = sum(p.read_bytes().count(b"\n") for p in Path(tree).glob("src/chaoslab/*.py"))
-    return {"head": head if own else None, "src_lines": lines}
+    lines, code = source_lines(tree)
+    return {"head": head if own else None, "src_lines": lines, "code_lines": code}
+
+
+def utc_now():
+    return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
 def summary(values):
@@ -72,6 +87,7 @@ def main(argv=None):
     seeds = [args.first_seed + i for i in range(args.pairs)]
     runs = {"parent": [], "change": []}
     failed_run = None
+    start = utc_now()
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
@@ -84,6 +100,7 @@ def main(argv=None):
             print(f"pair {i} seed {seed} {side}: {result['metrics']}", file=sys.stderr)
         if failed_run is not None:
             break
+    session = {"start_utc": start, "end_utc": utc_now()}
     metrics = {}
     for name, spec in metric_specs.items():
         if not (runs["parent"] and runs["change"]):  # a side failed its first run
@@ -96,7 +113,10 @@ def main(argv=None):
                          "parent": parent, "change": summary(sides["change"]), "change_wins": wins,
                          "unresolved": parent["q3"] - parent["q1"] > spec["bound"] * abs(parent["median"])}
     pairs = min(len(runs["parent"]), len(runs["change"]))
+    machine = {"platform": platform.platform(), "cpus": os.cpu_count(), "python": platform.python_version(),
+               "numpy": metadata.version("numpy")}
     entry = {"pairs": pairs, "seeds": seeds[: max(len(r) for r in runs.values())], "seconds": seconds,
+             "machine": machine, "session": session,
              "tree": {side: tree_facts(getattr(args, side)) for side in runs},
              "correct": {side: [r["correct"] for r in runs[side]] for side in runs},
              "failed": {side: sum(r["failed"] for r in runs[side]) for side in runs},

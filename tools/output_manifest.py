@@ -9,10 +9,10 @@ The subset (``SUBSET``) runs in-process through ``chaoslab.cli.main``, in
 kernel type, orders 1 to 3, beta1 != 0, two workers, ``verify`` with its
 refinement check on, and each config that exits non-zero by design.  The
 configs themselves are ``compare_outputs.CONFIGS``, the one list both tools
-read.  The manifest records numpy's version and the platform, since the bytes
-may move with either; ``tests/test_output_manifest.py`` fails when they differ
-from the running ones, naming this command, rather than compare hashes made
-elsewhere.  A change that moves output bytes on purpose reruns this command
+read.  The manifest records numpy's version, the platform and the CPU's SIMD
+targets, since the bytes may move with each; ``tests/test_output_manifest.py``
+fails when they differ from the running ones, naming this command, rather
+than compare hashes made elsewhere.  A change that moves output bytes on purpose reruns this command
 in the same diff and lists the entries it changed.
 """
 
@@ -48,8 +48,13 @@ SUBSET = (
 
 
 def environment():
-    """What the bytes may depend on besides the code: numpy's version and the platform."""
-    return {"numpy": np.__version__, "platform": f"{platform.system()}-{platform.machine()}"}
+    """What the bytes may depend on besides the code: numpy's version, the
+    platform, and the SIMD targets numpy dispatches to on this CPU (its
+    vectorized math may round differently on each)."""
+    from numpy._core import _multiarray_umath as umath
+
+    simd = [target for target in umath.__cpu_dispatch__ if umath.__cpu_features__.get(target)]
+    return {"numpy": np.__version__, "platform": f"{platform.system()}-{platform.machine()}", "simd": simd}
 
 
 def run_subset(work):
